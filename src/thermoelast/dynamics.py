@@ -14,8 +14,8 @@ States are held in physical space at the API boundary; `run` keeps the state
 spectral between steps and materialises physical fields on the record cadence.
 Products in the coupling are formed pointwise in physical space and dealiased
 by the 2/3 rule (unless disabled).  The evolved state is confined to the
-Nyquist-free subspace in either mode: the -m/2 lines carry modes without
-conjugate partners, and odd derivatives there cannot keep a real field real.
+Nyquist-free subspace in either mode: the Nyquist modes have no conjugate
+partners, and odd derivatives there cannot keep a real field real.
 Temperature positivity is enforced by error: a step that drags min(theta) to
 the configured floor raises PositivityLoss rather than clamping, unless the
 clamp debug flag is set.
@@ -234,8 +234,8 @@ class _SpectralStepper:
     def _coupling_rhs(self, vh: np.ndarray, th: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         grid = self.grid
         dv = np.stack([-self.p.mu * ik * th for ik in self.ik])
-        div_v = grid.to_physical(sum(self.ik[i] * vh[i] for i in range(grid.d)))
-        theta = grid.to_physical(th)
+        div_vh = sum(self.ik[i] * vh[i] for i in range(grid.d))
+        div_v, theta = grid.to_physical(np.stack([div_vh, th]))
         dth = -self.p.mu * grid.to_spectral(theta * div_v) * self.product_mask
         return dv, dth
 

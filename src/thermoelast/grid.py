@@ -3,7 +3,10 @@
 Everything in this package lives on a uniform tensor-product grid over a
 periodic box [0, L_1) x ... x [0, L_d), d in {2, 3}.  Fields are stored in
 physical space as float64 arrays; spectral representations are taken on
-demand with numpy's FFT.  Derivatives of band-limited fields are exact:
+demand with scipy's real FFT, in its half-spectrum layout: the leading
+axes hold every mode, the last axis only modes 0..m/2, the others being
+complex conjugates of these.  Fields coming back from spectral space are
+therefore real by construction.  Derivatives of band-limited fields are exact:
 transform, multiply by the wavevector lattice, transform back.
 
 The default box edge is 2*pi, which makes the wavevector lattice the integer
@@ -18,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy.fft
 
 __all__ = [
     "TWO_PI",
@@ -31,15 +35,12 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
-# inverse transforms must come back real up to this relative residue;
-# fields whose entire magnitude sits at roundoff scale are exempted by the
-# absolute floor (their "reality" is vacuous)
-IMAG_RESIDUE_REL = 1e-12
-IMAG_RESIDUE_ABS = 1e-13
 
-
-def _index_line(m: int) -> np.ndarray:
-    """Integer FFT frequencies [0, 1, ..., m/2-1, -m/2, ..., -1], exact."""
+def _index_line(m: int, last: bool) -> np.ndarray:
+    """Integer FFT frequencies, exact: [0, 1, ..., m/2-1, -m/2, ..., -1] on a
+    leading axis, [0, 1, ..., m/2] on the last (half-spectrum) axis."""
+    if last:
+        return np.arange(m // 2 + 1, dtype=np.float64)
     idx = np.arange(m, dtype=np.float64)
     idx[m // 2:] -= m
     return idx
@@ -66,6 +67,7 @@ class TorusGrid:
     _inv_k_sq: np.ndarray = field(init=False, repr=False, compare=False)
     _dealias: np.ndarray = field(init=False, repr=False, compare=False)
     _nyq_free: np.ndarray = field(init=False, repr=False, compare=False)
+    _herm: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = tuple(int(m) for m in self.n_per_axis)
@@ -85,30 +87,39 @@ class TorusGrid:
 
         ks, idxs = [], []
         for ax, (m, ell) in enumerate(zip(n, lengths)):
-            line = _index_line(m)
+            line = _index_line(m, last=ax == len(n) - 1)
             shape = [1] * len(n)
-            shape[ax] = m
+            shape[ax] = line.size
             idxs.append(line.reshape(shape))
             ks.append((TWO_PI / ell) * line.reshape(shape))
         k_sq = sum(k * k for k in ks)
         inv_k_sq = np.zeros_like(k_sq)
         np.divide(1.0, k_sq, out=inv_k_sq, where=k_sq > 0)
+        spec_shape = k_sq.shape
         # 2/3-rule mask: keep integer modes with |index| <= m // 3 per axis
-        mask = np.ones(n, dtype=bool)
+        mask = np.ones(spec_shape, dtype=bool)
         for ax, m in enumerate(n):
             mask &= np.abs(idxs[ax]) <= m // 3
-        # Nyquist-free mask: the index -m/2 has no conjugate partner, so odd
-        # derivative multipliers on it break reality; the stepper confines
-        # states to this subspace even with dealiasing off.
-        nyq = np.ones(n, dtype=bool)
+        # Nyquist-free mask: the index -m/2 of a leading axis and the m/2
+        # plane of the last axis have no conjugate partner, so odd derivative
+        # multipliers on them break reality; the stepper confines states to
+        # this subspace even with dealiasing off.
+        nyq = np.ones(spec_shape, dtype=bool)
         for ax, m in enumerate(n):
-            nyq &= idxs[ax] != -(m // 2)
+            nyq &= np.abs(idxs[ax]) != m // 2
+        # Hermitian multiplicity of each stored mode: the last-axis planes
+        # 0 and m/2 are their own conjugates, every other plane stands for
+        # itself and its conjugate partner
+        herm = np.full(idxs[-1].shape, 2.0)
+        herm[..., 0] = 1.0
+        herm[..., -1] = 1.0
         object.__setattr__(self, "_k", tuple(ks))
         object.__setattr__(self, "_idx", tuple(idxs))
         object.__setattr__(self, "_k_sq", k_sq)
         object.__setattr__(self, "_inv_k_sq", inv_k_sq)
         object.__setattr__(self, "_dealias", mask)
         object.__setattr__(self, "_nyq_free", nyq)
+        object.__setattr__(self, "_herm", herm)
 
     # -- geometry ---------------------------------------------------------
 
@@ -119,6 +130,11 @@ class TorusGrid:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.n_per_axis
+
+    @property
+    def spectral_shape(self) -> tuple[int, ...]:
+        """Shape of a spectral array: the last axis keeps modes 0..m/2."""
+        return self._k_sq.shape
 
     @property
     def n_total(self) -> int:
@@ -152,12 +168,14 @@ class TorusGrid:
 
     @property
     def wavevectors(self) -> tuple[np.ndarray, ...]:
-        """Broadcastable wavevector component arrays (2*pi/L_i times integers)."""
+        """Broadcastable wavevector component arrays (2*pi/L_i times integers)
+        over the spectral shape."""
         return self._k
 
     @property
     def mode_indices(self) -> tuple[np.ndarray, ...]:
-        """Broadcastable integer mode index arrays."""
+        """Broadcastable integer mode index arrays over the spectral shape:
+        -m/2..m/2-1 on a leading axis, 0..m/2 on the last axis."""
         return self._idx
 
     @property
@@ -175,42 +193,43 @@ class TorusGrid:
 
     @property
     def nyquist_free_mask(self) -> np.ndarray:
-        """True away from the per-axis Nyquist lines (index -m/2)."""
+        """True away from the Nyquist modes: index -m/2 on a leading axis,
+        the m/2 plane on the last axis."""
         return self._nyq_free
+
+    @property
+    def hermitian_weight(self) -> np.ndarray:
+        """Broadcastable count of the full-spectrum modes each stored mode
+        stands for: 1 on the last-axis planes 0 and m/2, 2 elsewhere."""
+        return self._herm
 
     def mode_cube_mask(self, band: int) -> np.ndarray:
         """True on the mode cube |index|_inf <= band."""
         if band < 1:
             raise ValueError(f"band must be >= 1, got {band}")
-        mask = np.ones(self.shape, dtype=bool)
+        mask = np.ones(self.spectral_shape, dtype=bool)
         for idx in self._idx:
             mask &= np.abs(idx) <= band
         return mask
 
     def to_spectral(self, values: np.ndarray) -> np.ndarray:
-        """Forward FFT over the trailing d axes (leading axes pass through)."""
-        return np.fft.fftn(values, axes=tuple(range(-self.d, 0)))
+        """Real forward FFT over the trailing d axes (leading axes pass
+        through); a (..., *shape) float array becomes a complex
+        (..., *spectral_shape) array in the half-spectrum layout."""
+        return scipy.fft.rfftn(values, axes=tuple(range(-self.d, 0)))
 
     def to_physical(self, spec: np.ndarray) -> np.ndarray:
-        """Inverse FFT over the trailing d axes, enforcing reality.
+        """Inverse of `to_spectral`: a complex (..., *spectral_shape) array in
+        the half-spectrum layout becomes a real (..., *shape) float array.
 
-        Raises ValueError if the imaginary residue exceeds IMAG_RESIDUE_REL
-        times the maximum magnitude of the result and the absolute floor
-        IMAG_RESIDUE_ABS.  The floor keeps derived fields that cancel to
-        rounding noise (e.g. the divergence of a solenoidal field) from
-        failing a check that is vacuous for them; a genuine symmetry bug
-        produces a residue comparable to the field itself, far above it.
+        The last-axis planes 0 and m/2 hold their own conjugates; only the
+        Hermitian part of their coefficients contributes.
         """
-        w = np.fft.ifftn(spec, axes=tuple(range(-self.d, 0)))
-        mag = float(np.max(np.abs(w))) if w.size else 0.0
-        if mag > 0.0:
-            resid = float(np.max(np.abs(w.imag)))
-            if resid > IMAG_RESIDUE_REL * mag and resid > IMAG_RESIDUE_ABS:
-                raise ValueError(
-                    f"inverse transform lost reality: imaginary residue {resid:.3e} "
-                    f"exceeds {IMAG_RESIDUE_REL:.0e} x max magnitude {mag:.3e}"
-                )
-        return np.ascontiguousarray(w.real)
+        if spec.shape[spec.ndim - self.d:] != self.spectral_shape:
+            raise ValueError(
+                f"spectral shape {spec.shape} does not end in {self.spectral_shape}"
+            )
+        return scipy.fft.irfftn(spec, s=self.n_per_axis, axes=tuple(range(-self.d, 0)))
 
 
 def _check_values(grid: TorusGrid, values: np.ndarray, lead: int) -> np.ndarray:
@@ -296,9 +315,9 @@ def quadrature(grid: TorusGrid, values: np.ndarray) -> float:
 
 
 def spectral_l2_sq(grid: TorusGrid, spec: np.ndarray, weight: np.ndarray | None = None) -> float:
-    """Squared L2 norm from spectral coefficients (Parseval), optionally
+    """Squared L2 norm from half-spectrum coefficients (Parseval), optionally
     weighted per mode; leading component axes are summed."""
-    w = np.abs(spec) ** 2
+    w = (spec.real**2 + spec.imag**2) * grid.hermitian_weight
     if weight is not None:
         w = w * weight
     return float(np.sum(w)) * grid.cell_volume / grid.n_total

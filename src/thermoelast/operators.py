@@ -95,12 +95,11 @@ def hessian(f: ScalarField) -> np.ndarray:
     grid = f.grid
     fh = f.spectral()
     k = grid.wavevectors
+    pairs = [(i, j) for i in range(grid.d) for j in range(i, grid.d)]
+    parts = grid.to_physical(np.stack([-(k[i] * k[j]) * fh for i, j in pairs]))
     out = np.empty((grid.d, grid.d) + grid.shape)
-    for i in range(grid.d):
-        for j in range(i, grid.d):
-            out[i, j] = grid.to_physical(-(k[i] * k[j]) * fh)
-            if j != i:
-                out[j, i] = out[i, j]
+    for (i, j), part in zip(pairs, parts):
+        out[i, j] = out[j, i] = part
     return out
 
 

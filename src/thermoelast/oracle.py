@@ -122,19 +122,22 @@ def _embedding_rows(n: int, grid: TorusGrid) -> tuple[np.ndarray, ...]:
     return tuple(_mode_offsets(n) % m for m in grid.n_per_axis)
 
 
-def reconstruct_scalar(cube: np.ndarray, n: int, grid: TorusGrid) -> ScalarField:
+def _embed(cube: np.ndarray, n: int, grid: TorusGrid) -> np.ndarray:
+    """The half-spectrum slice of the cube's embedding in the grid spectrum:
+    every leading-axis offset, the last-axis offsets 0..n."""
     rows = _embedding_rows(n, grid)
-    spec = np.zeros(grid.shape, dtype=np.complex128)
-    spec[np.ix_(*rows)] = cube
-    return ScalarField.from_spectral(grid, spec * grid.n_total)
+    lead = cube.shape[: cube.ndim - grid.d]
+    spec = np.zeros(lead + grid.spectral_shape, dtype=np.complex128)
+    spec[(Ellipsis,) + np.ix_(*rows[:-1], rows[-1][n:])] = cube[..., n:]
+    return spec * grid.n_total
+
+
+def reconstruct_scalar(cube: np.ndarray, n: int, grid: TorusGrid) -> ScalarField:
+    return ScalarField.from_spectral(grid, _embed(cube, n, grid))
 
 
 def reconstruct_vector(cubes: np.ndarray, n: int, grid: TorusGrid) -> VectorField:
-    rows = _embedding_rows(n, grid)
-    spec = np.zeros((grid.d,) + grid.shape, dtype=np.complex128)
-    for i in range(grid.d):
-        spec[(i,) + np.ix_(*rows)] = cubes[i]
-    return VectorField.from_spectral(grid, spec * grid.n_total)
+    return VectorField.from_spectral(grid, _embed(cubes, n, grid))
 
 
 def _oversample_grid(n: int, lengths: tuple[float, ...]) -> TorusGrid:
@@ -166,7 +169,8 @@ def build_galerkin(s0: SimState, p: ModelParams, n: int) -> GalerkinSystem:
     rows = _embedding_rows(n, grid)
 
     def project(values: np.ndarray) -> tuple[np.ndarray, float, float]:
-        fh = grid.to_spectral(values) / grid.n_total
+        # full-layout coefficients: the oracle does not share the grid's layout
+        fh = np.fft.fftn(values, axes=tuple(range(-grid.d, 0))) / grid.n_total
         if values.ndim > grid.d:
             cube = np.stack([comp[np.ix_(*rows)] for comp in fh])
         else:

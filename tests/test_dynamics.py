@@ -263,6 +263,19 @@ class TestRunMechanics:
         assert [r.energy for r in r1] == [r.energy for r in r2]
         assert [r.entropy for r in r1] == [r.entropy for r in r2]
 
+    @pytest.mark.parametrize("operator", ["laplacian", "lame"])
+    def test_fine_grid_at_acceptance_amplitude(self, operator):
+        # 2D N=128 at epsilon=0.2: transform rounding on this grid once
+        # tripped a fixed imaginary-residue threshold within 20 steps
+        s0 = make_initial_data(ScenarioSpec("small-mixed", n=128, epsilon=0.2))
+        p = ModelParams(mu=1.0, operator=operator)
+        rec = TrajectoryRecorder(p, battery="ledger")
+        run(s0, p, StepperConfig(dt=1e-3, t_end=0.02), sink=rec)
+        assert len(rec.records) == 21
+        ledger = ("energy", "entropy", "entropy_production", "production_integral",
+                  "dissipation_residual", "theta_min", "theta_max")
+        assert all(math.isfinite(getattr(r, name)) for r in rec.records for name in ledger)
+
     def test_energy_drift_is_second_order(self):
         s0 = make_initial_data(ScenarioSpec("small-mixed", epsilon=0.2))
         p = ModelParams(mu=1.0)
@@ -287,8 +300,8 @@ class TestProductBand:
 
     @staticmethod
     def _cube(grid: TorusGrid, values: np.ndarray, band: int) -> np.ndarray:
-        """Normalized spectral coefficients on the mode cube |k|_inf <= band."""
-        fh = grid.to_spectral(values) / grid.n_total
+        """Normalized full-layout coefficients on the mode cube |k|_inf <= band."""
+        fh = np.fft.fftn(values, axes=tuple(range(-grid.d, 0))) / grid.n_total
         rows = tuple(np.arange(-band, band + 1) % m for m in grid.n_per_axis)
         if values.ndim > grid.d:
             return np.stack([comp[np.ix_(*rows)] for comp in fh])

@@ -71,22 +71,29 @@ class TestGeometry:
         assert np.max(np.abs(g.wavevectors[1])) == pytest.approx(2 * np.max(np.abs(g.wavevectors[0])))
 
 
+def _full_spectrum_count(grid, mask):
+    """Modes a half-spectrum mask selects in the full spectrum."""
+    return int(np.sum(mask * grid.hermitian_weight))
+
+
 class TestMasks:
     def test_dealias_mask_counts(self, grid2d_small):
         # m=16 keeps |index| <= 5 per axis: 11 surviving lines
-        assert int(np.sum(grid2d_small.dealias_mask)) == 11 * 11
+        assert _full_spectrum_count(grid2d_small, grid2d_small.dealias_mask) == 11 * 11
 
     def test_nyquist_free_mask_counts(self, grid2d_small):
-        assert int(np.sum(grid2d_small.nyquist_free_mask)) == 15 * 15
-        # exactly the -8 index lines are dropped
+        assert _full_spectrum_count(grid2d_small, grid2d_small.nyquist_free_mask) == 15 * 15
+        # exactly the Nyquist lines are dropped: index -8 on the leading
+        # axis, the +8 plane on the last (half-spectrum) axis
         idx0, idx1 = grid2d_small.mode_indices
+        shape = grid2d_small.spectral_shape
         dropped = ~grid2d_small.nyquist_free_mask
-        assert np.all((np.broadcast_to(idx0, (16, 16)) == -8)[dropped]
-                      | (np.broadcast_to(idx1, (16, 16)) == -8)[dropped])
+        assert np.all((np.broadcast_to(idx0, shape) == -8)[dropped]
+                      | (np.broadcast_to(idx1, shape) == 8)[dropped])
 
     def test_mode_cube_mask(self, grid2d_small):
         m = grid2d_small.mode_cube_mask(3)
-        assert int(np.sum(m)) == 7 * 7
+        assert _full_spectrum_count(grid2d_small, m) == 7 * 7
         with pytest.raises(ValueError, match="band must be >= 1"):
             grid2d_small.mode_cube_mask(0)
 
@@ -102,16 +109,29 @@ class TestTransforms:
         back = grid3d.to_physical(grid3d.to_spectral(vals))
         np.testing.assert_allclose(back, vals, rtol=0, atol=1e-13)
 
-    def test_reality_violation_raises(self, grid2d_small):
-        # a single unpaired mode has no real inverse
-        spec = np.zeros(grid2d_small.shape, dtype=complex)
-        spec[1, 0] = 1.0
-        with pytest.raises(ValueError, match="lost reality"):
-            grid2d_small.to_physical(spec)
+    @pytest.mark.parametrize("shape", [(16, 12), (8, 10, 12)])
+    def test_half_spectrum_layout(self, shape, rng):
+        # real fields round-trip through the half spectrum, and the Nyquist
+        # mask empties the unpaired -m/2 lines and the last-axis m/2 plane
+        grid = TorusGrid(shape)
+        vals = rng.standard_normal((2,) + shape)
+        spec = grid.to_spectral(vals)
+        assert spec.shape == (2,) + shape[:-1] + (shape[-1] // 2 + 1,)
+        assert spec.shape[1:] == grid.spectral_shape
+        np.testing.assert_allclose(grid.to_physical(spec), vals, rtol=0, atol=1e-13)
+        kept = spec * grid.nyquist_free_mask
+        for ax, m in enumerate(shape[:-1]):
+            assert not np.any(np.take(kept, m // 2, axis=ax + 1))
+        assert not np.any(kept[..., -1])
+        again = grid.to_spectral(grid.to_physical(kept))
+        np.testing.assert_allclose(again, kept, rtol=0, atol=1e-12)
+        with pytest.raises(ValueError, match="spectral shape"):
+            grid.to_physical(np.fft.fftn(vals, axes=tuple(range(-grid.d, 0))))
 
     def test_roundoff_scale_imaginary_is_tolerated(self, grid2d_small):
-        # whole field at rounding scale: the relative check would be vacuous
-        spec = np.zeros(grid2d_small.shape, dtype=complex)
+        # whole field at rounding scale, on a mode stored without its
+        # conjugate partner: the inverse is real and at the same scale
+        spec = np.zeros(grid2d_small.spectral_shape, dtype=complex)
         spec[1, 0] = 1e-14
         out = grid2d_small.to_physical(spec)
         assert np.all(np.abs(out) < 1e-13)

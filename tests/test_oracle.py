@@ -166,7 +166,7 @@ class TestTendencies:
         rows = tuple(np.arange(-3, 4) % m for m in grid.n_per_axis)
 
         def cube_of(values):
-            fh = grid.to_spectral(values) / grid.n_total
+            fh = np.fft.fftn(values, axes=tuple(range(-grid.d, 0))) / grid.n_total
             if values.ndim > grid.d:
                 return np.stack([c[np.ix_(*rows)] for c in fh])
             return fh[np.ix_(*rows)]
