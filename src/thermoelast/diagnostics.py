@@ -15,6 +15,8 @@ The quantities tracked here are the ones the dynamics is supposed to respect:
 * the orthogonal-splitting norms (divergence-free displacement energy,
   curl-free displacement H1 norm, distance of theta to its predicted limit).
 
+The elastic terms are the operator's quadratic form `operators.elastic_form`:
+unweighted in the energies, weighted by |k|^2 in the Fisher functional.
 Pointwise nonlinearities (log, sqrt, quotients) are evaluated in physical
 space; where their result is differentiated spectrally it is dealiased by the
 2/3 rule first.
@@ -87,24 +89,11 @@ def _check_positive(theta: ScalarField, what: str) -> None:
         raise ValueError(f"{what} requires positive temperature, min is {tmin:.6g}")
 
 
-def _elastic_energy(u: VectorField, p: ModelParams) -> float:
-    """The displacement part of the energy for the chosen operator."""
-    if p.operator == "laplacian":
-        return 0.5 * field_norms(u)["h1_semi"] ** 2
-    div_u = operators.divergence(u)
-    curl_u = operators.curl(u)
-    curl_sq = field_norms(curl_u)["l2"] ** 2
-    return (
-        0.5 * (2.0 * p.zeta + p.lame_lambda) * field_norms(div_u)["l2"] ** 2
-        + 0.5 * p.zeta * curl_sq
-    )
-
-
 def total_energy(s: SimState, p: ModelParams) -> float:
     """Kinetic + elastic + thermal energy; an exact invariant of the flow."""
     kinetic = 0.5 * field_norms(s.v)["l2"] ** 2
     thermal = quadrature(s.grid, s.theta.values)
-    return kinetic + _elastic_energy(s.u, p) + thermal
+    return kinetic + 0.5 * operators.elastic_form(s.u, p.wave_speeds_sq) + thermal
 
 
 def entropy(s: SimState) -> float:
@@ -150,15 +139,7 @@ def _fisher_theta_term(s: SimState) -> float:
 def fisher_functional(s: SimState, p: ModelParams) -> float:
     """F = 1/2 (int |grad v|^2 + second-order elastic term + int |grad theta|^2/theta)."""
     grad_v_sq = field_norms(s.v)["h1_semi"] ** 2
-    if p.operator == "laplacian":
-        elastic = field_norms(operators.laplacian(s.u))["l2"] ** 2
-    else:
-        grad_div = operators.gradient(operators.divergence(s.u))
-        cc = operators.curl_curl(s.u)
-        elastic = (
-            (2.0 * p.zeta + p.lame_lambda) * field_norms(grad_div)["l2"] ** 2
-            + p.zeta * field_norms(cc)["l2"] ** 2
-        )
+    elastic = operators.elastic_form(s.u, p.wave_speeds_sq, s.grid.k_sq)
     return 0.5 * (grad_v_sq + elastic + _fisher_theta_term(s))
 
 
@@ -223,21 +204,13 @@ def theta_infinity_prediction(s0: SimState, p: ModelParams) -> float:
     parts_u = helmholtz_project(s0.u)
     parts_v = helmholtz_project(s0.v)
     kinetic = 0.5 * field_norms(parts_v.curl_free)["l2"] ** 2
-    if p.operator == "laplacian":
-        elastic = 0.5 * field_norms(parts_u.curl_free)["h1_semi"] ** 2
-    else:
-        div_chi = operators.divergence(parts_u.curl_free)
-        elastic = 0.5 * (2.0 * p.zeta + p.lame_lambda) * field_norms(div_chi)["l2"] ** 2
+    elastic = 0.5 * operators.elastic_form(parts_u.curl_free, p.wave_speeds_sq)
     thermal = quadrature(s0.grid, s0.theta.values)
     return (kinetic + elastic + thermal) / s0.grid.measure
 
 
 def _nu_energy(nu: VectorField, nu_t: VectorField, p: ModelParams) -> float:
-    kinetic = 0.5 * field_norms(nu_t)["l2"] ** 2
-    if p.operator == "laplacian":
-        return kinetic + 0.5 * field_norms(nu)["h1_semi"] ** 2
-    curl_nu = operators.curl(nu)
-    return kinetic + 0.5 * p.zeta * field_norms(curl_nu)["l2"] ** 2
+    return 0.5 * field_norms(nu_t)["l2"] ** 2 + 0.5 * operators.elastic_form(nu, p.wave_speeds_sq)
 
 
 def decomposition_report(s: SimState, s0: SimState, p: ModelParams) -> dict[str, float]:

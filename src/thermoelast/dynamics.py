@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .grid import ScalarField, TorusGrid, VectorField
-from .operators import check_lame_ellipticity
+from .operators import check_lame_ellipticity, divergence, elastic_symbol, k_dot, lame_speeds_sq
 
 __all__ = [
     "ModelParams",
@@ -86,6 +86,13 @@ class ModelParams:
         if self.operator == "lame":
             check_lame_ellipticity(self.zeta, self.lame_lambda, d)
 
+    @property
+    def wave_speeds_sq(self) -> tuple[float, float]:
+        """Squared (transverse, longitudinal) wave speeds of the operator."""
+        if self.operator == "lame":
+            return lame_speeds_sq(self.zeta, self.lame_lambda)
+        return 1.0, 1.0
+
 
 @dataclass
 class SimState:
@@ -123,7 +130,6 @@ class StepperConfig:
     positivity_floor: float = 1e-10
     record_every: int = 1
     clamp_theta: bool = False
-    deterministic_reduction: bool = True
     # > 0 restricts products to the mode cube |k|_inf <= product_band instead
     # of the 2/3 rule, making the run the exact Galerkin truncation of that
     # cube (used when comparing against the truncated-system oracle)
@@ -188,13 +194,20 @@ class _SpectralStepper:
         k_sq = grid.k_sq
         self.heat_half = np.exp(-k_sq * h)
         self.ik = [1j * k for k in grid.wavevectors]
-        if p.operator == "laplacian":
-            self.wave_sets = [(1.0, *self._rotation(k_sq, 1.0, h))]
-        else:
-            self.wave_sets = [
-                (p.zeta, *self._rotation(k_sq, p.zeta, h)),
-                (2.0 * p.zeta + p.lame_lambda, *self._rotation(k_sq, 2.0 * p.zeta + p.lame_lambda, h)),
-            ]
+        a_t, a_l = p.wave_speeds_sq
+        self.c_t, self.s_t = self._rotation(k_sq, a_t, h)
+        self.m_t = -a_t * k_sq * self.s_t
+        # a faster longitudinal wave differs from the transverse rotation only
+        # on the curl-free part k (k . w) / |k|^2, so its correction is a
+        # per-mode combination of k . u and k . v along k
+        self.long_corr = None
+        if a_l != a_t:
+            c_l, s_l = self._rotation(k_sq, a_l, h)
+            self.long_corr = (
+                (c_l - self.c_t) * grid.inv_k_sq,
+                (s_l - self.s_t) * grid.inv_k_sq,
+                a_t * self.s_t - a_l * s_l,
+            )
 
     @staticmethod
     def _rotation(k_sq: np.ndarray, speed_sq: float, h: float):
@@ -205,30 +218,18 @@ class _SpectralStepper:
         return c, s
 
     def _wave_half(self, uh: np.ndarray, vh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        grid = self.grid
-        k = grid.wavevectors
-        if self.p.operator == "laplacian":
-            a, c, s = self.wave_sets[0]
-            new_u = c * uh + s * vh
-            new_v = -a * grid.k_sq * s * uh + c * vh
-            return new_u, new_v
-        # Lame: rotate the longitudinal (k-parallel) and transverse parts
-        # with their own speeds; the zero mode rides the transverse branch.
-        ku = sum(k[i] * uh[i] for i in range(grid.d))
-        kv = sum(k[i] * vh[i] for i in range(grid.d))
-        u_long = np.stack([k[i] * ku * grid.inv_k_sq for i in range(grid.d)])
-        v_long = np.stack([k[i] * kv * grid.inv_k_sq for i in range(grid.d)])
-        u_tr = uh - u_long
-        v_tr = vh - v_long
-        a_t, c_t, s_t = self.wave_sets[0]
-        a_l, c_l, s_l = self.wave_sets[1]
-        new_u = c_t * u_tr + s_t * v_tr + c_l * u_long + s_l * v_long
-        new_v = (
-            -a_t * grid.k_sq * s_t * u_tr
-            + c_t * v_tr
-            - a_l * grid.k_sq * s_l * u_long
-            + c_l * v_long
-        )
+        # every mode rotates at the transverse speed; the zero mode drifts
+        new_u = self.c_t * uh + self.s_t * vh
+        new_v = self.m_t * uh + self.c_t * vh
+        if self.long_corr is not None:
+            dc, ds, dm = self.long_corr
+            ku = k_dot(self.grid, uh)
+            kv = k_dot(self.grid, vh)
+            du = dc * ku + ds * kv
+            dv = dm * ku + dc * kv
+            for i, k in enumerate(self.grid.wavevectors):
+                new_u[i] += k * du
+                new_v[i] += k * dv
         return new_u, new_v
 
     def _coupling_rhs(self, vh: np.ndarray, th: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -258,20 +259,13 @@ def evaluate_rhs(s: SimState, p: ModelParams, dealias: bool = True) -> tuple[Vec
     """Instantaneous tendencies (du/dt, dv/dt, dtheta/dt) of the full system."""
     grid = s.grid
     p.validate_for_dimension(grid.d)
-    k = grid.wavevectors
     nyq = grid.nyquist_free_mask
     uh = s.u.spectral() * nyq
     vh = s.v.spectral() * nyq
     th = s.theta.spectral() * nyq
-    if p.operator == "laplacian":
-        au = grid.k_sq * uh
-    else:
-        ku = sum(k[i] * uh[i] for i in range(grid.d))
-        au = np.stack(
-            [p.zeta * grid.k_sq * uh[i] + (p.zeta + p.lame_lambda) * k[i] * ku for i in range(grid.d)]
-        )
-    dv_h = -au + np.stack([-p.mu * 1j * k[i] * th for i in range(grid.d)])
-    div_v = grid.to_physical(sum(1j * k[i] * vh[i] for i in range(grid.d)))
+    mu_grad_th = np.stack([p.mu * 1j * k * th for k in grid.wavevectors])
+    dv_h = -elastic_symbol(grid, uh, p.wave_speeds_sq) - mu_grad_th
+    div_v = grid.to_physical(1j * k_dot(grid, vh))
     coupling = grid.to_spectral(s.theta.values * div_v)
     coupling = coupling * (grid.dealias_mask if dealias else nyq)
     dth_h = -grid.k_sq * th - p.mu * coupling
@@ -315,27 +309,36 @@ def _signed_step(
     )
 
 
+def _enforce_floor(t: float, theta: np.ndarray, floor: float, clamp: bool) -> int:
+    """The positivity rule on physical temperature values at time t.
+
+    Returns 0 while min(theta) stays above the floor.  Otherwise raises
+    PositivityLoss or, in clamp mode, raises the offending values to the
+    floor in place, logs, and returns how many were clamped.
+    """
+    tmin = float(np.min(theta))
+    if tmin > floor:
+        return 0
+    if not clamp:
+        raise PositivityLoss(t, tmin)
+    n_clamped = int(np.sum(theta <= floor))
+    log.warning(
+        "clamped %d temperature values to %.3e at t=%.6g (min was %.3e)",
+        n_clamped, floor, t, tmin,
+    )
+    np.maximum(theta, floor, out=theta)
+    return n_clamped
+
+
 def step(s: SimState, p: ModelParams, cfg: StepperConfig) -> SimState:
     """Advance one step of cfg.dt, enforcing the positivity floor."""
     out = _signed_step(s, p, cfg.dt, cfg.dealias, cfg.product_band)
-    tmin = float(np.min(out.theta.values))
-    if tmin <= cfg.positivity_floor:
-        if cfg.clamp_theta:
-            n_clamped = int(np.sum(out.theta.values <= cfg.positivity_floor))
-            log.warning(
-                "clamped %d temperature values to %.3e at t=%.6g (min was %.3e)",
-                n_clamped, cfg.positivity_floor, out.t, tmin,
-            )
-            np.maximum(out.theta.values, cfg.positivity_floor, out=out.theta.values)
-        else:
-            raise PositivityLoss(out.t, tmin)
+    _enforce_floor(out.t, out.theta.values, cfg.positivity_floor, cfg.clamp_theta)
     return out
 
 
 def _dt_advisory(s: SimState, p: ModelParams, dt: float) -> None:
-    grid = s.grid
-    vh = s.v.spectral()
-    div_v = grid.to_physical(sum(1j * k * vh[i] for i, k in enumerate(grid.wavevectors)))
+    div_v = divergence(s.v).values
     scale = p.mu * float(np.max(np.abs(s.theta.values))) * float(np.max(np.abs(div_v)))
     bound = 0.5 / (scale + 1.0)
     if dt > bound:
@@ -361,8 +364,7 @@ def run(
     p.validate_for_dimension(grid.d)
     n_steps = cfg.n_steps()
     _dt_advisory(s0, p, cfg.dt)
-    if float(np.min(s0.theta.values)) <= cfg.positivity_floor:
-        raise PositivityLoss(s0.t, float(np.min(s0.theta.values)))
+    _enforce_floor(s0.t, s0.theta.values, cfg.positivity_floor, clamp=False)
 
     stepper = _SpectralStepper(grid, p, cfg.dt, cfg.dealias, cfg.product_band)
     nyq = _state_mask(grid, cfg.product_band)
@@ -374,14 +376,6 @@ def run(
     if sink is not None:
         sink(s0.copy())
 
-    def materialise(t: float) -> SimState:
-        return SimState(
-            t,
-            VectorField.from_spectral(grid, uh),
-            VectorField.from_spectral(grid, vh),
-            ScalarField.from_spectral(grid, th),
-        )
-
     state = s0.copy()
     clamp_total = 0
     for i in range(1, n_steps + 1):
@@ -389,21 +383,12 @@ def run(
         t = t0 + i * cfg.dt
         _check_finite(t, {"u": uh, "v": vh, "theta": th})
         theta_phys = grid.to_physical(th)
-        tmin = float(np.min(theta_phys))
-        if tmin <= cfg.positivity_floor:
-            if cfg.clamp_theta:
-                n_clamped = int(np.sum(theta_phys <= cfg.positivity_floor))
-                clamp_total += n_clamped
-                log.warning(
-                    "clamped %d temperature values to %.3e at t=%.6g (min was %.3e)",
-                    n_clamped, cfg.positivity_floor, t, tmin,
-                )
-                theta_phys = np.maximum(theta_phys, cfg.positivity_floor)
-                # clamping is pointwise and repopulates the unpaired Nyquist
-                # lines; project back onto the evolution subspace
-                th = grid.to_spectral(theta_phys) * nyq
-            else:
-                raise PositivityLoss(t, tmin)
+        n_clamped = _enforce_floor(t, theta_phys, cfg.positivity_floor, cfg.clamp_theta)
+        if n_clamped:
+            clamp_total += n_clamped
+            # clamping is pointwise and repopulates the unpaired Nyquist
+            # lines; project back onto the evolution subspace
+            th = grid.to_spectral(theta_phys) * nyq
         if i == n_steps or (sink is not None and i % cfg.record_every == 0):
             state = SimState(
                 t,

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .grid import ScalarField, VectorField
+from .operators import longitudinal_part
 
 __all__ = ["HelmholtzParts", "helmholtz_project"]
 
@@ -28,10 +27,8 @@ class HelmholtzParts:
 
 def helmholtz_project(v: VectorField) -> HelmholtzParts:
     grid = v.grid
-    k = grid.wavevectors
     vh = v.spectral()
-    kv = sum(k[i] * vh[i] for i in range(grid.d))
-    curl_free_h = np.stack([k[i] * kv * grid.inv_k_sq for i in range(grid.d)])
+    kv, curl_free_h = longitudinal_part(grid, vh)
     div_free_h = vh - curl_free_h
     # potential: laplacian(phi) = div v  =>  phi^ = -i (k . v^) / |k|^2
     pot_h = -1j * kv * grid.inv_k_sq

@@ -1,5 +1,17 @@
 """Spectral differential operators, exact for band-limited fields.
 
+This module is the home of the per-mode elastic symbol.  Per Fourier mode
+the operator A of the wave equation (-laplacian or Lame) is fixed by two
+squared wave speeds (a_t, a_l), transverse and longitudinal:
+
+    A u^ = a_t |k|^2 u^ + (a_l - a_t) k (k . u^),
+
+i.e. a_t |k|^2 on the divergence-free part and a_l |k|^2 on the curl-free
+part k (k . u^) / |k|^2 (`longitudinal_part`).  The speeds are (1, 1) for
+-laplacian and (zeta, 2*zeta + lam) for Lame (`lame_speeds_sq`).
+`elastic_symbol` applies A to spectral coefficients and `elastic_form`
+evaluates int u . A u by Parseval, optionally with a per-mode weight.
+
 Sign and shape conventions:
 
 * ``curl`` of a 2D vector field is the scalar  d(v2)/dx1 - d(v1)/dx2; in 3D it
@@ -17,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import ScalarField, TorusGrid, VectorField
+from .grid import ScalarField, TorusGrid, VectorField, spectral_l2_sq
 
 __all__ = [
     "gradient",
@@ -27,6 +39,11 @@ __all__ = [
     "laplacian",
     "hessian",
     "lame_apply",
+    "lame_speeds_sq",
+    "k_dot",
+    "longitudinal_part",
+    "elastic_symbol",
+    "elastic_form",
     "check_lame_coefficients",
     "check_lame_ellipticity",
 ]
@@ -37,13 +54,6 @@ def _grad_spec(grid: TorusGrid, fh: np.ndarray) -> np.ndarray:
     return np.stack([1j * k * fh for k in grid.wavevectors])
 
 
-def _div_spec(grid: TorusGrid, vh: np.ndarray) -> np.ndarray:
-    out = 1j * grid.wavevectors[0] * vh[0]
-    for i in range(1, grid.d):
-        out = out + 1j * grid.wavevectors[i] * vh[i]
-    return out
-
-
 def gradient(f: ScalarField) -> VectorField:
     grid = f.grid
     return VectorField.from_spectral(grid, _grad_spec(grid, f.spectral()))
@@ -51,7 +61,7 @@ def gradient(f: ScalarField) -> VectorField:
 
 def divergence(v: VectorField) -> ScalarField:
     grid = v.grid
-    return ScalarField.from_spectral(grid, _div_spec(grid, v.spectral()))
+    return ScalarField.from_spectral(grid, 1j * k_dot(grid, v.spectral()))
 
 
 def curl(v: VectorField) -> ScalarField | VectorField:
@@ -71,16 +81,11 @@ def curl(v: VectorField) -> ScalarField | VectorField:
     return VectorField.from_spectral(grid, ch)
 
 
-def _curl_curl_spec(grid: TorusGrid, vh: np.ndarray) -> np.ndarray:
-    """|k|^2 v - k (k . v), the double curl of either dimension."""
-    k = grid.wavevectors
-    kv = sum(k[i] * vh[i] for i in range(grid.d))
-    return np.stack([grid.k_sq * vh[i] - k[i] * kv for i in range(grid.d)])
-
-
 def curl_curl(v: VectorField) -> VectorField:
+    """|k|^2 v^ - k (k . v^) per mode in either dimension: the elastic symbol
+    with speeds (1, 0)."""
     grid = v.grid
-    return VectorField.from_spectral(grid, _curl_curl_spec(grid, v.spectral()))
+    return VectorField.from_spectral(grid, elastic_symbol(grid, v.spectral(), (1.0, 0.0)))
 
 
 def laplacian(f: ScalarField | VectorField) -> ScalarField | VectorField:
@@ -112,7 +117,7 @@ def check_lame_coefficients(zeta: float, lam: float) -> None:
     if zeta <= 0.0:
         raise ValueError(f"zeta must be > 0, got {zeta}")
     if 2.0 * zeta + lam <= 0.0:
-        raise ValueError(f"2*zeta + lam must be > 0, got {2.0 * zeta + lam}")
+        raise ValueError(f"2*zeta + lame_lambda must be > 0, got {2.0 * zeta + lam}")
 
 
 def check_lame_ellipticity(zeta: float, lam: float, d: int) -> None:
@@ -120,22 +125,57 @@ def check_lame_ellipticity(zeta: float, lam: float, d: int) -> None:
     check_lame_coefficients(zeta, lam)
     if 2.0 * zeta + d * lam <= 0.0:
         raise ValueError(
-            f"2*zeta + d*lam must be > 0, got {2.0 * zeta + d * lam} "
-            f"(zeta={zeta}, lam={lam}, d={d})"
+            f"2*zeta + d*lame_lambda must be > 0, got {2.0 * zeta + d * lam} "
+            f"(zeta={zeta}, lame_lambda={lam}, d={d})"
         )
 
 
-def lame_apply(v: VectorField, zeta: float, lam: float) -> VectorField:
-    """Apply L w = -(2*zeta+lam) grad(div w) + zeta curl_curl(w.
+def lame_speeds_sq(zeta: float, lam: float) -> tuple[float, float]:
+    """Squared (transverse, longitudinal) wave speeds of the Lame operator."""
+    return zeta, 2.0 * zeta + lam
 
-    Diagonal per mode:  L w^ = zeta |k|^2 w^ + (zeta+lam) k (k . w^).
-    """
-    grid = v.grid
-    check_lame_coefficients(zeta, lam)
+
+def k_dot(grid: TorusGrid, vh: np.ndarray) -> np.ndarray:
+    """k . v^ per mode for a stacked spectral vector."""
     k = grid.wavevectors
-    vh = v.spectral()
-    kv = sum(k[i] * vh[i] for i in range(grid.d))
-    out = np.stack(
-        [zeta * grid.k_sq * vh[i] + (zeta + lam) * k[i] * kv for i in range(grid.d)]
+    return sum(k[i] * vh[i] for i in range(grid.d))
+
+
+def longitudinal_part(grid: TorusGrid, vh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(k . v^, k (k . v^) / |k|^2): the wavevector component of a spectral
+    vector and its curl-free part, which is zero on the zero mode."""
+    kv = k_dot(grid, vh)
+    return kv, np.stack([k * kv * grid.inv_k_sq for k in grid.wavevectors])
+
+
+def elastic_symbol(grid: TorusGrid, vh: np.ndarray, speeds_sq: tuple[float, float]) -> np.ndarray:
+    """A v^ = a_t |k|^2 v^ + (a_l - a_t) k (k . v^) for speeds_sq = (a_t, a_l)."""
+    a_t, a_l = speeds_sq
+    out = a_t * grid.k_sq * vh
+    if a_l != a_t:
+        kv = (a_l - a_t) * k_dot(grid, vh)
+        for i, k in enumerate(grid.wavevectors):
+            out[i] += k * kv
+    return out
+
+
+def elastic_form(
+    u: VectorField, speeds_sq: tuple[float, float], weight: np.ndarray | None = None
+) -> float:
+    """int u . A u by Parseval: the sum over modes of
+    a_t |k|^2 |u^|^2 + (a_l - a_t) |k . u^|^2, each mode times weight if given."""
+    grid = u.grid
+    a_t, a_l = speeds_sq
+    uh = u.spectral()
+    form = a_t * spectral_l2_sq(grid, uh, grid.k_sq if weight is None else grid.k_sq * weight)
+    if a_l != a_t:
+        form += (a_l - a_t) * spectral_l2_sq(grid, k_dot(grid, uh), weight)
+    return form
+
+
+def lame_apply(v: VectorField, zeta: float, lam: float) -> VectorField:
+    """Apply L w = -(2*zeta+lam) grad(div w) + zeta curl_curl(w)."""
+    check_lame_coefficients(zeta, lam)
+    return VectorField.from_spectral(
+        v.grid, elastic_symbol(v.grid, v.spectral(), lame_speeds_sq(zeta, lam))
     )
-    return VectorField.from_spectral(grid, out)

@@ -12,6 +12,9 @@ coefficient space - no grids, no aliasing, no splitting.  Time integration is
 an adaptive embedded Runge-Kutta 5(4) pair with tight tolerances.  This is a
 genuinely independent discretisation of the same dynamics, which makes it a
 meaningful oracle for the pseudo-spectral stepper at matched resolutions.
+For the same reason `galerkin_rhs` writes out its own elastic symbol instead
+of calling `operators.elastic_symbol`, which the stepper it is compared
+against uses.
 
 The initial temperature is regularised the way the underlying construction
 demands: after projection it is shifted by the constant

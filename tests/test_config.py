@@ -59,6 +59,10 @@ class TestScanErrors:
         with pytest.raises(ConfigError, match=r"line 3: duplicate key 'mu' \(first set on line 1\)"):
             parse_config("mu = 1\nseed = 0\nmu = 2\n")
 
+    def test_retired_key_is_unknown(self):
+        with pytest.raises(ConfigError, match=r"line 1: unknown key 'deterministic_reduction'"):
+            parse_config("deterministic_reduction = true\n")
+
     def test_missing_equals(self):
         with pytest.raises(ConfigError, match=r"line 1: expected `key = value`"):
             parse_config("just some words\n")
@@ -89,9 +93,9 @@ class TestConstraints:
             ("scenario = vortex\n", "unknown scenario"),
             ("d = 4\n", "d must be 2 or 3"),
             ("n = 5\n", "n must be 0 .auto. or even"),
-            ("length = -1\n", "length must be > 0"),
+            ("length = -1\n", "length must be positive"),
             ("epsilon = -0.5\n", "epsilon must be >= 0"),
-            ("theta_baseline = 0\n", "theta_baseline must be > 0"),
+            ("theta_baseline = 0\n", "theta_baseline must be positive"),
             ("seed = -1\n", "seed must be >= 0"),
             ("mu = 0\n", "mu must be > 0"),
             ("operator = spectral\n", "operator must be auto, laplacian, or lame"),
@@ -117,10 +121,27 @@ class TestConstraints:
 
     def test_lame_ellipticity_at_parse_time(self):
         text = "scenario = lame-small-mixed\nzeta = 1\nlame_lambda = -1\n"
-        with pytest.raises(ConfigError, match=r"2\*zeta \+ d\*lame_lambda > 0"):
+        with pytest.raises(ConfigError, match=r"2\*zeta \+ d\*lame_lambda must be > 0"):
             parse_config(text)
         # the same coefficients are fine under the plain operator
         assert parse_config("zeta = 1\nlame_lambda = -1\n").params.lame_lambda == -1.0
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            # ModelParams: reported on the first named key the text sets
+            ("scenario = lame-small-mixed\nseed = 1\nzeta = 1\nlame_lambda = -1\n", 3),
+            ("scenario = lame-small-mixed\nlame_lambda = -1\n", 2),
+            # StepperConfig: the lattice names t_end before dt
+            ("dt = 0.3\nseed = 1\nt_end = 1.0\n", 3),
+            ("seed = 1\ndt = 0.3\n", 2),
+        ],
+    )
+    def test_dataclass_errors_carry_line(self, text, line):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.line == line
+        assert str(err.value).startswith(f"line {line}: ")
 
     def test_shear_only_bound(self):
         # 2*zeta + lam can fail while 2*zeta + d*lam passes (lam > 0 mirror is
@@ -186,7 +207,6 @@ def _configs() -> st.SearchStrategy[RunConfig]:
             "positivity_floor": draw(st.floats(min_value=1e-12, max_value=1e-6, **safe_floats)),
             "record_every": draw(st.integers(min_value=1, max_value=100)),
             "clamp_theta": draw(st.booleans()),
-            "deterministic_reduction": draw(st.booleans()),
             "product_band": product_band,
             "out_dir": draw(st.text(alphabet="abcdefghij-_/.0123456789", min_size=1, max_size=12)),
         }

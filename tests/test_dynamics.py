@@ -108,27 +108,52 @@ class TestExactLinearLimits:
             ("long", 1.0, 0.5, 2.5, 2.0),
             # transverse: u orthogonal to k, speed^2 = zeta
             ("trans", 2.0, -1.5, 2.0, 1.0),
+            # 3D: both kinds of mode, one mode carrying both, and a drifting
+            # mean, all with nonzero velocity; speeds follow from zeta, lam
+            ("mixed3d", 1.5, 0.25, None, None),
         ],
     )
     def test_elastic_wave_speeds(self, grid2d_small, build, zeta, lam, speed_sq, ksq):
-        meshes = grid2d_small.meshes()
-        u0 = np.zeros((2,) + grid2d_small.shape)
-        if build == "long":
-            u0[0] = np.broadcast_to(np.cos(meshes[0] + meshes[1]), grid2d_small.shape)
-            u0[1] = u0[0]
+        # pieces (|k|^2, speed^2, u direction, v direction, u profile,
+        # v profile) that each rotate with omega = sqrt(speed^2 |k|^2)
+        if build == "mixed3d":
+            grid = TorusGrid((8, 8, 8))
+            x, y, z = grid.meshes()
+            a_l = 2.0 * zeta + lam
+            pieces = [
+                (2.0, a_l, (1.0, 1.0, 0.0), (0.5, 0.5, 0.0), np.cos(x + y), np.sin(x + y)),
+                (2.0, zeta, (0.7, 0.0, 0.0), (0.0, 0.3, -0.3), np.sin(y + z), np.cos(y + z)),
+                (1.0, a_l, (0.0, 0.0, 0.6), (0.0, 0.0, -0.3), np.cos(z), np.sin(z)),
+                (1.0, zeta, (0.4, 0.0, 0.0), (0.0, 0.2, 0.0), np.cos(z), np.sin(z)),
+                (0.0, zeta, (0.1, -0.2, 0.3), (0.05, 0.0, -0.02), 1.0, 1.0),
+            ]
         else:
-            u0[0] = np.broadcast_to(np.sin(meshes[1]), grid2d_small.shape)
+            grid = grid2d_small
+            x, y = grid.meshes()
+            u_dir, f = ((1.0, 1.0), np.cos(x + y)) if build == "long" else ((1.0, 0.0), np.sin(y))
+            pieces = [(ksq, speed_sq, u_dir, (0.0, 0.0), f, 0.0)]
+
+        def field(direction, profile):
+            return np.stack([c * np.broadcast_to(profile, grid.shape) for c in direction])
+
+        t_end = 0.5
+        u0 = sum(field(ud, f) for _, _, ud, _, f, _ in pieces)
+        v0 = sum(field(vd, g) for _, _, _, vd, _, g in pieces)
+        want_u = np.zeros_like(u0)
+        want_v = np.zeros_like(v0)
+        for k_sq, c_sq, ud, vd, f, g in pieces:
+            omega = math.sqrt(c_sq * k_sq)
+            cos = math.cos(omega * t_end)
+            sinc = math.sin(omega * t_end) / omega if omega else t_end
+            want_u += cos * field(ud, f) + sinc * field(vd, g)
+            want_v += -omega**2 * sinc * field(ud, f) + cos * field(vd, g)
         s0 = SimState(
-            0.0,
-            VectorField(grid2d_small, u0),
-            VectorField.zeros(grid2d_small),
-            ScalarField(grid2d_small, np.ones(grid2d_small.shape)),
+            0.0, VectorField(grid, u0), VectorField(grid, v0), ScalarField(grid, np.ones(grid.shape))
         )
         p = ModelParams(mu=TINY_MU, operator="lame", zeta=zeta, lame_lambda=lam)
-        t_end = 0.5
         final = run(s0, p, StepperConfig(dt=1e-3, t_end=t_end))
-        omega = math.sqrt(speed_sq * ksq)
-        np.testing.assert_allclose(final.u.components, math.cos(omega * t_end) * u0, atol=1e-11)
+        np.testing.assert_allclose(final.u.components, want_u, atol=1e-11)
+        np.testing.assert_allclose(final.v.components, want_v, atol=1e-11)
 
 
 class TestTendencies:
@@ -214,6 +239,15 @@ class TestPositivity:
         assert any("clamped" in rec.getMessage() for rec in caplog.records)
         assert float(np.min(final.theta.values)) >= 0.97 * (1 - 1e-12)
 
+    def test_single_step_clamp_mode(self, grid2d_small, caplog):
+        s0 = _shear_state(grid2d_small)
+        cfg = StepperConfig(dt=0.05, positivity_floor=0.97, clamp_theta=True)
+        with caplog.at_level(logging.WARNING, logger="thermoelast.dynamics"):
+            out = step(s0, ModelParams(mu=1.0), cfg)
+        assert any("clamped" in rec.getMessage() for rec in caplog.records)
+        assert out.t == pytest.approx(0.05)
+        assert float(np.min(out.theta.values)) == 0.97
+
     def test_single_step_entry_point(self, grid2d_small):
         s0 = _shear_state(grid2d_small)
         cfg = StepperConfig(dt=0.05, positivity_floor=0.97)
@@ -245,9 +279,10 @@ class TestRunMechanics:
             sink=lambda s: seen.append(s.t))
         np.testing.assert_allclose(seen, [0.0, 0.03, 0.06, 0.09, 0.1], atol=1e-12)
 
-    def test_determinism(self):
+    @pytest.mark.parametrize("operator", ["laplacian", "lame"])
+    def test_determinism(self, operator):
         s0 = make_initial_data(ScenarioSpec("random", epsilon=0.1, seed=7))
-        p = ModelParams(mu=1.0)
+        p = ModelParams(mu=1.0, operator=operator)
         cfg = StepperConfig(dt=1e-3, t_end=0.05, record_every=10)
 
         def one():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from thermoelast import (
+    ModelParams,
     ScalarField,
     TorusGrid,
     VectorField,
@@ -17,8 +18,9 @@ from thermoelast import (
     hessian,
     lame_apply,
     laplacian,
+    quadrature,
 )
-from thermoelast.operators import check_lame_coefficients, check_lame_ellipticity
+from thermoelast.operators import check_lame_coefficients, check_lame_ellipticity, elastic_form
 
 from conftest import random_scalar, random_vector
 
@@ -168,6 +170,34 @@ class TestIdentities:
             w = random_vector(grid2d, rng)
             e = quadrature(grid2d, np.sum(w.components * lame_apply(w, 1.0, 0.5).components, axis=0))
             assert e >= -1e-10
+
+
+def _l2_sq(f: ScalarField | VectorField) -> float:
+    vals = f.values if isinstance(f, ScalarField) else f.components
+    return quadrature(f.grid, vals * vals)
+
+
+class TestElasticForm:
+    """The per-mode quadratic form int u . A u against the physical-space
+    formulas  (2 zeta + lam) ||div u||^2 + zeta ||curl u||^2  and, with the
+    per-mode weight |k|^2,  (2 zeta + lam) ||grad div u||^2
+    + zeta ||curl curl u||^2; -laplacian is zeta = 1, lam = -1."""
+
+    @pytest.mark.parametrize("n", [(16, 16), (12, 12, 12)], ids=["2D", "3D"])
+    @pytest.mark.parametrize(
+        "operator, zeta, lam",
+        [("laplacian", 1.0, -1.0), ("lame", 1.3, 0.4), ("lame", 0.7, -0.2)],
+    )
+    def test_matches_physical_formulas(self, n, operator, zeta, lam, rng):
+        grid = TorusGrid(n)
+        speeds = ModelParams(mu=1.0, operator=operator, zeta=zeta, lame_lambda=lam).wave_speeds_sq
+        for _ in range(3):
+            u = random_vector(grid, rng)
+            div_u = divergence(u)
+            energy = (2 * zeta + lam) * _l2_sq(div_u) + zeta * _l2_sq(curl(u))
+            fisher = (2 * zeta + lam) * _l2_sq(gradient(div_u)) + zeta * _l2_sq(curl_curl(u))
+            assert elastic_form(u, speeds) == pytest.approx(energy, rel=1e-12)
+            assert elastic_form(u, speeds, grid.k_sq) == pytest.approx(fisher, rel=1e-12)
 
 
 class TestPoincare:
