@@ -21,7 +21,7 @@ import numpy as np
 
 from . import diagnostics as diag
 from .config import ConfigError, load_config, serialize_config
-from .dynamics import ModelParams, NonFinite, PositivityLoss, SimState, StepperConfig, run
+from .dynamics import ModelParams, NonFinite, PositivityLoss, SimState, run
 from .experiments import EXPERIMENT_NAMES, experiment_defaults, run_experiment
 from .grid import ScalarField, VectorField, field_norms, quadrature
 from .helmholtz import helmholtz_project

@@ -17,6 +17,8 @@ The quantities tracked here are the ones the dynamics is supposed to respect:
 
 The elastic terms are the operator's quadratic form `operators.elastic_form`:
 unweighted in the energies, weighted by |k|^2 in the Fisher functional.
+Every quadratic quantity of u and v is read by Parseval from one forward
+transform of each field, the curl-free parts from `operators.longitudinal_part`.
 Pointwise nonlinearities (log, sqrt, quotients) are evaluated in physical
 space; where their result is differentiated spectrally it is dealiased by the
 2/3 rule first.
@@ -32,8 +34,7 @@ import numpy as np
 
 from . import operators
 from .dynamics import ModelParams, SimState, _signed_step
-from .grid import ScalarField, VectorField, field_norms, quadrature, spectral_l2_sq
-from .helmholtz import helmholtz_project
+from .grid import ScalarField, TorusGrid, quadrature, spectral_l2_sq
 
 __all__ = [
     "DiagnosticsRecord",
@@ -89,11 +90,18 @@ def _check_positive(theta: ScalarField, what: str) -> None:
         raise ValueError(f"{what} requires positive temperature, min is {tmin:.6g}")
 
 
+def _wave_energy(grid: TorusGrid, p: ModelParams, uh: np.ndarray, vh: np.ndarray) -> float:
+    """1/2 ||v||^2 + 1/2 int u . A u from the coefficients of u and v."""
+    return 0.5 * spectral_l2_sq(grid, vh) + 0.5 * operators.elastic_form(grid, uh, p.wave_speeds_sq)
+
+
+def _total_energy(s: SimState, p: ModelParams, uh: np.ndarray, vh: np.ndarray) -> float:
+    return _wave_energy(s.grid, p, uh, vh) + quadrature(s.grid, s.theta.values)
+
+
 def total_energy(s: SimState, p: ModelParams) -> float:
     """Kinetic + elastic + thermal energy; an exact invariant of the flow."""
-    kinetic = 0.5 * field_norms(s.v)["l2"] ** 2
-    thermal = quadrature(s.grid, s.theta.values)
-    return kinetic + 0.5 * operators.elastic_form(s.u, p.wave_speeds_sq) + thermal
+    return _total_energy(s, p, s.u.spectral(), s.v.spectral())
 
 
 def entropy(s: SimState) -> float:
@@ -129,18 +137,22 @@ def dissipation_residual(records: list[DiagnosticsRecord]) -> float:
     return worst
 
 
-def _fisher_theta_term(s: SimState) -> float:
-    _check_positive(s.theta, "Fisher functional")
-    grad_t = operators.gradient(s.theta)
-    integrand = np.sum(grad_t.components**2, axis=0) / s.theta.values
-    return quadrature(s.grid, integrand)
+def _fisher_ratio(theta: ScalarField) -> np.ndarray:
+    """|grad theta|^2 / theta on the grid."""
+    _check_positive(theta, "Fisher functional")
+    return np.sum(operators.gradient(theta).components ** 2, axis=0) / theta.values
+
+
+def _fisher_functional(s: SimState, p: ModelParams, uh: np.ndarray, vh: np.ndarray) -> float:
+    k_sq = s.grid.k_sq
+    grad_v_sq = spectral_l2_sq(s.grid, vh, k_sq)
+    elastic = operators.elastic_form(s.grid, uh, p.wave_speeds_sq, k_sq)
+    return 0.5 * (grad_v_sq + elastic + quadrature(s.grid, _fisher_ratio(s.theta)))
 
 
 def fisher_functional(s: SimState, p: ModelParams) -> float:
     """F = 1/2 (int |grad v|^2 + second-order elastic term + int |grad theta|^2/theta)."""
-    grad_v_sq = field_norms(s.v)["h1_semi"] ** 2
-    elastic = operators.elastic_form(s.u, p.wave_speeds_sq, s.grid.k_sq)
-    return 0.5 * (grad_v_sq + elastic + _fisher_theta_term(s))
+    return _fisher_functional(s, p, s.u.spectral(), s.v.spectral())
 
 
 def weighted_log_hessian_integral(w: ScalarField) -> float:
@@ -182,14 +194,18 @@ def fisher_identity_residual(
         raise ValueError(f"dt_micro must be > 0, got {dt_micro}")
     grid = s.grid
     hess_term = weighted_log_hessian_integral(s.theta)
-    grad_t = operators.gradient(s.theta)
-    ratio = np.sum(grad_t.components**2, axis=0) / s.theta.values
     div_v = operators.divergence(s.v)
-    rhs = -hess_term - 0.5 * p.mu * quadrature(grid, ratio * div_v.values)
+    rhs = -hess_term - 0.5 * p.mu * quadrature(grid, _fisher_ratio(s.theta) * div_v.values)
     fwd = fisher_functional(_signed_step(s, p, dt_micro, dealias), p)
     bwd = fisher_functional(_signed_step(s, p, -dt_micro, dealias), p)
     lhs = (fwd - bwd) / (2.0 * dt_micro)
     return abs(lhs - rhs) / (1.0 + abs(rhs))
+
+
+def _theta_infinity(s0: SimState, p: ModelParams, uh: np.ndarray, vh: np.ndarray) -> float:
+    grid = s0.grid
+    chi_u, chi_v = (operators.longitudinal_part(grid, xh)[1] for xh in (uh, vh))
+    return _total_energy(s0, p, chi_u, chi_v) / grid.measure
 
 
 def theta_infinity_prediction(s0: SimState, p: ModelParams) -> float:
@@ -201,32 +217,26 @@ def theta_infinity_prediction(s0: SimState, p: ModelParams) -> float:
     (1/2 int |curl-free v0|^2 + curl-free elastic energy of u0 + int theta0)
     divided by the box measure.
     """
-    parts_u = helmholtz_project(s0.u)
-    parts_v = helmholtz_project(s0.v)
-    kinetic = 0.5 * field_norms(parts_v.curl_free)["l2"] ** 2
-    elastic = 0.5 * operators.elastic_form(parts_u.curl_free, p.wave_speeds_sq)
-    thermal = quadrature(s0.grid, s0.theta.values)
-    return (kinetic + elastic + thermal) / s0.grid.measure
+    return _theta_infinity(s0, p, s0.u.spectral(), s0.v.spectral())
 
 
-def _nu_energy(nu: VectorField, nu_t: VectorField, p: ModelParams) -> float:
-    return 0.5 * field_norms(nu_t)["l2"] ** 2 + 0.5 * operators.elastic_form(nu, p.wave_speeds_sq)
+def _split_columns(s: SimState, p: ModelParams, uh: np.ndarray, vh: np.ndarray, theta_inf: float) -> dict:
+    """||chi||_H1 and ||chi_t|| of the curl-free parts, the wave energy of the
+    divergence-free remainders, and ||theta - theta_inf|| (on the grid values)."""
+    grid = s.grid
+    chi_u, chi_v = (operators.longitudinal_part(grid, xh)[1] for xh in (uh, vh))
+    return {
+        "chi_h1": math.sqrt(spectral_l2_sq(grid, chi_u, 1.0 + grid.k_sq)),
+        "chi_t_l2": math.sqrt(spectral_l2_sq(grid, chi_v)),
+        "nu_energy": _wave_energy(grid, p, uh - chi_u, vh - chi_v),
+        "theta_l2_dist": math.sqrt(quadrature(grid, (s.theta.values - theta_inf) ** 2)),
+    }
 
 
 def decomposition_report(s: SimState, s0: SimState, p: ModelParams) -> dict[str, float]:
     """Orthogonal-splitting norms of s, with the theta limit predicted from s0."""
-    parts_u = helmholtz_project(s.u)
-    parts_v = helmholtz_project(s.v)
-    chi = field_norms(parts_u.curl_free)
     theta_inf = theta_infinity_prediction(s0, p)
-    dist = field_norms(ScalarField(s.grid, s.theta.values - theta_inf))["l2"]
-    return {
-        "chi_h1": math.hypot(chi["l2"], chi["h1_semi"]),
-        "chi_t_l2": field_norms(parts_v.curl_free)["l2"],
-        "nu_energy": _nu_energy(parts_u.div_free, parts_v.div_free, p),
-        "theta_infinity": theta_inf,
-        "theta_l2_dist": dist,
-    }
+    return {**_split_columns(s, p, s.u.spectral(), s.v.spectral(), theta_inf), "theta_infinity": theta_inf}
 
 
 def galerkin_initial_smallness(s: SimState, p: ModelParams) -> float:
@@ -234,24 +244,27 @@ def galerkin_initial_smallness(s: SimState, p: ModelParams) -> float:
 
     ||grad v||^2 + ||laplacian u||^2 + int |grad theta|^2 / theta.
     """
-    p.validate_for_dimension(s.grid.d)
-    grad_v_sq = field_norms(s.v)["h1_semi"] ** 2
-    lap_u_sq = field_norms(operators.laplacian(s.u))["l2"] ** 2
-    return grad_v_sq + lap_u_sq + _fisher_theta_term(s)
+    grid = s.grid
+    p.validate_for_dimension(grid.d)
+    grad_v_sq = spectral_l2_sq(grid, s.v.spectral(), grid.k_sq)
+    lap_u_sq = spectral_l2_sq(grid, s.u.spectral(), grid.k_sq**2)
+    return grad_v_sq + lap_u_sq + quadrature(grid, _fisher_ratio(s.theta))
 
 
 class TrajectoryRecorder:
     """Accumulates DiagnosticsRecords from the states a run emits.
 
     The first state received becomes the reference for the dissipation
-    baseline and the predicted temperature limit.  The production integral is
+    baseline and the predicted temperature limit.  Each record transforms u
+    and v once and hands the coefficients to the same kernels the public
+    functions use, so its columns equal theirs bit for bit.  The production integral is
     accumulated by the trapezoid rule on the record cadence.  Computing the
     Fisher identity residual needs two extra micro-steps per record, so it is
     off by default and the column is NaN when disabled.
 
     The trapezoid error in the production integral scales with the record
     cadence squared, so ledger audits want record_every=1; at that cadence
-    the Fisher and Helmholtz columns dominate the cost without informing the
+    the Fisher and splitting columns add cost without informing the
     audit.  battery="ledger" computes only the balance columns (energy,
     entropy, production, the running integral and residual, temperature
     extremes) and writes NaN in the rest.
@@ -273,7 +286,6 @@ class TrajectoryRecorder:
         self.dt_micro = dt_micro
         self.battery = battery
         self.records: list[DiagnosticsRecord] = []
-        self._reference: SimState | None = None
         self._theta_inf = math.nan
         self._diss_base = math.nan
         self._prev_t = math.nan
@@ -282,10 +294,10 @@ class TrajectoryRecorder:
 
     def __call__(self, s: SimState) -> None:
         p = self.p
-        if self._reference is None:
-            self._reference = s.copy()
-            self._theta_inf = theta_infinity_prediction(s, p)
-        e = total_energy(s, p)
+        uh, vh = s.u.spectral(), s.v.spectral()
+        if not self.records:
+            self._theta_inf = _theta_infinity(s, p, uh, vh)
+        e = _total_energy(s, p, uh, vh)
         ent = entropy(s)
         prod = entropy_production(s)
         if not math.isnan(self._prev_t):
@@ -297,20 +309,12 @@ class TrajectoryRecorder:
             self._diss_base = lhs
         diss = abs(lhs - self._diss_base) / abs(self._diss_base) if self._diss_base else math.nan
         if self.battery == "full":
-            fisher = fisher_functional(s, p)
-            identity = (
-                fisher_identity_residual(s, p, self.dt_micro)
-                if self.compute_identity
-                else math.nan
-            )
-            parts_u = helmholtz_project(s.u)
-            parts_v = helmholtz_project(s.v)
-            chi_h1 = math.hypot(*(field_norms(parts_u.curl_free)[k] for k in ("l2", "h1_semi")))
-            chi_t = field_norms(parts_v.curl_free)["l2"]
-            nu_e = _nu_energy(parts_u.div_free, parts_v.div_free, p)
-            dist = field_norms(ScalarField(s.grid, s.theta.values - self._theta_inf))["l2"]
+            fisher = _fisher_functional(s, p, uh, vh)
+            identity = fisher_identity_residual(s, p, self.dt_micro) if self.compute_identity else math.nan
+            split = _split_columns(s, p, uh, vh, self._theta_inf)
         else:
-            fisher = identity = chi_h1 = chi_t = nu_e = dist = math.nan
+            fisher = identity = math.nan
+            split = dict.fromkeys(("chi_h1", "chi_t_l2", "nu_energy", "theta_l2_dist"), math.nan)
         self.records.append(
             DiagnosticsRecord(
                 t=s.t,
@@ -323,9 +327,6 @@ class TrajectoryRecorder:
                 fisher_identity_residual=identity,
                 theta_min=float(np.min(s.theta.values)),
                 theta_max=float(np.max(s.theta.values)),
-                chi_h1=chi_h1,
-                chi_t_l2=chi_t,
-                nu_energy=nu_e,
-                theta_l2_dist=dist,
+                **split,
             )
         )

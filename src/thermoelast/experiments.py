@@ -22,8 +22,6 @@ import os
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .diagnostics import TrajectoryRecorder, galerkin_initial_smallness
 from .dynamics import ModelParams, SimState, StepperConfig, run
 from .grid import field_norms

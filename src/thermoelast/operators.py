@@ -10,7 +10,8 @@ i.e. a_t |k|^2 on the divergence-free part and a_l |k|^2 on the curl-free
 part k (k . u^) / |k|^2 (`longitudinal_part`).  The speeds are (1, 1) for
 -laplacian and (zeta, 2*zeta + lam) for Lame (`lame_speeds_sq`).
 `elastic_symbol` applies A to spectral coefficients and `elastic_form`
-evaluates int u . A u by Parseval, optionally with a per-mode weight.
+evaluates int u . A u from them by Parseval, optionally with a per-mode
+weight; both take spectral coefficients, not fields.
 
 Sign and shape conventions:
 
@@ -160,13 +161,11 @@ def elastic_symbol(grid: TorusGrid, vh: np.ndarray, speeds_sq: tuple[float, floa
 
 
 def elastic_form(
-    u: VectorField, speeds_sq: tuple[float, float], weight: np.ndarray | None = None
+    grid: TorusGrid, uh: np.ndarray, speeds_sq: tuple[float, float], weight: np.ndarray | None = None
 ) -> float:
-    """int u . A u by Parseval: the sum over modes of
+    """int u . A u by Parseval from the coefficients u^: the sum over modes of
     a_t |k|^2 |u^|^2 + (a_l - a_t) |k . u^|^2, each mode times weight if given."""
-    grid = u.grid
     a_t, a_l = speeds_sq
-    uh = u.spectral()
     form = a_t * spectral_l2_sq(grid, uh, grid.k_sq if weight is None else grid.k_sq * weight)
     if a_l != a_t:
         form += (a_l - a_t) * spectral_l2_sq(grid, k_dot(grid, uh), weight)

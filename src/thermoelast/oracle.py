@@ -24,7 +24,6 @@ the temperature-gradient quotient norm is checked not to have grown.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -34,7 +33,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .dynamics import ModelParams, PositivityLoss, SimState, StepperConfig, run
-from .grid import ScalarField, TorusGrid, TWO_PI, VectorField, quadrature
+from .grid import ScalarField, TorusGrid, TWO_PI, VectorField, field_norms, quadrature
 
 __all__ = [
     "GalerkinSystem",
@@ -393,7 +392,6 @@ def compare_oracle(traj: OracleTrajectory, states: Sequence[SimState]) -> Oracle
     """L2 distances between the reconstruction of traj and each given state."""
     if not states:
         raise ValueError("no states to compare")
-    from .grid import field_norms
 
     times, du, dv, dth = [], [], [], []
     for s in states:

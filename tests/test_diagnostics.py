@@ -17,7 +17,9 @@ from thermoelast import (
     SimState,
     StepperConfig,
     TrajectoryRecorder,
+    TorusGrid,
     VectorField,
+    decomposition_report,
     dissipation_residual,
     entropy,
     entropy_production,
@@ -47,6 +49,35 @@ def _state(grid, u=None, v=None, theta=None, t=0.0):
         v if v is not None else VectorField.zeros(grid),
         theta if theta is not None else ScalarField(grid, np.ones(grid.shape)),
     )
+
+
+# Single-mode split data on the 2pi torus, d = 2 or 3, measure M = (2pi)^d:
+#   u = (a cos(x1) + b cos(2 x_d)) e1, with chi = a cos(x1) e1 (k = e1,
+#   curl-free) and nu = b cos(2 x_d) e1 (k = 2 e_d, divergence-free);
+#   v = (c sin(x1) + e sin(x2)) e1, with chi_t = c sin(x1) e1 and
+#   nu_t = e sin(x2) e1 (k = e2); theta = 1 + g cos(x1 + ... + xd).
+SPLIT_A, SPLIT_B, SPLIT_C, SPLIT_E, SPLIT_G = 0.3, 0.2, 0.5, 0.4, 0.25
+SPLIT_OPERATORS = [
+    pytest.param(ModelParams(mu=1.0), id="laplacian"),
+    pytest.param(ModelParams(mu=1.0, operator="lame", zeta=1.3, lame_lambda=0.4), id="lame"),
+]
+
+
+def _split_state(d):
+    grid = TorusGrid((16,) * d)
+    x = [np.broadcast_to(m, grid.shape) for m in grid.meshes()]
+    zero = np.zeros(grid.shape)
+    u = np.stack([SPLIT_A * np.cos(x[0]) + SPLIT_B * np.cos(2 * x[-1])] + [zero] * (d - 1))
+    v = np.stack([SPLIT_C * np.sin(x[0]) + SPLIT_E * np.sin(x[1])] + [zero] * (d - 1))
+    theta = 1.0 + SPLIT_G * np.cos(sum(x))
+    return _state(grid, u=VectorField(grid, u), v=VectorField(grid, v), theta=ScalarField(grid, theta))
+
+
+def _split_theta_inf(p):
+    # (1/2 ||chi_t||^2 + 1/2 a_l |k|^2 ||chi||^2 + int theta) / M
+    # = 1 + (c^2 + a_l a^2) / 4, with a_l = 1 (laplacian) or 2 zeta + lam
+    a_l = p.wave_speeds_sq[1]
+    return 1.0 + (SPLIT_C**2 + a_l * SPLIT_A**2) / 4.0
 
 
 def _cosine_theta(grid, a, baseline=1.0):
@@ -216,10 +247,61 @@ class TestThetaInfinity:
         got = theta_infinity_prediction(s, ModelParams(mu=1.0))
         assert got == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("p", SPLIT_OPERATORS)
+    @pytest.mark.parametrize("d", [2, 3], ids=["2D", "3D"])
+    def test_split_data_prediction(self, d, p):
+        # only chi and chi_t thermalise: theta_inf = 1 + (c^2 + a_l a^2) / 4
+        got = theta_infinity_prediction(_split_state(d), p)
+        assert got == pytest.approx(_split_theta_inf(p), rel=1e-12)
+
     def test_divergence_free_data_is_inert(self, grid2d_small):
         s = make_initial_data(ScenarioSpec("small-div-free", n=16, epsilon=0.2))
         got = theta_infinity_prediction(s, ModelParams(mu=1.0))
         assert got == pytest.approx(1.0, rel=1e-12)
+
+
+class TestDecompositionReport:
+    @pytest.mark.parametrize("p", SPLIT_OPERATORS)
+    @pytest.mark.parametrize("d", [2, 3], ids=["2D", "3D"])
+    def test_single_mode_closed_forms(self, d, p):
+        s = _split_state(d)
+        measure = (2.0 * math.pi) ** d
+        a_t = p.wave_speeds_sq[0]
+        theta_inf = _split_theta_inf(p)
+        got = decomposition_report(s, s, p)
+        # chi_h1^2 = (1 + |k|^2) a^2 M / 2 = a^2 M
+        assert got["chi_h1"] == pytest.approx(SPLIT_A * math.sqrt(measure), rel=1e-12)
+        # chi_t_l2^2 = c^2 M / 2
+        assert got["chi_t_l2"] == pytest.approx(SPLIT_C * math.sqrt(measure / 2.0), rel=1e-12)
+        # nu_energy = 1/2 e^2 M / 2 + 1/2 a_t |2|^2 b^2 M / 2 = e^2 M / 4 + a_t b^2 M
+        want_nu = SPLIT_E**2 * measure / 4.0 + a_t * SPLIT_B**2 * measure
+        assert got["nu_energy"] == pytest.approx(want_nu, rel=1e-12)
+        assert got["theta_infinity"] == pytest.approx(theta_inf, rel=1e-12)
+        # ||theta - theta_inf||^2 = (theta_inf - 1)^2 M + g^2 M / 2
+        want_dist = math.sqrt(measure * ((theta_inf - 1.0) ** 2 + SPLIT_G**2 / 2.0))
+        assert got["theta_l2_dist"] == pytest.approx(want_dist, rel=1e-12)
+
+    @pytest.mark.parametrize("p", SPLIT_OPERATORS)
+    def test_recorder_row_is_the_public_functions(self, p):
+        # the recorder and the public functions share one kernel per column,
+        # so a row after the first equals them bit for bit
+        states = []
+        rec = TrajectoryRecorder(p)
+
+        def sink(s):
+            states.append(s.copy())
+            rec(s)
+
+        s0 = make_initial_data(ScenarioSpec("random", n=16, seed=7))
+        run(s0, p, StepperConfig(dt=1e-3, t_end=0.004, record_every=2), sink=sink)
+        first, s = states[0], states[1]
+        row = rec.records[1]
+        assert row.t == s.t > first.t
+        assert row.energy == total_energy(s, p)
+        assert row.fisher_functional == fisher_functional(s, p)
+        report = decomposition_report(s, first, p)
+        for key in ("chi_h1", "chi_t_l2", "nu_energy", "theta_l2_dist"):
+            assert getattr(row, key) == report[key], key
 
 
 class TestDissipationResidual:

@@ -196,8 +196,9 @@ class TestElasticForm:
             div_u = divergence(u)
             energy = (2 * zeta + lam) * _l2_sq(div_u) + zeta * _l2_sq(curl(u))
             fisher = (2 * zeta + lam) * _l2_sq(gradient(div_u)) + zeta * _l2_sq(curl_curl(u))
-            assert elastic_form(u, speeds) == pytest.approx(energy, rel=1e-12)
-            assert elastic_form(u, speeds, grid.k_sq) == pytest.approx(fisher, rel=1e-12)
+            uh = u.spectral()
+            assert elastic_form(grid, uh, speeds) == pytest.approx(energy, rel=1e-12)
+            assert elastic_form(grid, uh, speeds, grid.k_sq) == pytest.approx(fisher, rel=1e-12)
 
 
 class TestPoincare:
