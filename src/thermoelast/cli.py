@@ -77,10 +77,11 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     div_resid = field_norms(divergence(parts.div_free))["linf"]
     curl_resid = field_norms(curl(parts.curl_free))["linf"]
     cross = quadrature(f.grid, np.sum(parts.div_free.components * parts.curl_free.components, axis=0))
-    scale = max(field_norms(f)["linf"], 1e-300)
+    norms = field_norms(f)
+    scale = max(norms["linf"], 1e-300)
 
     print(f"vector field on n={f.grid.n_per_axis}, t={t:g}")
-    print(f"  |field|_L2        = {field_norms(f)['l2']:.12e}")
+    print(f"  |field|_L2        = {norms['l2']:.12e}")
     print(f"  |div-free|_L2     = {field_norms(parts.div_free)['l2']:.12e}")
     print(f"  |curl-free|_L2    = {field_norms(parts.curl_free)['l2']:.12e}")
     print(f"  |potential|_L2    = {field_norms(parts.potential)['l2']:.12e}")
@@ -121,8 +122,8 @@ def _diagnose_state(s: SimState, p: ModelParams, dt_micro: float) -> list[tuple[
         ("entropy_production", diag.entropy_production(s)),
         ("fisher_functional", diag.fisher_functional(s, p)),
         ("fisher_identity_residual", diag.fisher_identity_residual(s, p, dt_micro=dt_micro)),
-        ("theta_min", field_norms(s.theta)["min"]),
-        ("theta_max", field_norms(s.theta)["max"]),
+        ("theta_min", float(np.min(s.theta.values))),
+        ("theta_max", float(np.max(s.theta.values))),
     ]
 
 
@@ -156,16 +157,17 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
             rows = [
                 ("entropy", diag.entropy(s)),
                 ("entropy_production", diag.entropy_production(s)),
-                ("theta_min", field_norms(f)["min"]),
-                ("theta_max", field_norms(f)["max"]),
-                ("mean", field_norms(f)["mean"]),
+                ("theta_min", float(np.min(f.values))),
+                ("theta_max", float(np.max(f.values))),
+                ("mean", float(np.mean(f.values))),
             ]
         else:
             print(f"vector field at t={t:g} on n={f.grid.n_per_axis}")
             parts = helmholtz_project(f)
+            norms = field_norms(f)
             rows = [
-                ("l2", field_norms(f)["l2"]),
-                ("h1_semi", field_norms(f)["h1_semi"]),
+                ("l2", norms["l2"]),
+                ("h1_semi", norms["h1_semi"]),
                 ("div_free_l2", field_norms(parts.div_free)["l2"]),
                 ("curl_free_l2", field_norms(parts.curl_free)["l2"]),
             ]
@@ -195,9 +197,7 @@ def _cmd_compare_oracle(args: argparse.Namespace) -> int:
     if n_steps < 1:
         raise ValueError("compare-oracle needs t_end > 0")
     stride = max(1, n_steps // 10)
-    idxs = list(range(0, n_steps + 1, stride))
-    if idxs[-1] != n_steps:
-        idxs.append(n_steps)
+    idxs = sorted({*range(0, n_steps + 1, stride), n_steps})
     times = [i * stepper.dt for i in idxs]
     states = spectral_states_at(s0, cfg.params, stepper, times)
     cmp = compare_oracle(traj, states)
@@ -278,10 +278,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, SnapshotError, PositivityLoss, NonFinite) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (ConfigError, SnapshotError, PositivityLoss, NonFinite, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

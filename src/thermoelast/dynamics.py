@@ -194,6 +194,7 @@ class _SpectralStepper:
         k_sq = grid.k_sq
         self.heat_half = np.exp(-k_sq * h)
         self.ik = [1j * k for k in grid.wavevectors]
+        self.neg_mu_ik = [-p.mu * ik for ik in self.ik]
         a_t, a_l = p.wave_speeds_sq
         self.c_t, self.s_t = self._rotation(k_sq, a_t, h)
         self.m_t = -a_t * k_sq * self.s_t
@@ -234,8 +235,10 @@ class _SpectralStepper:
 
     def _coupling_rhs(self, vh: np.ndarray, th: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         grid = self.grid
-        dv = np.stack([-self.p.mu * ik * th for ik in self.ik])
-        div_vh = sum(self.ik[i] * vh[i] for i in range(grid.d))
+        dv = np.stack([a * th for a in self.neg_mu_ik])
+        div_vh = self.ik[0] * vh[0]
+        for i in range(1, grid.d):
+            div_vh += self.ik[i] * vh[i]
         div_v, theta = grid.to_physical(np.stack([div_vh, th]))
         dth = -self.p.mu * grid.to_spectral(theta * div_v) * self.product_mask
         return dv, dth
@@ -260,9 +263,7 @@ def evaluate_rhs(s: SimState, p: ModelParams, dealias: bool = True) -> tuple[Vec
     grid = s.grid
     p.validate_for_dimension(grid.d)
     nyq = grid.nyquist_free_mask
-    uh = s.u.spectral() * nyq
-    vh = s.v.spectral() * nyq
-    th = s.theta.spectral() * nyq
+    uh, vh, th = (f.spectral() * nyq for f in (s.u, s.v, s.theta))
     mu_grad_th = np.stack([p.mu * 1j * k * th for k in grid.wavevectors])
     dv_h = -elastic_symbol(grid, uh, p.wave_speeds_sq) - mu_grad_th
     div_v = grid.to_physical(1j * k_dot(grid, vh))
@@ -288,6 +289,13 @@ def _state_mask(grid: TorusGrid, product_band: int) -> np.ndarray:
     return grid.mode_cube_mask(product_band) if product_band else grid.nyquist_free_mask
 
 
+def _physical_state(t: float, grid: TorusGrid, uh: np.ndarray, vh: np.ndarray,
+                    theta: np.ndarray) -> SimState:
+    """A state of fresh arrays: u and v from their coefficients, theta as given."""
+    u, v = VectorField.from_spectral(grid, uh), VectorField.from_spectral(grid, vh)
+    return SimState(t, u, v, ScalarField(grid, theta))
+
+
 def _signed_step(
     s: SimState, p: ModelParams, dt: float, dealias: bool = True, product_band: int = 0
 ) -> SimState:
@@ -301,12 +309,7 @@ def _signed_step(
     uh, vh, th = stepper.step(s.u.spectral() * nyq, s.v.spectral() * nyq, s.theta.spectral() * nyq)
     t = s.t + dt
     _check_finite(t, {"u": uh, "v": vh, "theta": th})
-    return SimState(
-        t,
-        VectorField.from_spectral(grid, uh),
-        VectorField.from_spectral(grid, vh),
-        ScalarField.from_spectral(grid, th),
-    )
+    return _physical_state(t, grid, uh, vh, grid.to_physical(th))
 
 
 def _enforce_floor(t: float, theta: np.ndarray, floor: float, clamp: bool) -> int:
@@ -358,7 +361,9 @@ def run(
     """Integrate from s0 for cfg.t_end, emitting states on the record cadence.
 
     The sink receives the initial state, every record_every-th step, and the
-    final state.  Identical inputs produce identical outputs bit for bit.
+    final state, each its own: no other emitted state, no later step and not
+    the returned state share its arrays.  Identical inputs produce identical
+    outputs bit for bit.
     """
     grid = s0.grid
     p.validate_for_dimension(grid.d)
@@ -368,14 +373,11 @@ def run(
 
     stepper = _SpectralStepper(grid, p, cfg.dt, cfg.dealias, cfg.product_band)
     nyq = _state_mask(grid, cfg.product_band)
-    uh = s0.u.spectral() * nyq
-    vh = s0.v.spectral() * nyq
-    th = s0.theta.spectral() * nyq
+    uh, vh, th = (f.spectral() * nyq for f in (s0.u, s0.v, s0.theta))
     t0 = s0.t
 
     if sink is not None:
         sink(s0.copy())
-
     state = s0.copy()
     clamp_total = 0
     for i in range(1, n_steps + 1):
@@ -390,14 +392,9 @@ def run(
             # lines; project back onto the evolution subspace
             th = grid.to_spectral(theta_phys) * nyq
         if i == n_steps or (sink is not None and i % cfg.record_every == 0):
-            state = SimState(
-                t,
-                VectorField.from_spectral(grid, uh),
-                VectorField.from_spectral(grid, vh),
-                ScalarField(grid, theta_phys),
-            )
-            if sink is not None and (i % cfg.record_every == 0 or i == n_steps):
-                sink(state.copy())
+            state = _physical_state(t, grid, uh, vh, theta_phys)
+            if sink is not None:
+                sink(state.copy() if i == n_steps else state)
     if clamp_total:
         log.warning("run clamped temperature %d times in total", clamp_total)
     return state

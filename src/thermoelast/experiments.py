@@ -18,14 +18,15 @@ are converted using the type of the default they replace.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, field
 
 from .diagnostics import TrajectoryRecorder, galerkin_initial_smallness
 from .dynamics import ModelParams, SimState, StepperConfig, run
-from .grid import field_norms
-from .helmholtz import helmholtz_project
+from .grid import spectral_l2_sq
+from .operators import longitudinal_part
 from .oracle import build_galerkin, compare_oracle, integrate_galerkin, spectral_states_at
 from .scenarios import ScenarioSpec, make_initial_data
 from .snapshots import atomic_write_text, write_snapshot, write_timeseries
@@ -165,8 +166,9 @@ def _exp_oscillation(o: dict, out_dir: str) -> tuple[list[Check], list[str]]:
     nu_series: list[tuple[float, float]] = []
 
     def track_nu(s: SimState) -> None:
-        nu = helmholtz_project(s.u).div_free
-        nu_series.append((s.t, field_norms(nu)["l2"]))
+        uh = s.u.spectral()  # |nu| by Parseval on the remainder u^ - chi^
+        nu = math.sqrt(spectral_l2_sq(s.grid, uh - longitudinal_part(s.grid, uh)[1]))
+        nu_series.append((s.t, nu))
 
     final, rec = _run_recorded(s0, p, cfg, extra_sink=track_nu)
 

@@ -24,6 +24,7 @@ the temperature-gradient quotient norm is checked not to have grown.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -173,10 +174,7 @@ def build_galerkin(s0: SimState, p: ModelParams, n: int) -> GalerkinSystem:
     def project(values: np.ndarray) -> tuple[np.ndarray, float, float]:
         # full-layout coefficients: the oracle does not share the grid's layout
         fh = np.fft.fftn(values, axes=tuple(range(-grid.d, 0))) / grid.n_total
-        if values.ndim > grid.d:
-            cube = np.stack([comp[np.ix_(*rows)] for comp in fh])
-        else:
-            cube = fh[np.ix_(*rows)]
+        cube = fh[(Ellipsis,) + np.ix_(*rows)]
         total = float(np.sum(np.abs(fh) ** 2))
         kept = float(np.sum(np.abs(cube) ** 2))
         return np.ascontiguousarray(cube), total, kept
@@ -352,13 +350,18 @@ def spectral_states_at(
 ) -> list[SimState]:
     """Run the pseudo-spectral stepper, capturing states at the given times.
 
-    Every requested time must sit on the step lattice t0 + i*dt.
+    Every requested time must sit on the step lattice t0 + i*dt, at most
+    t_end past t0.  The run records every g-th step only, g the gcd of the
+    wanted step indices short of the last step, which it always emits.
     """
+    n_steps = cfg.n_steps()
     wanted: dict[int, float] = {}
     for t in times:
         i = int(round((t - s0.t) / cfg.dt))
         if abs((s0.t + i * cfg.dt) - t) > 1e-9 * max(1.0, abs(t)) or i < 0:
             raise ValueError(f"sample time {t} is not on the step lattice (dt={cfg.dt})")
+        if i > n_steps:
+            raise ValueError(f"sample time {t} is past t_end={cfg.t_end} (from t0={s0.t})")
         wanted[i] = t
     captured: dict[int, SimState] = {}
 
@@ -367,7 +370,8 @@ def spectral_states_at(
         if i in wanted:
             captured[i] = s
 
-    run(s0, p, replace(cfg, record_every=1), sink=sink)
+    every = math.gcd(*(i for i in wanted if i < n_steps)) or max(n_steps, 1)
+    run(s0, p, replace(cfg, record_every=every), sink=sink)
     return [captured[i] for i in sorted(wanted)]
 
 

@@ -141,6 +141,42 @@ class TestDiagnose:
         assert "fisher_functional" in text
         assert "verdict: PASS" in text
 
+    def test_printed_rows_pinned(self, tmp_path, capsys):
+        # the printed output, byte for byte; every row shown is well
+        # conditioned to its printed digits
+        s = make_initial_data(ScenarioSpec("small-mixed", n=16, epsilon=0.3))
+        theta_snap, u_snap = str(tmp_path / "theta.tefld"), str(tmp_path / "u.tefld")
+        write_snapshot(s.theta, theta_snap, t=1.5)
+        write_snapshot(s.u, u_snap, t=0.5)
+        assert main(["diagnose", theta_snap, "--mu", "1.0"]) == 0
+        assert capsys.readouterr().out == (
+            "temperature field at t=1.5 on n=(16, 16)\n"
+            "  entropy            = -9.198369589020e-01\n"
+            "  entropy_production = 1.906208934208e+00\n"
+            "  theta_min          = 7.000000000000e-01\n"
+            "  theta_max          = 1.300000000000e+00\n"
+            "  mean               = 1.000000000000e+00\n"
+            "verdict: PASS\n"
+        )
+        assert main(["diagnose", u_snap, "--mu", "1.0"]) == 0
+        assert capsys.readouterr().out == (
+            "vector field at t=0.5 on n=(16, 16)\n"
+            "  l2           = 2.665729762895e+00\n"
+            "  h1_semi      = 3.264838855622e+00\n"
+            "  div_free_l2  = 1.884955592154e+00\n"
+            "  curl_free_l2 = 1.884955592154e+00\n"
+            "verdict: PASS\n"
+        )
+        assert main(["decompose", u_snap]) == 0
+        # the residual rows below these are rounding noise
+        assert capsys.readouterr().out.startswith(
+            "vector field on n=(16, 16), t=0.5\n"
+            "  |field|_L2        = 2.665729762895e+00\n"
+            "  |div-free|_L2     = 1.884955592154e+00\n"
+            "  |curl-free|_L2    = 1.884955592154e+00\n"
+            "  |potential|_L2    = 1.332864881448e+00\n"
+        )
+
     def test_directory_without_triple(self, tmp_path, capsys):
         os.makedirs(tmp_path / "empty", exist_ok=True)
         assert main(["diagnose", str(tmp_path / "empty"), "--mu", "1.0"]) == 1

@@ -2,6 +2,7 @@
 determinism, and the Galerkin product-band mode.
 """
 
+import dataclasses
 import logging
 import math
 
@@ -297,6 +298,47 @@ class TestRunMechanics:
         assert f1.theta.values.tobytes() == f2.theta.values.tobytes()
         assert [r.energy for r in r1] == [r.energy for r in r2]
         assert [r.entropy for r in r1] == [r.entropy for r in r2]
+
+    @pytest.mark.parametrize("record_every", [1, 3])
+    def test_sink_owns_the_states_it_receives(self, record_every):
+        def fields(s):
+            return [a.tobytes() for a in (s.u.components, s.v.components, s.theta.values)]
+
+        s0 = make_initial_data(ScenarioSpec("random", epsilon=0.1, seed=7))
+        s0_bytes = fields(s0)
+        p = ModelParams(mu=1.0)
+        cfg = StepperConfig(dt=1e-3, t_end=0.01, record_every=record_every)
+
+        def one(zero: bool):
+            rec = TrajectoryRecorder(p)
+            kept = []
+
+            def sink(s):
+                rec(s)
+                kept.append(fields(s))
+                if zero:
+                    for a in (s.u.components, s.v.components, s.theta.values):
+                        a[...] = 0.0
+
+            final = run(s0, p, cfg, sink=sink)
+            columns = [np.array(dataclasses.astuple(r), dtype=float).tobytes() for r in rec.records]
+            return fields(final), columns, kept
+
+        f_ref, r_ref, k_ref = one(zero=False)
+        f_got, r_got, k_got = one(zero=True)
+        assert f_got == f_ref
+        assert r_got == r_ref
+        assert k_got == k_ref
+        assert fields(s0) == s0_bytes
+
+    def test_emitted_states_share_no_arrays(self):
+        s0 = make_initial_data(ScenarioSpec("random", epsilon=0.1, seed=7))
+        held: list[SimState] = []
+        final = run(s0, ModelParams(mu=1.0), StepperConfig(dt=1e-3, t_end=0.005), sink=held.append)
+        arrays = [a for s in [s0, final, *held]
+                  for a in (s.u.components, s.v.components, s.theta.values)]
+        for i, a in enumerate(arrays):
+            assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
 
     @pytest.mark.parametrize("operator", ["laplacian", "lame"])
     def test_fine_grid_at_acceptance_amplitude(self, operator):

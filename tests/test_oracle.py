@@ -21,8 +21,10 @@ from thermoelast import (
     evaluate_rhs,
     integrate_galerkin,
     make_initial_data,
+    run,
     spectral_states_at,
 )
+from thermoelast import oracle
 from thermoelast.oracle import (
     convolve_truncated,
     galerkin_rhs,
@@ -256,3 +258,55 @@ class TestComparison:
         cfg = StepperConfig(dt=2e-3, t_end=0.1)
         states = spectral_states_at(s, ModelParams(mu=1.0), cfg, [0.1, 0.0, 0.05])
         assert [st.t for st in states] == pytest.approx([0.0, 0.05, 0.1])
+
+    def test_sample_time_past_t_end_rejected_before_stepping(self, monkeypatch):
+        s = make_initial_data(ScenarioSpec("band-limited", n=16, epsilon=0.04))
+        cfg = StepperConfig(dt=2e-3, t_end=0.1)
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("stepped before validating the sample times")
+
+        monkeypatch.setattr(oracle, "run", no_run)
+        with pytest.raises(ValueError, match=r"sample time 0\.2 is past t_end"):
+            spectral_states_at(s, ModelParams(mu=1.0), cfg, [0.0, 0.2])
+
+    def test_sparse_capture_matches_every_step_capture(self):
+        # steps 0, 9, 12 and 30 (= t_end): the run records every 3rd step
+        s0 = make_initial_data(ScenarioSpec("band-limited", n=16, epsilon=0.04))
+        p = ModelParams(mu=1.0)
+        cfg = StepperConfig(dt=2e-3, t_end=0.06, product_band=3)
+        steps = [12, 0, 30, 9]
+        got = spectral_states_at(s0, p, cfg, [i * cfg.dt for i in steps])
+
+        every: dict[int, SimState] = {}
+        run(s0, p, cfg, sink=lambda s: every.setdefault(int(round(s.t / cfg.dt)), s))
+        assert len(got) == len(steps)
+        for i, s in zip(sorted(steps), got):
+            ref = every[i]
+            assert s.t == ref.t
+            assert s.u.components.tobytes() == ref.u.components.tobytes()
+            assert s.v.components.tobytes() == ref.v.components.tobytes()
+            assert s.theta.values.tobytes() == ref.theta.values.tobytes()
+
+    def test_capture_transforms_only_the_wanted_states(self, monkeypatch):
+        s0 = make_initial_data(ScenarioSpec("band-limited", n=16, epsilon=0.04))
+        p = ModelParams(mu=1.0)
+        calls = [0]
+        for name in ("to_spectral", "to_physical"):
+            def counted(self, arr, _fn=getattr(TorusGrid, name)):
+                calls[0] += 1
+                return _fn(self, arr)
+
+            monkeypatch.setattr(TorusGrid, name, counted)
+
+        def count(t_end: float, times: list[float]) -> int:
+            calls[0] = 0
+            spectral_states_at(s0, p, StepperConfig(dt=2e-3, t_end=t_end), times)
+            return calls[0]
+
+        setup = count(0.0, [0.0])
+        # the Strang step and the positivity check, plus u and v per capture
+        assert count(0.12, [0.0, 0.04, 0.08, 0.12]) - setup <= 5 * 60 + 2 * 3
+        # the last step is emitted anyway, so it does not set the cadence:
+        # steps 20, 40, 60 and 61 are built
+        assert count(0.122, [0.0, 0.04, 0.08, 0.122]) - setup <= 5 * 61 + 2 * 4
