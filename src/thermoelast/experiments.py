@@ -226,11 +226,11 @@ def _exp_bounds(o: dict, out_dir: str) -> tuple[list[Check], list[str]]:
 
 
 def _exp_oracle_xcheck(o: dict, out_dir: str) -> tuple[list[Check], list[str]]:
-    p = ModelParams(mu=o["mu"])
+    p = ModelParams(mu=o["mu"], operator=o["operator"])
     times = [round(i * o["sample_dt"], 12) for i in range(int(round(o["t_end"] / o["sample_dt"])) + 1)]
 
     def one(n_grid: int, dealias: bool):
-        s0 = make_initial_data(ScenarioSpec("band-limited", d=2, n=n_grid, epsilon=o["epsilon"]))
+        s0 = make_initial_data(ScenarioSpec("band-limited", d=o["d"], n=n_grid, epsilon=o["epsilon"]))
         sys = build_galerkin(s0, p, o["modes"])
         traj = integrate_galerkin(sys, o["t_end"])
         # the matching run integrates the same truncated system (products
@@ -293,6 +293,7 @@ _EXPERIMENTS = {
     "oracle-xcheck": (
         _exp_oracle_xcheck,
         {"epsilon": 4e-2, "n": 16, "control_n": 8, "modes": 3, "mu": 1.0,
+         "operator": "laplacian", "d": 2,
          "dt": 2e-4, "t_end": 1.0, "sample_dt": 0.1, "tolerance": 1e-5},
     ),
 }

@@ -215,13 +215,15 @@ class TestCompareOracle:
         assert main(["compare-oracle", oracle_cfg, "--tolerance", "1e-15"]) == 2
         assert "verdict: FAIL" in capsys.readouterr().out
 
-    def test_elastic_operator_unsupported(self, tmp_path, capsys):
+    def test_elastic_operator_agreement_passes(self, tmp_path, capsys):
         path = _write(
             tmp_path / "lame.cfg",
             "scenario = lame-band-limited\nn = 16\ndt = 0.002\nt_end = 0.2\n",
         )
-        assert main(["compare-oracle", path]) == 1
-        assert "only covers the laplacian" in capsys.readouterr().err
+        assert main(["compare-oracle", path]) == 0
+        text = capsys.readouterr().out
+        assert "sup distance" in text
+        assert "verdict: PASS" in text
 
     def test_zero_length_run_rejected(self, tmp_path, capsys):
         path = _write(tmp_path / "idle.cfg", "scenario = band-limited\nn = 16\nt_end = 0\n")

@@ -25,6 +25,7 @@ from thermoelast import (
     spectral_states_at,
 )
 from thermoelast import oracle
+from thermoelast.experiments import run_experiment
 from thermoelast.oracle import (
     convolve_truncated,
     galerkin_rhs,
@@ -310,3 +311,18 @@ class TestComparison:
         # the last step is emitted anyway, so it does not set the cadence:
         # steps 20, 40, 60 and 61 are built
         assert count(0.122, [0.0, 0.04, 0.08, 0.122]) - setup <= 5 * 61 + 2 * 4
+
+
+class TestOracleVerdicts:
+    """The oracle-xcheck verdict beyond the 2D Laplacian of criterion 13: the
+    matched run agrees with the truncated system, the aliased N=8 control
+    does not."""
+
+    @pytest.mark.parametrize("operator, d", [("lame", 2), ("laplacian", 3), ("lame", 3)])
+    def test_matched_run_passes_and_aliased_control_fails(self, operator, d, tmp_path):
+        overrides = {"operator": operator, "d": str(d), "n": "16", "control_n": "8",
+                     "modes": "3", "dt": "2e-4", "t_end": "0.5", "tolerance": "1e-5"}
+        report = run_experiment("oracle-xcheck", overrides, out_dir=str(tmp_path))
+        verdicts = {c.name: c.passed for c in report.checks}
+        assert verdicts == {"oracle-match": True, "aliased-control-fails": True,
+                            "control-separation": True}, report.lines()
