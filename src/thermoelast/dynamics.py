@@ -3,12 +3,17 @@
     u_tt + A u = -mu * grad(theta)
     theta_t - laplacian(theta) = -mu * theta * div(u_t)
 
-where A is -laplacian or the elastic (Lame) operator.  The stepper is a
-Strang composition: half-step of the exact linear flows (per-mode heat decay
-and per-mode wave rotation, in cos/sinc form), a full step of the coupling
-integrated with an explicit midpoint rule, then the linear half-steps again.
-The two linear sub-flows act on disjoint fields and commute, so the scheme is
-time-symmetric and second order.
+where A is -laplacian or the elastic (Lame) operator.  Per mode, u splits
+into a_u k^ (k^ = k/|k|, a_u = k^ . u^) and a divergence-free remainder nu,
+the mean included.  grad(theta) is curl-free and div(u_t) sees only a_v, so
+nu is a free wave at the transverse speed and only (a_u, a_v, theta^) are
+coupled.  The stepper advances those three scalar spectra by a Strang
+composition: half-step of the exact linear flows (per-mode heat decay and
+wave rotation at the longitudinal speed, in cos/sinc form), a full step of
+the coupling integrated with an explicit midpoint rule, then the linear
+half-steps again.  The two linear sub-flows act on disjoint fields and
+commute, so the scheme is time-symmetric and second order.  nu is rotated
+in closed form from its initial value whenever a state is built.
 
 States are held in physical space at the API boundary; `run` keeps the state
 spectral between steps and materialises physical fields on the record cadence.
@@ -161,22 +166,15 @@ class StepperConfig:
 
 
 class _SpectralStepper:
-    """One Strang step in spectral variables.  dt may be signed (used by
+    """One Strang step of (a_u, a_v, theta^) in spectral variables; nu is
+    split off and rotated in closed form.  dt may be signed (used by
     centred-difference diagnostics); forward runs always use dt > 0."""
 
-    def __init__(
-        self,
-        grid: TorusGrid,
-        p: ModelParams,
-        dt: float,
-        dealias: bool = True,
-        product_band: int = 0,
-    ):
+    def __init__(self, grid: TorusGrid, p: ModelParams, dt: float, dealias: bool = True,
+                 product_band: int = 0):
         p.validate_for_dimension(grid.d)
         self.grid = grid
-        self.p = p
         self.dt = float(dt)
-        self.dealias = bool(dealias)
         if product_band:
             # alias-free collocation products on the cube need m >= 3*band + 1
             short = min(grid.n_per_axis)
@@ -185,77 +183,73 @@ class _SpectralStepper:
                     f"product_band {product_band} needs at least {3 * product_band + 1} "
                     f"points per axis for alias-free products, grid has {short}"
                 )
-            self.product_mask = grid.mode_cube_mask(product_band)
+            product_mask = grid.mode_cube_mask(product_band)
         else:
             # products leave the Nyquist lines occupied even when aliasing is
             # tolerated; those modes have no conjugate partner and must stay empty
-            self.product_mask = grid.dealias_mask if self.dealias else grid.nyquist_free_mask
-        h = 0.5 * self.dt
-        k_sq = grid.k_sq
-        self.heat_half = np.exp(-k_sq * h)
-        self.ik = [1j * k for k in grid.wavevectors]
-        self.neg_mu_ik = [-p.mu * ik for ik in self.ik]
-        a_t, a_l = p.wave_speeds_sq
-        self.c_t, self.s_t = self._rotation(k_sq, a_t, h)
-        self.m_t = -a_t * k_sq * self.s_t
-        # a faster longitudinal wave differs from the transverse rotation only
-        # on the curl-free part k (k . w) / |k|^2, so its correction is a
-        # per-mode combination of k . u and k . v along k
-        self.long_corr = None
-        if a_l != a_t:
-            c_l, s_l = self._rotation(k_sq, a_l, h)
-            self.long_corr = (
-                (c_l - self.c_t) * grid.inv_k_sq,
-                (s_l - self.s_t) * grid.inv_k_sq,
-                a_t * self.s_t - a_l * s_l,
-            )
+            product_mask = grid.dealias_mask if dealias else grid.nyquist_free_mask
+        self.heat_half = np.exp(-grid.k_sq * (0.5 * self.dt))
+        self.k_abs, self.inv_k_abs = np.sqrt(grid.k_sq), np.sqrt(grid.inv_k_sq)
+        self.unit_k = np.stack([k * self.inv_k_abs for k in grid.wavevectors])
+        self.ik_abs = 1j * self.k_abs
+        self.neg_mu_ik_abs = -p.mu * self.ik_abs
+        self.neg_mu_mask = -p.mu * product_mask
+        self.a_t, a_l = p.wave_speeds_sq
+        self.long_half = self._rotation(a_l, 0.5 * self.dt)
 
-    @staticmethod
-    def _rotation(k_sq: np.ndarray, speed_sq: float, h: float):
-        """cos(w h) and sin(w h)/w for w = sqrt(speed_sq * |k|^2)."""
-        om = np.sqrt(speed_sq * k_sq)
-        c = np.cos(om * h)
-        s = h * np.sinc(om * h / math.pi)
-        return c, s
+    def _rotation(self, speed_sq: float, t: float) -> tuple[np.ndarray, ...]:
+        """Per-mode (cos wt, sin(wt)/w, -w^2 sin(wt)/w), w = sqrt(speed_sq) |k|,
+        advancing (w, w_t) of the free wave by t; the zero mode drifts."""
+        phase = (math.sqrt(speed_sq) * t) * self.k_abs
+        s = np.sin(phase) * self.inv_k_abs / math.sqrt(speed_sq)
+        s[(0,) * self.grid.d] = t
+        return np.cos(phase), s, -speed_sq * self.grid.k_sq * s
 
-    def _wave_half(self, uh: np.ndarray, vh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # every mode rotates at the transverse speed; the zero mode drifts
-        new_u = self.c_t * uh + self.s_t * vh
-        new_v = self.m_t * uh + self.c_t * vh
-        if self.long_corr is not None:
-            dc, ds, dm = self.long_corr
-            ku = k_dot(self.grid, uh)
-            kv = k_dot(self.grid, vh)
-            du = dc * ku + ds * kv
-            dv = dm * ku + dc * kv
-            for i, k in enumerate(self.grid.wavevectors):
-                new_u[i] += k * du
-                new_v[i] += k * dv
-        return new_u, new_v
+    def _wave_half(self, au: np.ndarray, av: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        c, s, m = self.long_half
+        return c * au + s * av, m * au + c * av
 
-    def _coupling_rhs(self, vh: np.ndarray, th: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def split(self, uh: np.ndarray, vh: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(a_u, a_v, nu_u, nu_v): curl-free amplitudes and solenoidal remainders."""
+        au = np.sum(self.unit_k * uh, axis=0)
+        av = np.sum(self.unit_k * vh, axis=0)
+        return au, av, uh - self.unit_k * au, vh - self.unit_k * av
+
+    def vectors(self, au: np.ndarray, av: np.ndarray, nu_u: np.ndarray, nu_v: np.ndarray,
+                n_steps: int) -> list[np.ndarray]:
+        """Physical u and v: nu rotated n_steps * dt at the transverse speed,
+        plus k^ a; one spectrum is alive at a time."""
+        c, s, m = self._rotation(self.a_t, n_steps * self.dt)
+        out = []
+        for f, g, a in ((c, s, au), (m, c, av)):
+            wh = f * nu_u
+            wh += g * nu_v
+            wh += self.unit_k * a
+            out.append(self.grid.to_physical(wh))
+            del wh
+        return out
+
+    def _coupling_rhs(self, av: np.ndarray, th: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         grid = self.grid
-        dv = np.stack([a * th for a in self.neg_mu_ik])
-        div_vh = self.ik[0] * vh[0]
-        for i in range(1, grid.d):
-            div_vh += self.ik[i] * vh[i]
-        div_v, theta = grid.to_physical(np.stack([div_vh, th]))
-        dth = -self.p.mu * grid.to_spectral(theta * div_v) * self.product_mask
-        return dv, dth
+        # along k^, -mu grad(theta) is -mu i|k| theta^ and div v is i|k| a_v
+        dav = self.neg_mu_ik_abs * th
+        div_v, theta = grid.to_physical(np.stack([self.ik_abs * av, th]))
+        dth = grid.to_spectral(theta * div_v) * self.neg_mu_mask
+        return dav, dth
 
-    def _couple(self, vh: np.ndarray, th: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _couple(self, av: np.ndarray, th: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         dt = self.dt
-        k1v, k1t = self._coupling_rhs(vh, th)
-        k2v, k2t = self._coupling_rhs(vh + 0.5 * dt * k1v, th + 0.5 * dt * k1t)
-        return vh + dt * k2v, th + dt * k2t
+        k1v, k1t = self._coupling_rhs(av, th)
+        k2v, k2t = self._coupling_rhs(av + 0.5 * dt * k1v, th + 0.5 * dt * k1t)
+        return av + dt * k2v, th + dt * k2t
 
-    def step(self, uh: np.ndarray, vh: np.ndarray, th: np.ndarray):
+    def step(self, au: np.ndarray, av: np.ndarray, th: np.ndarray):
         th = self.heat_half * th
-        uh, vh = self._wave_half(uh, vh)
-        vh, th = self._couple(vh, th)
-        uh, vh = self._wave_half(uh, vh)
+        au, av = self._wave_half(au, av)
+        av, th = self._couple(av, th)
+        au, av = self._wave_half(au, av)
         th = self.heat_half * th
-        return uh, vh, th
+        return au, av, th
 
 
 def evaluate_rhs(s: SimState, p: ModelParams, dealias: bool = True) -> tuple[VectorField, VectorField, ScalarField]:
@@ -277,9 +271,12 @@ def evaluate_rhs(s: SimState, p: ModelParams, dealias: bool = True) -> tuple[Vec
     )
 
 
-def _check_finite(t: float, arrays: dict[str, np.ndarray]) -> None:
-    for name, arr in arrays.items():
-        if not np.all(np.isfinite(arr.view(np.float64) if np.iscomplexobj(arr) else arr)):
+def _check_finite(t: float, au: np.ndarray, av: np.ndarray, th: np.ndarray,
+                  nu: tuple[np.ndarray | None, np.ndarray | None] = (None, None)) -> None:
+    """Raise NonFinite naming u, v or theta, in that order, for the first
+    non-finite spectrum; nu = (nu_u, nu_v), if given, counts as u and v."""
+    for name, arr in (("u", au), ("u", nu[0]), ("v", av), ("v", nu[1]), ("theta", th)):
+        if arr is not None and not np.all(np.isfinite(arr.view(np.float64))):
             raise NonFinite(t, name)
 
 
@@ -287,13 +284,6 @@ def _state_mask(grid: TorusGrid, product_band: int) -> np.ndarray:
     """Subspace the evolution lives in: the mode cube in Galerkin mode, else
     everything but the unpaired Nyquist lines."""
     return grid.mode_cube_mask(product_band) if product_band else grid.nyquist_free_mask
-
-
-def _physical_state(t: float, grid: TorusGrid, uh: np.ndarray, vh: np.ndarray,
-                    theta: np.ndarray) -> SimState:
-    """A state of fresh arrays: u and v from their coefficients, theta as given."""
-    u, v = VectorField.from_spectral(grid, uh), VectorField.from_spectral(grid, vh)
-    return SimState(t, u, v, ScalarField(grid, theta))
 
 
 def _signed_step(
@@ -306,10 +296,13 @@ def _signed_step(
     grid = s.grid
     stepper = _SpectralStepper(grid, p, dt, dealias, product_band)
     nyq = _state_mask(grid, product_band)
-    uh, vh, th = stepper.step(s.u.spectral() * nyq, s.v.spectral() * nyq, s.theta.spectral() * nyq)
+    au, av, nu_u, nu_v = stepper.split(s.u.spectral() * nyq, s.v.spectral() * nyq)
+    au, av, th = stepper.step(au, av, s.theta.spectral() * nyq)
     t = s.t + dt
-    _check_finite(t, {"u": uh, "v": vh, "theta": th})
-    return _physical_state(t, grid, uh, vh, grid.to_physical(th))
+    _check_finite(t, au, av, th, (nu_u, nu_v))
+    u, v = stepper.vectors(au, av, nu_u, nu_v, 1)
+    return SimState(t, VectorField(grid, u), VectorField(grid, v),
+                    ScalarField.from_spectral(grid, th))
 
 
 def _enforce_floor(t: float, theta: np.ndarray, floor: float, clamp: bool) -> int:
@@ -366,14 +359,13 @@ def run(
     outputs bit for bit.
     """
     grid = s0.grid
-    p.validate_for_dimension(grid.d)
+    stepper = _SpectralStepper(grid, p, cfg.dt, cfg.dealias, cfg.product_band)
     n_steps = cfg.n_steps()
     _dt_advisory(s0, p, cfg.dt)
     _enforce_floor(s0.t, s0.theta.values, cfg.positivity_floor, clamp=False)
-
-    stepper = _SpectralStepper(grid, p, cfg.dt, cfg.dealias, cfg.product_band)
     nyq = _state_mask(grid, cfg.product_band)
-    uh, vh, th = (f.spectral() * nyq for f in (s0.u, s0.v, s0.theta))
+    au, av, nu_u, nu_v = stepper.split(s0.u.spectral() * nyq, s0.v.spectral() * nyq)
+    th = s0.theta.spectral() * nyq
     t0 = s0.t
 
     if sink is not None:
@@ -381,9 +373,10 @@ def run(
     state = s0.copy()
     clamp_total = 0
     for i in range(1, n_steps + 1):
-        uh, vh, th = stepper.step(uh, vh, th)
+        au, av, th = stepper.step(au, av, th)
         t = t0 + i * cfg.dt
-        _check_finite(t, {"u": uh, "v": vh, "theta": th})
+        # nu never enters a step: it is checked once, with the first
+        _check_finite(t, au, av, th, (nu_u, nu_v) if i == 1 else (None, None))
         theta_phys = grid.to_physical(th)
         n_clamped = _enforce_floor(t, theta_phys, cfg.positivity_floor, cfg.clamp_theta)
         if n_clamped:
@@ -392,7 +385,11 @@ def run(
             # lines; project back onto the evolution subspace
             th = grid.to_spectral(theta_phys) * nyq
         if i == n_steps or (sink is not None and i % cfg.record_every == 0):
-            state = _physical_state(t, grid, uh, vh, theta_phys)
+            # nu is rotated from its initial value, so a state does not
+            # depend on which earlier states were built
+            u, v = stepper.vectors(au, av, nu_u, nu_v, i)
+            state = SimState(t, VectorField(grid, u), VectorField(grid, v),
+                             ScalarField(grid, theta_phys))
             if sink is not None:
                 sink(state.copy() if i == n_steps else state)
     if clamp_total:

@@ -11,6 +11,7 @@ import pytest
 
 from thermoelast import (
     ModelParams,
+    NonFinite,
     PositivityLoss,
     ScalarField,
     SimState,
@@ -19,6 +20,7 @@ from thermoelast import (
     TrajectoryRecorder,
     VectorField,
     evaluate_rhs,
+    helmholtz_project,
     make_initial_data,
     run,
     step,
@@ -256,6 +258,98 @@ class TestPositivity:
             step(s0, ModelParams(mu=1.0), cfg)
         out = step(s0, ModelParams(mu=1.0), StepperConfig(dt=0.05))
         assert out.t == pytest.approx(0.05)
+
+
+class TestFailureModes:
+    """Typed errors raised after the first step, pinned to the values the
+    full-vector stepper produced before the solenoidal part was split off."""
+
+    def test_positivity_loss_mid_run(self, grid2d_small):
+        s0 = _shear_state(grid2d_small)
+        cfg = StepperConfig(dt=0.01, t_end=0.5, positivity_floor=0.97)
+        with pytest.raises(PositivityLoss) as err:
+            run(s0, ModelParams(mu=1.0), cfg)
+        assert err.value.t == pytest.approx(0.04, rel=1e-12)
+        assert err.value.theta_min == pytest.approx(0.9615686685311381, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "scenario, operator, dt, t_fail, what",
+        [("large", "laplacian", 0.25, 3.5, "u"), ("lame-large", "lame", 0.1, 1.9, "theta")],
+    )
+    def test_non_finite_mid_run(self, scenario, operator, dt, t_fail, what):
+        # far past the advisory bound the explicit coupling blows up; clamp
+        # mode keeps the run going until a spectrum overflows
+        s0 = make_initial_data(ScenarioSpec(scenario, n=16, epsilon=3.0))
+        cfg = StepperConfig(dt=dt, t_end=200 * dt, clamp_theta=True)
+        logging.disable(logging.WARNING)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFinite) as err:
+                run(s0, ModelParams(mu=1.0, operator=operator), cfg)
+        finally:
+            logging.disable(logging.NOTSET)
+        assert err.value.t == pytest.approx(t_fail, rel=1e-12)
+        assert err.value.what == what
+
+    def test_nan_in_initial_displacement(self):
+        s0 = make_initial_data(ScenarioSpec("small-mixed", epsilon=0.2))
+        s0.u.components[1, 3, 5] = np.nan
+        with pytest.raises(NonFinite) as err:
+            run(s0, ModelParams(mu=1.0), StepperConfig(dt=0.01, t_end=0.1))
+        assert err.value.t == pytest.approx(0.01)
+        assert err.value.what == "u"
+
+
+    def test_solenoidal_spectra_are_checked_as_u_and_v(self):
+        from thermoelast.dynamics import _check_finite
+
+        ok = np.ones(4, dtype=complex)
+        bad = np.array([1.0, np.nan, 0.0, 1.0], dtype=complex)
+        _check_finite(0.5, ok, ok, ok)
+        _check_finite(0.5, ok, ok, ok, (ok, ok))
+        for nu, what in (((bad, ok), "u"), ((ok, bad), "v"), ((bad, bad), "u")):
+            with pytest.raises(NonFinite) as err:
+                _check_finite(0.5, ok, ok, ok, nu)
+            assert (err.value.t, err.value.what) == (0.5, what)
+        with pytest.raises(NonFinite) as err:
+            _check_finite(0.5, ok, bad, ok, (bad, ok))
+        assert err.value.what == "u"
+
+
+class TestSolenoidalPart:
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("operator", ["laplacian", "lame"])
+    def test_free_transverse_rotation_under_coupling(self, d, operator):
+        # the divergence-free parts of u and v (mean included) solve the free
+        # wave equation at the transverse speed whatever theta does
+        name = "lame-small-mixed" if operator == "lame" else "small-mixed"
+        s0 = make_initial_data(ScenarioSpec(name, d=d, epsilon=0.2))
+        grid = s0.grid
+        x = grid.meshes()
+        v0 = s0.v.components
+        # a transverse velocity (mixed in 3D) and a drifting mean on top
+        v0[0] += 0.1 * np.cos(x[0] + x[d - 1]) + 0.02
+        v0[1] -= 0.1 * np.cos(x[0] + x[d - 1]) + 0.05
+        p = ModelParams(mu=1.0, operator=operator, zeta=1.3, lame_lambda=0.4)
+        states: list[SimState] = []
+        run(s0, p, StepperConfig(dt=2e-3, t_end=1.0, record_every=50), sink=states.append)
+        assert len(states) == 11
+
+        a_t = p.wave_speeds_sq[0]
+        nu_u0 = helmholtz_project(s0.u).div_free.spectral()
+        nu_v0 = helmholtz_project(s0.v).div_free.spectral()
+        omega = np.sqrt(a_t * grid.k_sq)
+        scale = max(np.max(np.abs(nu_u0)), np.max(np.abs(nu_v0)))
+        assert np.max(np.abs(nu_v0)) > 0.1 * scale  # the velocity has a solenoidal part
+        worst = 0.0
+        for s in states:
+            cos = np.cos(omega * s.t)
+            sinc = s.t * np.sinc(omega * s.t / math.pi)
+            want_u = cos * nu_u0 + sinc * nu_v0
+            want_v = -(omega**2) * sinc * nu_u0 + cos * nu_v0
+            got_u = helmholtz_project(s.u).div_free.spectral()
+            got_v = helmholtz_project(s.v).div_free.spectral()
+            worst = max(worst, np.max(np.abs(got_u - want_u)), np.max(np.abs(got_v - want_v)))
+        assert worst <= 1e-12 * scale
 
 
 class TestAdvisory:
