@@ -43,7 +43,6 @@ __all__ = ["main"]
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     s0 = make_initial_data(cfg.scenario)
-    cfg.params.validate_for_dimension(s0.grid.d)
     rec = diag.TrajectoryRecorder(cfg.params)
     final = run(s0, cfg.params, cfg.stepper, sink=rec)
 

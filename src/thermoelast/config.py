@@ -30,6 +30,10 @@ Keys and defaults:
                                              mode cube |k|_inf <= B
     out_dir                = out             artifact directory
 
+A key's type is the type of its default: integer, number, `true`/`false`,
+or text.  `convert_value` does that conversion and `build_config` turns the
+typed values into a `RunConfig`; the named experiments use both.
+
 `operator = auto` resolves against the scenario name: `lame-*` scenarios get
 the elastic operator, everything else the Laplacian.
 
@@ -43,12 +47,13 @@ cannot see is checked here: `operator = auto`, `seed`, `out_dir`, and
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .dynamics import ModelParams, StepperConfig, OPERATOR_KINDS
 from .scenarios import ScenarioSpec, scenario_default_operator
 
-__all__ = ["ConfigError", "RunConfig", "parse_config", "serialize_config", "load_config"]
+__all__ = ["ConfigError", "RunConfig", "build_config", "convert_value", "load_config",
+           "parse_config", "serialize_config"]
 
 
 class ConfigError(ValueError):
@@ -91,31 +96,18 @@ _DEFAULTS: dict[str, object] = {
     "out_dir": "out",
 }
 
-_INT_KEYS = frozenset({"d", "n", "seed", "record_every", "product_band"})
-_FLOAT_KEYS = frozenset(
-    {"length", "epsilon", "theta_baseline", "mu", "zeta", "lame_lambda", "dt", "t_end", "positivity_floor"}
-)
-_BOOL_KEYS = frozenset({"dealias", "clamp_theta"})
 
-
-def _convert(key: str, raw: str, line: int) -> object:
-    if key in _INT_KEYS:
-        try:
-            return int(raw, 10)
-        except ValueError:
-            raise ConfigError(f"{key} expects an integer, got {raw!r}", line) from None
-    if key in _FLOAT_KEYS:
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"{key} expects a number, got {raw!r}", line) from None
-    if key in _BOOL_KEYS:
-        if raw == "true":
-            return True
-        if raw == "false":
-            return False
+def convert_value(key: str, raw: str, default: object, line: int | None = None) -> object:
+    """raw as the type of default: an integer, a number, true/false or text."""
+    if isinstance(default, bool):
+        if raw in ("true", "false"):
+            return raw == "true"
         raise ConfigError(f"{key} expects true or false, got {raw!r}", line)
-    return raw
+    try:
+        return type(default)(raw)
+    except ValueError:
+        kind = "an integer" if isinstance(default, int) else "a number"
+        raise ConfigError(f"{key} expects {kind}, got {raw!r}", line) from None
 
 
 def _scan(text: str) -> tuple[dict[str, object], dict[str, int]]:
@@ -133,7 +125,7 @@ def _scan(text: str) -> tuple[dict[str, object], dict[str, int]]:
             raise ConfigError(f"unknown key {key!r}", lineno)
         if key in values:
             raise ConfigError(f"duplicate key {key!r} (first set on line {lines[key]})", lineno)
-        values[key] = _convert(key, raw, lineno)
+        values[key] = convert_value(key, raw, _DEFAULTS[key], lineno)
         lines[key] = lineno
     return values, lines
 
@@ -153,49 +145,37 @@ def _named_line(message: str, lines: dict[str, int]) -> int | None:
 
 def parse_config(text: str) -> RunConfig:
     """Parse configuration text; see the module docstring for the grammar."""
-    values, lines = _scan(text)
-    cfg = dict(_DEFAULTS)
-    cfg.update(values)
+    return build_config(*_scan(text))
 
+
+def _fields_of(cls, cfg: dict[str, object]) -> dict[str, object]:
+    return {f.name: cfg[f.name] for f in fields(cls) if f.name in cfg}
+
+
+def build_config(values: dict[str, object], lines: dict[str, int] | None = None) -> RunConfig:
+    """Typed values for some keys, the rest defaulted, as a checked RunConfig.
+
+    Entries that are not config keys are ignored, so an experiment can pass
+    its whole option table.  lines maps keys to the text lines they came
+    from, for error reports.
+    """
+    lines = lines or {}
+    cfg = {**_DEFAULTS, **values}
     _require(cfg["seed"] >= 0, f"seed must be >= 0, got {cfg['seed']}", "seed", lines)
     _require(cfg["operator"] in ("auto",) + OPERATOR_KINDS,
              f"operator must be auto, laplacian, or lame, got {cfg['operator']!r}", "operator", lines)
     _require(cfg["zeta"] > 0, f"zeta must be > 0, got {cfg['zeta']}", "zeta", lines)
-    _require(bool(str(cfg["out_dir"])), "out_dir must be non-empty", "out_dir", lines)
-
-    operator = cfg["operator"]
-    if operator == "auto":
-        operator = scenario_default_operator(str(cfg["scenario"]))
-
+    _require(bool(cfg["out_dir"]), "out_dir must be non-empty", "out_dir", lines)
+    if cfg["operator"] == "auto":
+        cfg["operator"] = scenario_default_operator(cfg["scenario"])
     try:
-        scenario = ScenarioSpec(
-            name=str(cfg["scenario"]),
-            d=int(cfg["d"]),
-            n=int(cfg["n"]),
-            length=float(cfg["length"]),
-            epsilon=float(cfg["epsilon"]),
-            theta_baseline=float(cfg["theta_baseline"]),
-            seed=int(cfg["seed"]),
-        )
-        params = ModelParams(
-            mu=float(cfg["mu"]),
-            operator=operator,
-            zeta=float(cfg["zeta"]),
-            lame_lambda=float(cfg["lame_lambda"]),
-        )
+        scenario = ScenarioSpec(name=cfg["scenario"], **_fields_of(ScenarioSpec, cfg))
+        params = ModelParams(**_fields_of(ModelParams, cfg))
         params.validate_for_dimension(scenario.d)
-        stepper = StepperConfig(
-            dt=float(cfg["dt"]),
-            t_end=float(cfg["t_end"]),
-            dealias=bool(cfg["dealias"]),
-            positivity_floor=float(cfg["positivity_floor"]),
-            record_every=int(cfg["record_every"]),
-            clamp_theta=bool(cfg["clamp_theta"]),
-            product_band=int(cfg["product_band"]),
-        )
+        stepper = StepperConfig(**_fields_of(StepperConfig, cfg))
     except ValueError as exc:
         raise ConfigError(str(exc), _named_line(str(exc), lines)) from exc
-    return RunConfig(scenario=scenario, params=params, stepper=stepper, out_dir=str(cfg["out_dir"]))
+    return RunConfig(scenario=scenario, params=params, stepper=stepper, out_dir=cfg["out_dir"])
 
 
 def _fmt(value: object) -> str:
@@ -208,29 +188,9 @@ def _fmt(value: object) -> str:
 
 def serialize_config(cfg: RunConfig) -> str:
     """Canonical text form; parse_config(serialize_config(c)) equals c."""
-    sc, p, st = cfg.scenario, cfg.params, cfg.stepper
-    pairs = [
-        ("scenario", sc.name),
-        ("d", sc.d),
-        ("n", sc.n),
-        ("length", sc.length),
-        ("epsilon", sc.epsilon),
-        ("theta_baseline", sc.theta_baseline),
-        ("seed", sc.seed),
-        ("mu", p.mu),
-        ("operator", p.operator),
-        ("zeta", p.zeta),
-        ("lame_lambda", p.lame_lambda),
-        ("dt", st.dt),
-        ("t_end", st.t_end),
-        ("dealias", st.dealias),
-        ("positivity_floor", st.positivity_floor),
-        ("record_every", st.record_every),
-        ("clamp_theta", st.clamp_theta),
-        ("product_band", st.product_band),
-        ("out_dir", cfg.out_dir),
-    ]
-    return "".join(f"{key} = {_fmt(value)}\n" for key, value in pairs)
+    flat = {**asdict(cfg.scenario), **asdict(cfg.params), **asdict(cfg.stepper),
+            "scenario": cfg.scenario.name, "out_dir": cfg.out_dir}
+    return "".join(f"{key} = {_fmt(flat[key])}\n" for key in _DEFAULTS)
 
 
 def load_config(path: str) -> RunConfig:

@@ -176,12 +176,7 @@ def hessian_inequality_constant(d: int) -> float:
     return 1.0 + math.sqrt(d) / 2.0 + d / 8.0
 
 
-def fisher_identity_residual(
-    s: SimState,
-    p: ModelParams,
-    dt_micro: float = 1e-5,
-    dealias: bool = True,
-) -> float:
+def fisher_identity_residual(s: SimState, p: ModelParams, dt_micro: float = 1e-5) -> float:
     """Mismatch of the exact Fisher derivative identity at state s.
 
     dF/dt is approximated by a centred difference of F across one signed
@@ -196,8 +191,8 @@ def fisher_identity_residual(
     hess_term = weighted_log_hessian_integral(s.theta)
     div_v = operators.divergence(s.v)
     rhs = -hess_term - 0.5 * p.mu * quadrature(grid, _fisher_ratio(s.theta) * div_v.values)
-    fwd = fisher_functional(_signed_step(s, p, dt_micro, dealias), p)
-    bwd = fisher_functional(_signed_step(s, p, -dt_micro, dealias), p)
+    fwd = fisher_functional(_signed_step(s, p, dt_micro), p)
+    bwd = fisher_functional(_signed_step(s, p, -dt_micro), p)
     lhs = (fwd - bwd) / (2.0 * dt_micro)
     return abs(lhs - rhs) / (1.0 + abs(rhs))
 

@@ -362,6 +362,8 @@ def run(
     stepper = _SpectralStepper(grid, p, cfg.dt, cfg.dealias, cfg.product_band)
     n_steps = cfg.n_steps()
     _dt_advisory(s0, p, cfg.dt)
+    if not np.all(np.isfinite(s0.theta.values)):
+        raise NonFinite(s0.t, "theta")
     _enforce_floor(s0.t, s0.theta.values, cfg.positivity_floor, clamp=False)
     nyq = _state_mask(grid, cfg.product_band)
     au, av, nu_u, nu_v = stepper.split(s0.u.spectral() * nyq, s0.v.spectral() * nyq)

@@ -4,7 +4,10 @@ Each experiment instantiates one of the structural claims the solver is
 supposed to honor, runs the dynamics, evaluates explicit thresholds, and
 writes its artifacts (time series, snapshots, a plain-text report) into an
 output directory.  Overrides arrive as strings (from `--set key=value`) and
-are converted using the type of the default they replace.
+follow the config grammar: each is converted to the type of the default it
+replaces, and the run keys among them build the run as a config file would
+(`operator` resolves against the scenario name unless an experiment sets
+it).
 
     attractor         amplitude sweep: the decay functional never rises for
                       data under the empirical smallness gate
@@ -22,13 +25,15 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
+from .config import RunConfig, build_config, convert_value
 from .diagnostics import TrajectoryRecorder, galerkin_initial_smallness
-from .dynamics import ModelParams, SimState, StepperConfig, run
+from .dynamics import SimState, run
 from .grid import spectral_l2_sq
 from .operators import longitudinal_part
 from .oracle import build_galerkin, compare_oracle, integrate_galerkin, spectral_states_at
-from .scenarios import ScenarioSpec, make_initial_data
+from .scenarios import make_initial_data
 from .snapshots import atomic_write_text, write_snapshot, write_timeseries
 
 __all__ = [
@@ -74,17 +79,18 @@ class ExperimentReport:
         return out
 
 
-def _run_recorded(
-    s0: SimState, p: ModelParams, cfg: StepperConfig, extra_sink=None
-) -> tuple[SimState, TrajectoryRecorder]:
-    rec = TrajectoryRecorder(p)
+def _run_recorded(cfg: RunConfig, s0: SimState | None = None, extra_sink=None
+                  ) -> tuple[SimState, TrajectoryRecorder]:
+    if s0 is None:
+        s0 = make_initial_data(cfg.scenario)
+    rec = TrajectoryRecorder(cfg.params)
     if extra_sink is None:
         sink = rec
     else:
         def sink(s: SimState) -> None:
             rec(s)
             extra_sink(s)
-    final = run(s0, p, cfg, sink=sink)
+    final = run(s0, cfg.params, cfg.stepper, sink=sink)
     return final, rec
 
 
@@ -92,42 +98,41 @@ def _rel(x: float, ref: float) -> float:
     return x / ref if ref else float("inf")
 
 
+def _fisher_rise(records, smallness: float) -> tuple[bool, bool, float]:
+    """The decay rule for the Fisher functional F along a recorded run:
+    (data under the gate, F never rose past F(0) * (1 + 1e-3), max F/F(0) - 1).
+    Only data strictly under DECAY_GATE is required not to rise."""
+    f0 = records[0].fisher_functional
+    peak = max(r.fisher_functional for r in records)
+    return smallness < DECAY_GATE, peak <= f0 * (1.0 + 1e-3), peak / f0 - 1.0
+
+
 def _exp_attractor(o: dict, out_dir: str) -> tuple[list[Check], list[str]]:
     eps_values = [float(tok) for tok in str(o["epsilons"]).split(",") if tok.strip()]
     if not eps_values:
         raise ValueError("epsilons must list at least one amplitude")
-    p = ModelParams(mu=o["mu"])
-    cfg = StepperConfig(dt=o["dt"], t_end=o["t_end"], record_every=o["record_every"])
     checks: list[Check] = []
     artifacts: list[str] = []
     for i, eps in enumerate(eps_values):
-        s0 = make_initial_data(ScenarioSpec("small-mixed", d=o["d"], n=o["n"], epsilon=eps, seed=o["seed"]))
-        smallness = galerkin_initial_smallness(s0, p)
-        final, rec = _run_recorded(s0, p, cfg)
-        f0 = rec.records[0].fisher_functional
-        rise = max(r.fisher_functional for r in rec.records) / f0 - 1.0
+        cfg = build_config(o | {"scenario": "small-mixed", "epsilon": eps})
+        s0 = make_initial_data(cfg.scenario)
+        smallness = galerkin_initial_smallness(s0, cfg.params)
+        final, rec = _run_recorded(cfg, s0)
+        gated, flat, rise = _fisher_rise(rec.records, smallness)
         path = os.path.join(out_dir, f"timeseries-eps{i}.csv")
         write_timeseries(rec.records, path)
         artifacts.append(path)
         detail = f"smallness={smallness:.3e} gate={DECAY_GATE:g} maxF/F0-1={rise:.3e}"
-        if smallness <= DECAY_GATE:
-            checks.append(Check(f"fisher-monotone[eps={eps:g}]", rise <= 1e-3, detail))
+        if gated:
+            checks.append(Check(f"fisher-monotone[eps={eps:g}]", flat, detail))
         else:
             checks.append(Check(f"above-gate[eps={eps:g}]", True, detail + " (not required to decay)"))
     return checks, artifacts
 
 
-def _asymptotics(o: dict, out_dir: str, scenario: str) -> tuple[list[Check], list[str]]:
-    s0 = make_initial_data(
-        ScenarioSpec(scenario, d=o["d"], n=o["n"], epsilon=o["epsilon"], seed=o["seed"])
-    )
-    operator = "lame" if scenario.startswith("lame-") else "laplacian"
-    p = ModelParams(mu=o["mu"], operator=operator, zeta=o["zeta"], lame_lambda=o["lame_lambda"])
-    p.validate_for_dimension(s0.grid.d)
-    cfg = StepperConfig(dt=o["dt"], t_end=o["t_end"], record_every=o["record_every"])
-    final, rec = _run_recorded(s0, p, cfg)
+def _asymptotics(scenario: str, o: dict, out_dir: str) -> tuple[list[Check], list[str]]:
+    final, rec = _run_recorded(build_config(o | {"scenario": scenario}))
     first, last = rec.records[0], rec.records[-1]
-
     chi_ratio = _rel(last.chi_h1, first.chi_h1)
     th_ratio = _rel(last.theta_l2_dist, first.theta_l2_dist)
     checks = [
@@ -136,9 +141,8 @@ def _asymptotics(o: dict, out_dir: str, scenario: str) -> tuple[list[Check], lis
         Check("theta-converges", th_ratio <= 1e-2,
               f"|theta-theta_inf| {first.theta_l2_dist:.6e} -> {last.theta_l2_dist:.6e} "
               f"(ratio {th_ratio:.3e}, need <= 1e-2)"),
+        _bounds_check(rec.records, scenario),
     ]
-    checks.append(_bounds_check(rec, scenario))
-
     ts = os.path.join(out_dir, "timeseries.csv")
     write_timeseries(rec.records, ts)
     artifacts = [ts]
@@ -149,20 +153,7 @@ def _asymptotics(o: dict, out_dir: str, scenario: str) -> tuple[list[Check], lis
     return checks, artifacts
 
 
-def _exp_asymptotics(o: dict, out_dir: str):
-    return _asymptotics(o, out_dir, "small-mixed")
-
-
-def _exp_lame_asymptotics(o: dict, out_dir: str):
-    return _asymptotics(o, out_dir, "lame-small-mixed")
-
-
 def _exp_oscillation(o: dict, out_dir: str) -> tuple[list[Check], list[str]]:
-    s0 = make_initial_data(
-        ScenarioSpec("small-div-free", d=o["d"], n=o["n"], epsilon=o["epsilon"], seed=o["seed"])
-    )
-    p = ModelParams(mu=o["mu"])
-    cfg = StepperConfig(dt=o["dt"], t_end=o["t_end"], record_every=o["record_every"])
     nu_series: list[tuple[float, float]] = []
 
     def track_nu(s: SimState) -> None:
@@ -170,7 +161,7 @@ def _exp_oscillation(o: dict, out_dir: str) -> tuple[list[Check], list[str]]:
         nu = math.sqrt(spectral_l2_sq(s.grid, uh - longitudinal_part(s.grid, uh)[1]))
         nu_series.append((s.t, nu))
 
-    final, rec = _run_recorded(s0, p, cfg, extra_sink=track_nu)
+    final, rec = _run_recorded(build_config(o | {"scenario": "small-div-free"}), extra_sink=track_nu)
 
     e0 = rec.records[0].nu_energy
     drift = max(abs(r.nu_energy - e0) for r in rec.records) / e0
@@ -195,11 +186,11 @@ def _exp_oscillation(o: dict, out_dir: str) -> tuple[list[Check], list[str]]:
     return checks, [ts, nu_path]
 
 
-def _bounds_check(rec: TrajectoryRecorder, label: str) -> Check:
-    t_min0 = rec.records[0].theta_min
-    t_max0 = rec.records[0].theta_max
-    lo = min(r.theta_min for r in rec.records)
-    hi = max(r.theta_max for r in rec.records)
+def _bounds_check(records, label: str) -> Check:
+    """The factor-two corridor: theta stays within [min0 / 2, 2 * max0]."""
+    t_min0, t_max0 = records[0].theta_min, records[0].theta_max
+    lo = min(r.theta_min for r in records)
+    hi = max(r.theta_max for r in records)
     ok = lo >= 0.5 * t_min0 and hi <= 2.0 * t_max0
     return Check(
         f"theta-bounds[{label}]", ok,
@@ -209,16 +200,11 @@ def _bounds_check(rec: TrajectoryRecorder, label: str) -> Check:
 
 def _exp_bounds(o: dict, out_dir: str) -> tuple[list[Check], list[str]]:
     names = [tok.strip() for tok in str(o["scenarios"]).split(",") if tok.strip()]
-    p = ModelParams(mu=o["mu"])
-    cfg = StepperConfig(dt=o["dt"], t_end=o["t_end"], record_every=o["record_every"])
     checks: list[Check] = []
     artifacts: list[str] = []
     for name in names:
-        s0 = make_initial_data(
-            ScenarioSpec(name, d=o["d"], n=o["n"], epsilon=o["epsilon"], seed=o["seed"])
-        )
-        final, rec = _run_recorded(s0, p, cfg)
-        checks.append(_bounds_check(rec, name))
+        final, rec = _run_recorded(build_config(o | {"scenario": name}))
+        checks.append(_bounds_check(rec.records, name))
         path = os.path.join(out_dir, f"timeseries-{name}.csv")
         write_timeseries(rec.records, path)
         artifacts.append(path)
@@ -226,19 +212,18 @@ def _exp_bounds(o: dict, out_dir: str) -> tuple[list[Check], list[str]]:
 
 
 def _exp_oracle_xcheck(o: dict, out_dir: str) -> tuple[list[Check], list[str]]:
-    p = ModelParams(mu=o["mu"], operator=o["operator"])
     times = [round(i * o["sample_dt"], 12) for i in range(int(round(o["t_end"] / o["sample_dt"])) + 1)]
 
     def one(n_grid: int, dealias: bool):
-        s0 = make_initial_data(ScenarioSpec("band-limited", d=o["d"], n=n_grid, epsilon=o["epsilon"]))
-        sys = build_galerkin(s0, p, o["modes"])
-        traj = integrate_galerkin(sys, o["t_end"])
         # the matching run integrates the same truncated system (products
         # restricted to the oracle's mode cube); the control lets products
         # alias freely on a grid too coarse to hold them
-        band = o["modes"] if dealias else 0
-        cfg = StepperConfig(dt=o["dt"], t_end=o["t_end"], dealias=dealias, product_band=band)
-        states = spectral_states_at(s0, p, cfg, times)
+        cfg = build_config(o | {"scenario": "band-limited", "n": n_grid, "dealias": dealias,
+                                "product_band": o["modes"] if dealias else 0})
+        s0 = make_initial_data(cfg.scenario)
+        sys = build_galerkin(s0, cfg.params, o["modes"])
+        traj = integrate_galerkin(sys, o["t_end"])
+        states = spectral_states_at(s0, cfg.params, cfg.stepper, times)
         return compare_oracle(traj, states)
 
     main = one(o["n"], True)
@@ -271,12 +256,12 @@ _EXPERIMENTS = {
          "mu": 1.0, "dt": 2e-3, "t_end": 20.0, "record_every": 10},
     ),
     "asymptotics": (
-        _exp_asymptotics,
+        partial(_asymptotics, "small-mixed"),
         {"epsilon": 0.0, "d": 2, "n": 0, "seed": 0, "mu": 1.0, "zeta": 1.0, "lame_lambda": 0.5,
          "dt": 2e-3, "t_end": 100.0, "record_every": 50},
     ),
     "lame-asymptotics": (
-        _exp_lame_asymptotics,
+        partial(_asymptotics, "lame-small-mixed"),
         {"epsilon": 0.0, "d": 2, "n": 0, "seed": 0, "mu": 1.0, "zeta": 1.0, "lame_lambda": 0.5,
          "dt": 2e-3, "t_end": 100.0, "record_every": 50},
     ),
@@ -314,11 +299,7 @@ def _apply_overrides(defaults: dict, overrides: dict[str, str]) -> dict:
             raise ValueError(
                 f"unknown override {key!r}; this experiment accepts {', '.join(sorted(defaults))}"
             )
-        kind = type(defaults[key])
-        try:
-            out[key] = kind(raw)
-        except ValueError:
-            raise ValueError(f"override {key} expects {kind.__name__}, got {raw!r}") from None
+        out[key] = convert_value(key, raw, defaults[key])
     return out
 
 
@@ -326,14 +307,11 @@ def run_experiment(
     name: str, overrides: dict[str, str] | None = None, out_dir: str | None = None
 ) -> ExperimentReport:
     """Run one named experiment and write its artifacts and report."""
-    if name not in _EXPERIMENTS:
-        raise ValueError(f"unknown experiment {name!r}; know {', '.join(EXPERIMENT_NAMES)}")
-    fn, defaults = _EXPERIMENTS[name]
-    opts = _apply_overrides(defaults, overrides or {})
+    opts = _apply_overrides(experiment_defaults(name), overrides or {})
     target = out_dir or os.path.join("out", name)
     os.makedirs(target, exist_ok=True)
     started = time.perf_counter()
-    checks, artifacts = fn(opts, target)
+    checks, artifacts = _EXPERIMENTS[name][0](opts, target)
     report = ExperimentReport(name, checks, artifacts, elapsed=time.perf_counter() - started)
     report_path = os.path.join(target, "report.txt")
     atomic_write_text(report_path, f"experiment: {name}\n" + "\n".join(report.lines()) + "\n")

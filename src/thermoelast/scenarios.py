@@ -112,10 +112,7 @@ def _band_limited_noise(grid: TorusGrid, rng: np.random.Generator, band: int) ->
     """Zero-mean real field with modes confined to |k|_inf <= band, linf ~ 1."""
     white = rng.standard_normal(grid.shape)
     spec = grid.to_spectral(white)
-    keep = np.ones(grid.spectral_shape, dtype=bool)
-    for idx in grid.mode_indices:
-        keep &= np.abs(idx) <= band
-    spec = np.where(keep, spec, 0.0)
+    spec = np.where(grid.mode_cube_mask(band), spec, 0.0)
     spec[(0,) * grid.d] = 0.0
     vals = grid.to_physical(spec)
     peak = float(np.max(np.abs(vals)))

@@ -137,9 +137,9 @@ def _parse_header(line: bytes, path: str) -> SnapshotHeader:
     return SnapshotHeader(d=d, n=n, lengths=lengths, t=t, kind=kind, comps=comps)
 
 
-def read_header(path: str) -> SnapshotHeader:
-    with open(path, "rb") as fh:
-        head = fh.readline(4096)
+def _read_header(fh, path: str) -> SnapshotHeader:
+    """Read and parse the header line, leaving fh at the payload."""
+    head = fh.readline(4096)
     if not head.startswith(MAGIC + b" "):
         raise SnapshotError(f"{path}: not a TEFLD1 snapshot (bad magic)")
     if not head.endswith(b"\n"):
@@ -147,15 +147,15 @@ def read_header(path: str) -> SnapshotHeader:
     return _parse_header(head[len(MAGIC) + 1 : -1], path)
 
 
+def read_header(path: str) -> SnapshotHeader:
+    with open(path, "rb") as fh:
+        return _read_header(fh, path)
+
+
 def read_snapshot(path: str, grid: TorusGrid | None = None) -> ScalarField | VectorField:
     """Read a field back; pass grid to insist it matches the current context."""
     with open(path, "rb") as fh:
-        head = fh.readline(4096)
-        if not head.startswith(MAGIC + b" "):
-            raise SnapshotError(f"{path}: not a TEFLD1 snapshot (bad magic)")
-        if not head.endswith(b"\n"):
-            raise SnapshotError(f"{path}: unterminated header")
-        header = _parse_header(head[len(MAGIC) + 1 : -1], path)
+        header = _read_header(fh, path)
         payload = fh.read()
     try:
         target = header.grid()

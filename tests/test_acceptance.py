@@ -53,7 +53,7 @@ from thermoelast.diagnostics import (
     sqrt_hessian_integral,
     weighted_log_hessian_integral,
 )
-from thermoelast.experiments import DECAY_GATE
+from thermoelast.experiments import DECAY_GATE, _bounds_check, _fisher_rise
 from thermoelast.grid import field_norms, spectral_l2_sq
 from thermoelast.scenarios import ScenarioSpec
 
@@ -296,12 +296,11 @@ def gated_mixed_run():
 
 def test_criterion_09_fisher_monotone_under_gate(verdict, gated_mixed_run):
     records, smallness, elapsed = gated_mixed_run
-    f0 = records[0].fisher_functional
-    peak = max(r.fisher_functional for r in records)
-    ok = smallness < DECAY_GATE and peak <= f0 * (1.0 + 1e-3) and elapsed < 300.0
+    gated, flat, rise = _fisher_rise(records, smallness)
+    ok = gated and flat and elapsed < 300.0
     verdict(9, "Fisher functional never rises for gated data", ok,
             f"smallness {smallness:.2e} < {DECAY_GATE:g}, peak/initial - 1 = "
-            f"{peak / f0 - 1.0:.2e} <= 1e-3, {elapsed:.0f}s < 300s")
+            f"{rise:.2e} <= 1e-3, {elapsed:.0f}s < 300s")
 
 
 # --------------------------------------------------------------- criterion 10
@@ -368,21 +367,12 @@ def test_criterion_13_truncated_system_oracle(verdict, tmp_path):
 # --------------------------------------------------------------- criterion 14
 def test_criterion_14_temperature_bounds(verdict, conservation_runs, gated_mixed_run,
                                          free_wave_run):
-    ok = True
-    worst_lo, worst_hi = math.inf, -math.inf
-    all_records = [records for records, _ in conservation_runs.values()]
-    all_records.append(gated_mixed_run[0])
-    all_records.append(free_wave_run[2])
-    for records in all_records:
-        lo0, hi0 = records[0].theta_min, records[0].theta_max
-        lo = min(r.theta_min for r in records)
-        hi = max(r.theta_max for r in records)
-        ok = ok and lo >= 0.5 * lo0 and hi <= 2.0 * hi0
-        worst_lo = min(worst_lo, lo / lo0)
-        worst_hi = max(worst_hi, hi / hi0)
-    verdict(14, "temperature confined to a factor-two corridor", ok,
-            f"min ratio {worst_lo:.3f} >= 0.5, max ratio {worst_hi:.3f} <= 2.0 "
-            f"across {len(all_records)} runs")
+    runs = {f"{op}@dt={dt:g}": records for (op, dt), (records, _) in conservation_runs.items()}
+    runs["gated-mixed"] = gated_mixed_run[0]
+    runs["free-wave"] = free_wave_run[2]
+    checks = [_bounds_check(records, label) for label, records in runs.items()]
+    verdict(14, "temperature confined to a factor-two corridor", all(c.passed for c in checks),
+            "; ".join(c.line() for c in checks))
 
 
 # --------------------------------------------------------------- criterion 15

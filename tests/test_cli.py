@@ -259,3 +259,9 @@ class TestExperiment:
                    "--out-dir", str(tmp_path / "x")])
         assert rc == 1
         assert "unknown override" in capsys.readouterr().err
+
+    def test_override_value_uses_config_grammar(self, tmp_path, capsys):
+        rc = main(["experiment", "bounds", "--set", "t_end=abc",
+                   "--out-dir", str(tmp_path / "x")])
+        assert rc == 1
+        assert "t_end expects a number, got 'abc'" in capsys.readouterr().err

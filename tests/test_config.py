@@ -153,6 +153,29 @@ class TestConstraints:
 
 
 class TestSerialization:
+    def test_default_text_is_pinned(self):
+        assert serialize_config(parse_config("")) == (
+            "scenario = small-mixed\n"
+            "d = 2\n"
+            "n = 0\n"
+            "length = 6.283185307179586\n"
+            "epsilon = 0.0\n"
+            "theta_baseline = 1.0\n"
+            "seed = 0\n"
+            "mu = 1.0\n"
+            "operator = laplacian\n"
+            "zeta = 1.0\n"
+            "lame_lambda = 0.5\n"
+            "dt = 0.001\n"
+            "t_end = 1.0\n"
+            "dealias = true\n"
+            "positivity_floor = 1e-10\n"
+            "record_every = 1\n"
+            "clamp_theta = false\n"
+            "product_band = 0\n"
+            "out_dir = out\n"
+        )
+
     def test_round_trip_defaults(self):
         cfg = parse_config("")
         text = serialize_config(cfg)

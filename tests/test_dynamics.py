@@ -298,6 +298,15 @@ class TestFailureModes:
         assert err.value.t == pytest.approx(0.01)
         assert err.value.what == "u"
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_initial_temperature(self, bad):
+        # reported at the initial time, before the positivity rule reads min(theta)
+        s0 = make_initial_data(ScenarioSpec("small-mixed", epsilon=0.2))
+        s0.t = 0.25
+        s0.theta.values[3, 5] = bad
+        with pytest.raises(NonFinite) as err:
+            run(s0, ModelParams(mu=1.0), StepperConfig(dt=0.01, t_end=0.1))
+        assert (err.value.t, err.value.what) == (0.25, "theta")
 
     def test_solenoidal_spectra_are_checked_as_u_and_v(self):
         from thermoelast.dynamics import _check_finite
