@@ -31,12 +31,13 @@ from .dynamics import (
 )
 from .experiments import EXPERIMENT_NAMES, ExperimentReport, run_experiment
 from .grid import ScalarField, TorusGrid, VectorField, field_norms, quadrature
-from .helmholtz import HelmholtzParts, helmholtz_project
 from .operators import (
+    HelmholtzParts,
     curl,
     curl_curl,
     divergence,
     gradient,
+    helmholtz_project,
     hessian,
     lame_apply,
     laplacian,

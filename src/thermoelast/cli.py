@@ -24,9 +24,8 @@ from .config import ConfigError, load_config, serialize_config
 from .dynamics import ModelParams, NonFinite, PositivityLoss, SimState, run
 from .experiments import EXPERIMENT_NAMES, experiment_defaults, run_experiment
 from .grid import ScalarField, VectorField, field_norms, quadrature
-from .helmholtz import helmholtz_project
 from .oracle import build_galerkin, compare_oracle, integrate_galerkin, spectral_states_at
-from .operators import curl, divergence
+from .operators import curl, divergence, helmholtz_project
 from .scenarios import make_initial_data
 from .snapshots import (
     SnapshotError,

@@ -3,11 +3,11 @@
     u_tt + A u = -mu * grad(theta)
     theta_t - laplacian(theta) = -mu * theta * div(u_t)
 
-where A is -laplacian or the elastic (Lame) operator.  Per mode, u splits
-into a_u k^ (k^ = k/|k|, a_u = k^ . u^) and a divergence-free remainder nu,
-the mean included.  grad(theta) is curl-free and div(u_t) sees only a_v, so
-nu is a free wave at the transverse speed and only (a_u, a_v, theta^) are
-coupled.  The stepper advances those three scalar spectra by a Strang
+where A is -laplacian or the elastic (Lame) operator.  Per mode,
+`operators.longitudinal_part` splits u into a_u k^ (k^ = k/|k|,
+a_u = k^ . u^) and a divergence-free remainder nu, the mean included.
+grad(theta) is curl-free and div(u_t) sees only a_v, so nu is a free wave at
+the transverse speed and only (a_u, a_v, theta^) are coupled.  The stepper advances those three scalar spectra by a Strang
 composition: half-step of the exact linear flows (per-mode heat decay and
 wave rotation at the longitudinal speed, in cos/sinc form), a full step of
 the coupling integrated with an explicit midpoint rule, then the linear
@@ -15,9 +15,10 @@ half-steps again.  The two linear sub-flows act on disjoint fields and
 commute, so the scheme is time-symmetric and second order.  nu is rotated
 in closed form from its initial value whenever a state is built.
 
-States are held in physical space at the API boundary; `run` keeps the state
-spectral between steps and materialises physical fields on the record cadence.
-Products in the coupling are formed pointwise in physical space and dealiased
+States are held in physical space at the API boundary, entering the
+stepper through `_SpectralStepper.load` and leaving through `.state`; `run`
+keeps them spectral in between and builds physical fields on the record
+cadence.  `step` is one step of `run`.  Products in the coupling are formed pointwise in physical space and dealiased
 by the 2/3 rule (unless disabled).  The evolved state is confined to the
 Nyquist-free subspace in either mode: the Nyquist modes have no conjugate
 partners, and odd derivatives there cannot keep a real field real.
@@ -30,13 +31,14 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .grid import ScalarField, TorusGrid, VectorField
-from .operators import check_lame_ellipticity, divergence, elastic_symbol, k_dot, lame_speeds_sq
+from .operators import (check_lame_ellipticity, divergence, elastic_symbol, k_dot,
+                        lame_speeds_sq, longitudinal_part)
 
 __all__ = [
     "ModelParams",
@@ -166,9 +168,9 @@ class StepperConfig:
 
 
 class _SpectralStepper:
-    """One Strang step of (a_u, a_v, theta^) in spectral variables; nu is
-    split off and rotated in closed form.  dt may be signed (used by
-    centred-difference diagnostics); forward runs always use dt > 0."""
+    """One Strang step of (a_u, a_v, theta^) in spectral variables, with the
+    one way into them (`load`) and out of them (`state`).  dt may be signed
+    (used by centred-difference diagnostics); forward runs use dt > 0."""
 
     def __init__(self, grid: TorusGrid, p: ModelParams, dt: float, dealias: bool = True,
                  product_band: int = 0):
@@ -188,9 +190,11 @@ class _SpectralStepper:
             # products leave the Nyquist lines occupied even when aliasing is
             # tolerated; those modes have no conjugate partner and must stay empty
             product_mask = grid.dealias_mask if dealias else grid.nyquist_free_mask
+        # the evolution subspace: the mode cube in Galerkin mode, else
+        # everything but the unpaired Nyquist lines
+        self.state_mask = product_mask if product_band else grid.nyquist_free_mask
         self.heat_half = np.exp(-grid.k_sq * (0.5 * self.dt))
         self.k_abs, self.inv_k_abs = np.sqrt(grid.k_sq), np.sqrt(grid.inv_k_sq)
-        self.unit_k = np.stack([k * self.inv_k_abs for k in grid.wavevectors])
         self.ik_abs = 1j * self.k_abs
         self.neg_mu_ik_abs = -p.mu * self.ik_abs
         self.neg_mu_mask = -p.mu * product_mask
@@ -209,25 +213,29 @@ class _SpectralStepper:
         c, s, m = self.long_half
         return c * au + s * av, m * au + c * av
 
-    def split(self, uh: np.ndarray, vh: np.ndarray) -> tuple[np.ndarray, ...]:
-        """(a_u, a_v, nu_u, nu_v): curl-free amplitudes and solenoidal remainders."""
-        au = np.sum(self.unit_k * uh, axis=0)
-        av = np.sum(self.unit_k * vh, axis=0)
-        return au, av, uh - self.unit_k * au, vh - self.unit_k * av
+    def load(self, s: SimState) -> tuple[np.ndarray, ...]:
+        """(a_u, a_v, theta^, nu_u, nu_v) of s on the evolution subspace:
+        curl-free amplitudes, temperature, solenoidal remainders."""
+        mask = self.state_mask
+        uh, vh = s.u.spectral() * mask, s.v.spectral() * mask
+        (au, chi_u), (av, chi_v) = (longitudinal_part(self.grid, wh) for wh in (uh, vh))
+        return au, av, s.theta.spectral() * mask, uh - chi_u, vh - chi_v
 
-    def vectors(self, au: np.ndarray, av: np.ndarray, nu_u: np.ndarray, nu_v: np.ndarray,
-                n_steps: int) -> list[np.ndarray]:
-        """Physical u and v: nu rotated n_steps * dt at the transverse speed,
-        plus k^ a; one spectrum is alive at a time."""
+    def state(self, t: float, au: np.ndarray, av: np.ndarray, theta: np.ndarray,
+              nu_u: np.ndarray, nu_v: np.ndarray, n_steps: int) -> SimState:
+        """The state at time t from the amplitudes, physical theta values and
+        nu rotated n_steps * dt at the transverse speed; one spectrum is
+        alive at a time."""
+        grid = self.grid
         c, s, m = self._rotation(self.a_t, n_steps * self.dt)
-        out = []
+        uv = []
         for f, g, a in ((c, s, au), (m, c, av)):
             wh = f * nu_u
             wh += g * nu_v
-            wh += self.unit_k * a
-            out.append(self.grid.to_physical(wh))
+            wh += grid.unit_wavevectors * a
+            uv.append(VectorField(grid, grid.to_physical(wh)))
             del wh
-        return out
+        return SimState(t, *uv, ScalarField(grid, theta))
 
     def _coupling_rhs(self, av: np.ndarray, th: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         grid = self.grid
@@ -280,29 +288,17 @@ def _check_finite(t: float, au: np.ndarray, av: np.ndarray, th: np.ndarray,
             raise NonFinite(t, name)
 
 
-def _state_mask(grid: TorusGrid, product_band: int) -> np.ndarray:
-    """Subspace the evolution lives in: the mode cube in Galerkin mode, else
-    everything but the unpaired Nyquist lines."""
-    return grid.mode_cube_mask(product_band) if product_band else grid.nyquist_free_mask
-
-
-def _signed_step(
-    s: SimState, p: ModelParams, dt: float, dealias: bool = True, product_band: int = 0
-) -> SimState:
+def _signed_step(s: SimState, p: ModelParams, dt: float) -> SimState:
     """Single Strang step with signed dt; no positivity enforcement.
 
     Intended for centred-difference diagnostics with |dt| small.
     """
-    grid = s.grid
-    stepper = _SpectralStepper(grid, p, dt, dealias, product_band)
-    nyq = _state_mask(grid, product_band)
-    au, av, nu_u, nu_v = stepper.split(s.u.spectral() * nyq, s.v.spectral() * nyq)
-    au, av, th = stepper.step(au, av, s.theta.spectral() * nyq)
+    stepper = _SpectralStepper(s.grid, p, dt)
+    au, av, th, nu_u, nu_v = stepper.load(s)
+    au, av, th = stepper.step(au, av, th)
     t = s.t + dt
     _check_finite(t, au, av, th, (nu_u, nu_v))
-    u, v = stepper.vectors(au, av, nu_u, nu_v, 1)
-    return SimState(t, VectorField(grid, u), VectorField(grid, v),
-                    ScalarField.from_spectral(grid, th))
+    return stepper.state(t, au, av, s.grid.to_physical(th), nu_u, nu_v, 1)
 
 
 def _enforce_floor(t: float, theta: np.ndarray, floor: float, clamp: bool) -> int:
@@ -327,10 +323,8 @@ def _enforce_floor(t: float, theta: np.ndarray, floor: float, clamp: bool) -> in
 
 
 def step(s: SimState, p: ModelParams, cfg: StepperConfig) -> SimState:
-    """Advance one step of cfg.dt, enforcing the positivity floor."""
-    out = _signed_step(s, p, cfg.dt, cfg.dealias, cfg.product_band)
-    _enforce_floor(out.t, out.theta.values, cfg.positivity_floor, cfg.clamp_theta)
-    return out
+    """Advance one step of cfg.dt: `run` to t_end = cfg.dt."""
+    return run(s, p, replace(cfg, t_end=cfg.dt))
 
 
 def _dt_advisory(s: SimState, p: ModelParams, dt: float) -> None:
@@ -365,14 +359,12 @@ def run(
     if not np.all(np.isfinite(s0.theta.values)):
         raise NonFinite(s0.t, "theta")
     _enforce_floor(s0.t, s0.theta.values, cfg.positivity_floor, clamp=False)
-    nyq = _state_mask(grid, cfg.product_band)
-    au, av, nu_u, nu_v = stepper.split(s0.u.spectral() * nyq, s0.v.spectral() * nyq)
-    th = s0.theta.spectral() * nyq
+    au, av, th, nu_u, nu_v = stepper.load(s0)
     t0 = s0.t
 
     if sink is not None:
         sink(s0.copy())
-    state = s0.copy()
+    state = s0.copy() if n_steps == 0 else None
     clamp_total = 0
     for i in range(1, n_steps + 1):
         au, av, th = stepper.step(au, av, th)
@@ -385,13 +377,11 @@ def run(
             clamp_total += n_clamped
             # clamping is pointwise and repopulates the unpaired Nyquist
             # lines; project back onto the evolution subspace
-            th = grid.to_spectral(theta_phys) * nyq
+            th = grid.to_spectral(theta_phys) * stepper.state_mask
         if i == n_steps or (sink is not None and i % cfg.record_every == 0):
             # nu is rotated from its initial value, so a state does not
             # depend on which earlier states were built
-            u, v = stepper.vectors(au, av, nu_u, nu_v, i)
-            state = SimState(t, VectorField(grid, u), VectorField(grid, v),
-                             ScalarField(grid, theta_phys))
+            state = stepper.state(t, au, av, theta_phys, nu_u, nu_v, i)
             if sink is not None:
                 sink(state.copy() if i == n_steps else state)
     if clamp_total:

@@ -108,7 +108,8 @@ def _fisher_rise(records, smallness: float) -> tuple[bool, bool, float]:
 
 
 def _exp_attractor(o: dict, out_dir: str) -> tuple[list[Check], list[str]]:
-    eps_values = [float(tok) for tok in str(o["epsilons"]).split(",") if tok.strip()]
+    eps_values = [convert_value("epsilons", tok.strip(), 0.0)
+                  for tok in str(o["epsilons"]).split(",") if tok.strip()]
     if not eps_values:
         raise ValueError("epsilons must list at least one amplitude")
     checks: list[Check] = []

@@ -9,6 +9,10 @@ complex conjugates of these.  Fields coming back from spectral space are
 therefore real by construction.  Derivatives of band-limited fields are exact:
 transform, multiply by the wavevector lattice, transform back.
 
+A TorusGrid builds each spectral array (wavevectors, |k|^2, k/|k|, masks)
+on first use and keeps it.  Every mask is a cube in mode-index space with a
+per-axis bound: m // 3 (2/3 rule), m/2 - 1 (Nyquist-free) or a fixed band.
+
 The default box edge is 2*pi, which makes the wavevector lattice the integer
 lattice and keeps the spectral identities used by the verification suite
 exact to rounding.
@@ -17,7 +21,8 @@ exact to rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -61,14 +66,6 @@ class TorusGrid:
     n_per_axis: tuple[int, ...]
     length_per_axis: tuple[float, ...] = ()
 
-    _k: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
-    _idx: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
-    _k_sq: np.ndarray = field(init=False, repr=False, compare=False)
-    _inv_k_sq: np.ndarray = field(init=False, repr=False, compare=False)
-    _dealias: np.ndarray = field(init=False, repr=False, compare=False)
-    _nyq_free: np.ndarray = field(init=False, repr=False, compare=False)
-    _herm: np.ndarray = field(init=False, repr=False, compare=False)
-
     def __post_init__(self) -> None:
         n = tuple(int(m) for m in self.n_per_axis)
         if len(n) not in (2, 3):
@@ -76,50 +73,13 @@ class TorusGrid:
         for m in n:
             if m < 4 or m % 2 != 0:
                 raise ValueError(f"points per axis must be even and >= 4, got {m}")
-        lengths = self.length_per_axis or (TWO_PI,) * len(n)
-        lengths = tuple(float(ell) for ell in lengths)
+        lengths = tuple(float(ell) for ell in self.length_per_axis or (TWO_PI,) * len(n))
         if len(lengths) != len(n):
             raise ValueError("length_per_axis must match n_per_axis in length")
         if any(ell <= 0.0 for ell in lengths):
             raise ValueError("box edge lengths must be positive")
         object.__setattr__(self, "n_per_axis", n)
         object.__setattr__(self, "length_per_axis", lengths)
-
-        ks, idxs = [], []
-        for ax, (m, ell) in enumerate(zip(n, lengths)):
-            line = _index_line(m, last=ax == len(n) - 1)
-            shape = [1] * len(n)
-            shape[ax] = line.size
-            idxs.append(line.reshape(shape))
-            ks.append((TWO_PI / ell) * line.reshape(shape))
-        k_sq = sum(k * k for k in ks)
-        inv_k_sq = np.zeros_like(k_sq)
-        np.divide(1.0, k_sq, out=inv_k_sq, where=k_sq > 0)
-        spec_shape = k_sq.shape
-        # 2/3-rule mask: keep integer modes with |index| <= m // 3 per axis
-        mask = np.ones(spec_shape, dtype=bool)
-        for ax, m in enumerate(n):
-            mask &= np.abs(idxs[ax]) <= m // 3
-        # Nyquist-free mask: the index -m/2 of a leading axis and the m/2
-        # plane of the last axis have no conjugate partner, so odd derivative
-        # multipliers on them break reality; the stepper confines states to
-        # this subspace even with dealiasing off.
-        nyq = np.ones(spec_shape, dtype=bool)
-        for ax, m in enumerate(n):
-            nyq &= np.abs(idxs[ax]) != m // 2
-        # Hermitian multiplicity of each stored mode: the last-axis planes
-        # 0 and m/2 are their own conjugates, every other plane stands for
-        # itself and its conjugate partner
-        herm = np.full(idxs[-1].shape, 2.0)
-        herm[..., 0] = 1.0
-        herm[..., -1] = 1.0
-        object.__setattr__(self, "_k", tuple(ks))
-        object.__setattr__(self, "_idx", tuple(idxs))
-        object.__setattr__(self, "_k_sq", k_sq)
-        object.__setattr__(self, "_inv_k_sq", inv_k_sq)
-        object.__setattr__(self, "_dealias", mask)
-        object.__setattr__(self, "_nyq_free", nyq)
-        object.__setattr__(self, "_herm", herm)
 
     # -- geometry ---------------------------------------------------------
 
@@ -134,7 +94,7 @@ class TorusGrid:
     @property
     def spectral_shape(self) -> tuple[int, ...]:
         """Shape of a spectral array: the last axis keeps modes 0..m/2."""
-        return self._k_sq.shape
+        return self.n_per_axis[:-1] + (self.n_per_axis[-1] // 2 + 1,)
 
     @property
     def n_total(self) -> int:
@@ -164,53 +124,74 @@ class TorusGrid:
     def meshes(self) -> tuple[np.ndarray, ...]:
         return tuple(np.meshgrid(*self.axes(), indexing="ij", sparse=True))
 
-    # -- spectral machinery -------------------------------------------------
+    # -- spectral machinery: each array is built on first use ---------------
 
-    @property
-    def wavevectors(self) -> tuple[np.ndarray, ...]:
-        """Broadcastable wavevector component arrays (2*pi/L_i times integers)
-        over the spectral shape."""
-        return self._k
-
-    @property
+    @cached_property
     def mode_indices(self) -> tuple[np.ndarray, ...]:
         """Broadcastable integer mode index arrays over the spectral shape:
         -m/2..m/2-1 on a leading axis, 0..m/2 on the last axis."""
-        return self._idx
+        d = self.d
+        return tuple(
+            _index_line(m, last=ax == d - 1).reshape([-1 if a == ax else 1 for a in range(d)])
+            for ax, m in enumerate(self.n_per_axis)
+        )
 
-    @property
+    @cached_property
+    def wavevectors(self) -> tuple[np.ndarray, ...]:
+        """Broadcastable wavevector component arrays (2*pi/L_i times integers)
+        over the spectral shape."""
+        return tuple((TWO_PI / ell) * idx for ell, idx in zip(self.length_per_axis, self.mode_indices))
+
+    @cached_property
     def k_sq(self) -> np.ndarray:
-        return self._k_sq
+        return sum(k * k for k in self.wavevectors)
 
-    @property
+    @cached_property
     def inv_k_sq(self) -> np.ndarray:
         """1/|k|^2 with the zero mode mapped to 0."""
-        return self._inv_k_sq
+        inv = np.zeros_like(self.k_sq)
+        np.divide(1.0, self.k_sq, out=inv, where=self.k_sq > 0)
+        return inv
 
-    @property
+    @cached_property
+    def unit_wavevectors(self) -> np.ndarray:
+        """k^ = k/|k| stacked over the spectral shape, 0 on the zero mode."""
+        inv_k_abs = np.sqrt(self.inv_k_sq)
+        return np.stack([k * inv_k_abs for k in self.wavevectors])
+
+    def _cube_mask(self, bounds: Sequence[int]) -> np.ndarray:
+        """True where |index| <= bound on every axis."""
+        mask = np.ones(self.spectral_shape, dtype=bool)
+        for idx, bound in zip(self.mode_indices, bounds):
+            mask &= np.abs(idx) <= bound
+        return mask
+
+    @cached_property
     def dealias_mask(self) -> np.ndarray:
-        return self._dealias
+        """The 2/3 rule: |index| <= m // 3 on every axis."""
+        return self._cube_mask([m // 3 for m in self.n_per_axis])
 
-    @property
+    @cached_property
     def nyquist_free_mask(self) -> np.ndarray:
-        """True away from the Nyquist modes: index -m/2 on a leading axis,
-        the m/2 plane on the last axis."""
-        return self._nyq_free
-
-    @property
-    def hermitian_weight(self) -> np.ndarray:
-        """Broadcastable count of the full-spectrum modes each stored mode
-        stands for: 1 on the last-axis planes 0 and m/2, 2 elsewhere."""
-        return self._herm
+        """|index| <= m/2 - 1 on every axis: drops index -m/2 on a leading
+        axis and the m/2 plane on the last.  Those modes have no conjugate
+        partner, so odd derivative multipliers on them break reality."""
+        return self._cube_mask([m // 2 - 1 for m in self.n_per_axis])
 
     def mode_cube_mask(self, band: int) -> np.ndarray:
         """True on the mode cube |index|_inf <= band."""
         if band < 1:
             raise ValueError(f"band must be >= 1, got {band}")
-        mask = np.ones(self.spectral_shape, dtype=bool)
-        for idx in self._idx:
-            mask &= np.abs(idx) <= band
-        return mask
+        return self._cube_mask([band] * self.d)
+
+    @cached_property
+    def hermitian_weight(self) -> np.ndarray:
+        """Broadcastable count of the full-spectrum modes each stored mode
+        stands for: 1 on the last-axis planes 0 and m/2, 2 elsewhere."""
+        herm = np.full(self.mode_indices[-1].shape, 2.0)
+        herm[..., 0] = 1.0
+        herm[..., -1] = 1.0
+        return herm
 
     def to_spectral(self, values: np.ndarray) -> np.ndarray:
         """Real forward FFT over the trailing d axes (leading axes pass

@@ -7,11 +7,15 @@ squared wave speeds (a_t, a_l), transverse and longitudinal:
     A u^ = a_t |k|^2 u^ + (a_l - a_t) k (k . u^),
 
 i.e. a_t |k|^2 on the divergence-free part and a_l |k|^2 on the curl-free
-part k (k . u^) / |k|^2 (`longitudinal_part`).  The speeds are (1, 1) for
--laplacian and (zeta, 2*zeta + lam) for Lame (`lame_speeds_sq`).
-`elastic_symbol` applies A to spectral coefficients and `elastic_form`
-evaluates int u . A u from them by Parseval, optionally with a per-mode
-weight; both take spectral coefficients, not fields.
+part k^ (k^ . u^), k^ = k/|k|.  The speeds are (1, 1) for -laplacian and
+(zeta, 2*zeta + lam) for Lame (`lame_speeds_sq`).  `elastic_symbol` applies A
+to spectral coefficients and `elastic_form` evaluates int u . A u from them
+by Parseval, optionally with a per-mode weight; both take spectral
+coefficients, not fields.
+
+`longitudinal_part` is the package's one projection onto k: the stepper,
+the diagnostics and `helmholtz_project` (a divergence-free part keeping the
+mean, plus the gradient of a zero-mean potential) all split vectors with it.
 
 Sign and shape conventions:
 
@@ -28,6 +32,8 @@ Sign and shape conventions:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .grid import ScalarField, TorusGrid, VectorField, spectral_l2_sq
@@ -43,6 +49,8 @@ __all__ = [
     "lame_speeds_sq",
     "k_dot",
     "longitudinal_part",
+    "HelmholtzParts",
+    "helmholtz_project",
     "elastic_symbol",
     "elastic_form",
     "check_lame_coefficients",
@@ -143,10 +151,33 @@ def k_dot(grid: TorusGrid, vh: np.ndarray) -> np.ndarray:
 
 
 def longitudinal_part(grid: TorusGrid, vh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(k . v^, k (k . v^) / |k|^2): the wavevector component of a spectral
-    vector and its curl-free part, which is zero on the zero mode."""
-    kv = k_dot(grid, vh)
-    return kv, np.stack([k * kv * grid.inv_k_sq for k in grid.wavevectors])
+    """(a, k^ a) with a = k^ . v^, k^ = k/|k|: the amplitude of a spectral
+    vector along the wavevector and its curl-free part, both zero on the
+    zero mode."""
+    unit_k = grid.unit_wavevectors
+    a = np.sum(unit_k * vh, axis=0)
+    return a, unit_k * a
+
+
+@dataclass
+class HelmholtzParts:
+    div_free: VectorField
+    curl_free: VectorField
+    potential: ScalarField
+
+
+def helmholtz_project(v: VectorField) -> HelmholtzParts:
+    """Orthogonal split v = div_free + curl_free, curl_free = grad(potential)."""
+    grid = v.grid
+    vh = v.spectral()
+    a, curl_free_h = longitudinal_part(grid, vh)
+    # laplacian(phi) = div v  =>  phi^ = -i (k . v^) / |k|^2 = -i a / |k|
+    pot_h = -1j * a * np.sqrt(grid.inv_k_sq)
+    return HelmholtzParts(
+        div_free=VectorField.from_spectral(grid, vh - curl_free_h),
+        curl_free=VectorField.from_spectral(grid, curl_free_h),
+        potential=ScalarField.from_spectral(grid, pot_h),
+    )
 
 
 def elastic_symbol(grid: TorusGrid, vh: np.ndarray, speeds_sq: tuple[float, float]) -> np.ndarray:

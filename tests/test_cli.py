@@ -265,3 +265,9 @@ class TestExperiment:
                    "--out-dir", str(tmp_path / "x")])
         assert rc == 1
         assert "t_end expects a number, got 'abc'" in capsys.readouterr().err
+
+    def test_list_override_items_use_config_grammar(self, tmp_path, capsys):
+        rc = main(["experiment", "attractor", "--set", "epsilons=0.1, abc",
+                   "--out-dir", str(tmp_path / "x")])
+        assert rc == 1
+        assert "epsilons expects a number, got 'abc'" in capsys.readouterr().err

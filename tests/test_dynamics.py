@@ -308,6 +308,23 @@ class TestFailureModes:
             run(s0, ModelParams(mu=1.0), StepperConfig(dt=0.01, t_end=0.1))
         assert (err.value.t, err.value.what) == (0.25, "theta")
 
+    @pytest.mark.parametrize("bad", ["nan-theta", "theta-below-floor"])
+    def test_step_reports_bad_initial_state_like_run(self, bad):
+        # step is one step of run, so it fails at the initial time as run does
+        s0 = make_initial_data(ScenarioSpec("small-mixed", epsilon=0.2))
+        s0.t = 0.25
+        cfg = StepperConfig(dt=0.01, positivity_floor=0.5)
+        if bad == "nan-theta":
+            s0.theta.values[3, 5] = np.nan
+            with pytest.raises(NonFinite) as err:
+                step(s0, ModelParams(mu=1.0), cfg)
+            assert (err.value.t, err.value.what) == (0.25, "theta")
+        else:
+            s0.theta.values[3, 5] = 0.25
+            with pytest.raises(PositivityLoss) as err:
+                step(s0, ModelParams(mu=1.0), cfg)
+            assert (err.value.t, err.value.theta_min) == (0.25, 0.25)
+
     def test_solenoidal_spectra_are_checked_as_u_and_v(self):
         from thermoelast.dynamics import _check_finite
 

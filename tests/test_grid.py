@@ -80,9 +80,14 @@ class TestMasks:
     def test_dealias_mask_counts(self, grid2d_small):
         # m=16 keeps |index| <= 5 per axis: 11 surviving lines
         assert _full_spectrum_count(grid2d_small, grid2d_small.dealias_mask) == 11 * 11
+        # the bound m // 3 is per axis: 2, 2, 3 on (8, 6, 10)
+        odd = TorusGrid((8, 6, 10))
+        assert _full_spectrum_count(odd, odd.dealias_mask) == 5 * 5 * 7
 
     def test_nyquist_free_mask_counts(self, grid2d_small):
         assert _full_spectrum_count(grid2d_small, grid2d_small.nyquist_free_mask) == 15 * 15
+        odd = TorusGrid((8, 6, 10))
+        assert _full_spectrum_count(odd, odd.nyquist_free_mask) == 7 * 5 * 9
         # exactly the Nyquist lines are dropped: index -8 on the leading
         # axis, the +8 plane on the last (half-spectrum) axis
         idx0, idx1 = grid2d_small.mode_indices
@@ -94,6 +99,8 @@ class TestMasks:
     def test_mode_cube_mask(self, grid2d_small):
         m = grid2d_small.mode_cube_mask(3)
         assert _full_spectrum_count(grid2d_small, m) == 7 * 7
+        odd = TorusGrid((8, 6, 10))
+        assert _full_spectrum_count(odd, odd.mode_cube_mask(2)) == 5 * 5 * 5
         with pytest.raises(ValueError, match="band must be >= 1"):
             grid2d_small.mode_cube_mask(0)
 

@@ -20,7 +20,13 @@ from thermoelast import (
     laplacian,
     quadrature,
 )
-from thermoelast.operators import check_lame_coefficients, check_lame_ellipticity, elastic_form
+from thermoelast.operators import (
+    check_lame_coefficients,
+    check_lame_ellipticity,
+    elastic_form,
+    k_dot,
+    longitudinal_part,
+)
 
 from conftest import random_scalar, random_vector
 
@@ -170,6 +176,22 @@ class TestIdentities:
             w = random_vector(grid2d, rng)
             e = quadrature(grid2d, np.sum(w.components * lame_apply(w, 1.0, 0.5).components, axis=0))
             assert e >= -1e-10
+
+
+class TestLongitudinalPart:
+    @pytest.mark.parametrize("grid_name", ["grid2d", "grid3d"])
+    def test_amplitude_and_projection(self, grid_name, request, rng):
+        grid = request.getfixturevalue(grid_name)
+        vh = random_vector(grid, rng).spectral()
+        a, chi = longitudinal_part(grid, vh)
+        assert rel_err(a, k_dot(grid, vh) * np.sqrt(grid.inv_k_sq)) < 1e-14
+        # the curl-free part is a fixed point of the projection
+        again_a, again_chi = longitudinal_part(grid, chi)
+        assert rel_err(again_a, a) < 1e-14
+        assert rel_err(again_chi, chi) < 1e-14
+        zero = (0,) * grid.d
+        assert a[zero] == 0.0
+        assert np.all(chi[(slice(None),) + zero] == 0.0)
 
 
 def _l2_sq(f: ScalarField | VectorField) -> float:
