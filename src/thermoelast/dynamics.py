@@ -24,7 +24,9 @@ Nyquist-free subspace in either mode: the Nyquist modes have no conjugate
 partners, and odd derivatives there cannot keep a real field real.
 Temperature positivity is enforced by error: a step that drags min(theta) to
 the configured floor raises PositivityLoss rather than clamping, unless the
-clamp debug flag is set.
+clamp debug flag is set.  A step that builds no state checks positivity from
+the temperature spectrum by its l1 bound, and makes the inverse transform to
+take min(theta) only when that bound cannot clear the floor.
 """
 
 from __future__ import annotations
@@ -241,7 +243,10 @@ class _SpectralStepper:
         grid = self.grid
         # along k^, -mu grad(theta) is -mu i|k| theta^ and div v is i|k| a_v
         dav = self.neg_mu_ik_abs * th
-        div_v, theta = grid.to_physical(np.stack([self.ik_abs * av, th]))
+        pair = np.empty((2,) + th.shape, dtype=th.dtype)
+        np.multiply(self.ik_abs, av, out=pair[0])
+        pair[1] = th
+        div_v, theta = grid.to_physical(pair)
         dth = grid.to_spectral(theta * div_v) * self.neg_mu_mask
         return dav, dth
 
@@ -284,7 +289,7 @@ def _check_finite(t: float, au: np.ndarray, av: np.ndarray, th: np.ndarray,
     """Raise NonFinite naming u, v or theta, in that order, for the first
     non-finite spectrum; nu = (nu_u, nu_v), if given, counts as u and v."""
     for name, arr in (("u", au), ("u", nu[0]), ("v", av), ("v", nu[1]), ("theta", th)):
-        if arr is not None and not np.all(np.isfinite(arr.view(np.float64))):
+        if arr is not None and not np.isfinite(arr.view(np.float64)).all():
             raise NonFinite(t, name)
 
 
@@ -320,6 +325,29 @@ def _enforce_floor(t: float, theta: np.ndarray, floor: float, clamp: bool) -> in
     )
     np.maximum(theta, floor, out=theta)
     return n_clamped
+
+
+def _floor_certificate(grid: TorusGrid, floor: float) -> Callable[[np.ndarray], bool]:
+    """The positivity rule on a temperature spectrum: a test that is True
+    only when grid.to_physical(theta^), as computed, has min > floor.
+
+    A Fourier sum obeys min(theta) >= (Re theta^_0 - sum_{k!=0} w_k |theta^_k|) / N,
+    w the Hermitian weight (the l1, or Wiener-algebra, bound; Katznelson,
+    An Introduction to Harmonic Analysis, ch. I).  With l1 = sum w |theta^|
+    over every stored mode, 2 Re theta^_0 - l1 is at most that numerator.
+    The margin covers the sup-norm rounding of the inverse transform (the
+    2-norm FFT bound of Higham, Accuracy and Stability of Numerical
+    Algorithms, sec. 24.1, times sqrt(N)) and the rounding of the sum.
+    """
+    n = grid.n_total
+    weight = np.broadcast_to(grid.hermitian_weight, grid.spectral_shape).ravel()
+    margin = (8.0 * math.log2(n) * math.sqrt(n) + n) * np.finfo(np.float64).eps
+
+    def clears(th: np.ndarray) -> bool:
+        l1 = float(np.abs(th).ravel() @ weight)
+        return (2.0 * th.flat[0].real - l1 - margin * l1) / n > floor
+
+    return clears
 
 
 def step(s: SimState, p: ModelParams, cfg: StepperConfig) -> SimState:
@@ -359,6 +387,7 @@ def run(
     if not np.all(np.isfinite(s0.theta.values)):
         raise NonFinite(s0.t, "theta")
     _enforce_floor(s0.t, s0.theta.values, cfg.positivity_floor, clamp=False)
+    certified = _floor_certificate(grid, cfg.positivity_floor)
     au, av, th, nu_u, nu_v = stepper.load(s0)
     t0 = s0.t
 
@@ -371,14 +400,18 @@ def run(
         t = t0 + i * cfg.dt
         # nu never enters a step: it is checked once, with the first
         _check_finite(t, au, av, th, (nu_u, nu_v) if i == 1 else (None, None))
-        theta_phys = grid.to_physical(th)
-        n_clamped = _enforce_floor(t, theta_phys, cfg.positivity_floor, cfg.clamp_theta)
-        if n_clamped:
-            clamp_total += n_clamped
-            # clamping is pointwise and repopulates the unpaired Nyquist
-            # lines; project back onto the evolution subspace
-            th = grid.to_spectral(theta_phys) * stepper.state_mask
-        if i == n_steps or (sink is not None and i % cfg.record_every == 0):
+        build = i == n_steps or (sink is not None and i % cfg.record_every == 0)
+        # a certified spectrum would neither raise nor clamp, and no state
+        # reads its values, so its inverse transform is skipped
+        if build or not certified(th):
+            theta_phys = grid.to_physical(th)
+            n_clamped = _enforce_floor(t, theta_phys, cfg.positivity_floor, cfg.clamp_theta)
+            if n_clamped:
+                clamp_total += n_clamped
+                # clamping is pointwise and repopulates the unpaired Nyquist
+                # lines; project back onto the evolution subspace
+                th = grid.to_spectral(theta_phys) * stepper.state_mask
+        if build:
             # nu is rotated from its initial value, so a state does not
             # depend on which earlier states were built
             state = stepper.state(t, au, av, theta_phys, nu_u, nu_v, i)

@@ -198,5 +198,11 @@ def read_timeseries(path: str) -> list[DiagnosticsRecord]:
         parts = line.split(",")
         if len(parts) != len(RECORD_FIELDS):
             raise ValueError(f"{path}: row {i} has {len(parts)} fields, expected {len(RECORD_FIELDS)}")
-        records.append(DiagnosticsRecord(*(float(p) for p in parts)))
+        values = []
+        for name, p in zip(RECORD_FIELDS, parts):
+            try:
+                values.append(float(p))
+            except ValueError:
+                raise ValueError(f"{path}: row {i}, column {name}: not a number: {p!r}") from None
+        records.append(DiagnosticsRecord(*values))
     return records

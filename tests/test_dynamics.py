@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thermoelast import (
     ModelParams,
@@ -25,6 +26,8 @@ from thermoelast import (
     run,
     step,
 )
+from thermoelast import dynamics
+from thermoelast.dynamics import _floor_certificate
 from thermoelast.scenarios import ScenarioSpec
 
 TINY_MU = 1e-30  # decouples the fields while keeping mu > 0
@@ -258,6 +261,130 @@ class TestPositivity:
             step(s0, ModelParams(mu=1.0), cfg)
         out = step(s0, ModelParams(mu=1.0), StepperConfig(dt=0.05))
         assert out.t == pytest.approx(0.05)
+
+
+@st.composite
+def _straddling_spectra(draw):
+    """(grid, theta^, floor, shift): a Nyquist-free temperature spectrum whose
+    zero mode puts the l1 bound a relative shift (|shift| <= 1e-6) above the
+    floor.  With aligned phases the minimum, at a grid point, meets the bound."""
+    grid = TorusGrid(draw(st.sampled_from([(16, 16), (32, 32), (8, 8, 8)])))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    spec = grid.to_spectral(rng.standard_normal(grid.shape)) * grid.nyquist_free_mask
+    if draw(st.booleans()):
+        point = [ell * rng.integers(m) / m for m, ell in zip(grid.n_per_axis, grid.length_per_axis)]
+        phase = sum(k * x for k, x in zip(grid.wavevectors, point))
+        spec = -np.abs(spec) * np.exp(-1j * phase)
+    spec[(0,) * grid.d] = 0.0
+    tail = math.fsum((np.abs(spec) * grid.hermitian_weight).ravel())
+    floor = draw(st.floats(min_value=1e-10, max_value=10.0))
+    shift = draw(st.floats(min_value=-1e-6, max_value=1e-6))
+    spec[(0,) * grid.d] = grid.n_total * floor + tail * (1.0 + shift)
+    return grid, spec, floor, shift
+
+
+class TestFloorCertificate:
+    """The spectral half of the positivity rule: it clears a step only when
+    the inverse transform, as computed, stays above the floor, and a run
+    that uses it is byte-identical to one that transforms every step."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_straddling_spectra())
+    def test_clears_only_above_the_floor(self, case):
+        grid, spec, floor, shift = case
+        clears = _floor_certificate(grid, floor)(spec)
+        if clears:
+            assert float(np.min(grid.to_physical(spec))) > floor
+        # the rounding margin is far below a relative 1e-10 of the bound
+        assert clears == (shift > 1e-10) or abs(shift) <= 1e-10
+
+    @pytest.mark.parametrize("zero_mode", [0.0, -1.0, -1e-300, 0.0 + 5.0j, -2.0 + 1e3j])
+    def test_declines_without_a_positive_mean(self, grid2d_small, make_scalar, rng, zero_mode):
+        spec = make_scalar(grid2d_small, rng, band=3).spectral() * 1e-12
+        spec[0, 0] = zero_mode
+        assert not _floor_certificate(grid2d_small, 1e-300)(spec)
+        spec[:] = 0.0
+        spec[0, 0] = zero_mode
+        assert not _floor_certificate(grid2d_small, 1e-300)(spec)
+
+    @staticmethod
+    def _runs(monkeypatch, s0, p, cfg):
+        """{"certified" | "every-step": (emitted states, (t, theta_min) of a
+        PositivityLoss or None, inverse transforms)} with the certificate
+        and with it declining every step, and the certificate's verdicts."""
+        verdicts: list[bool] = []
+        inverses = [0]
+
+        def recording(grid, floor):
+            clears = _floor_certificate(grid, floor)
+
+            def verdict(th):
+                verdicts.append(clears(th))
+                return verdicts[-1]
+
+            return verdict
+
+        real_inverse = TorusGrid.to_physical
+
+        def counted(self, spec):
+            inverses[0] += 1
+            return real_inverse(self, spec)
+
+        monkeypatch.setattr(TorusGrid, "to_physical", counted)
+        out = {}
+        for name, certificate in (("certified", recording),
+                                  ("every-step", lambda grid, floor: lambda th: False)):
+            monkeypatch.setattr(dynamics, "_floor_certificate", certificate)
+            inverses[0] = 0
+            states: list[SimState] = []
+            try:
+                run(s0, p, cfg, sink=states.append)
+                error = None
+            except PositivityLoss as exc:
+                error = (exc.t, exc.theta_min)
+            out[name] = (states, error, inverses[0])
+        return out, verdicts
+
+    @staticmethod
+    def _assert_same_states(a: list[SimState], b: list[SimState]) -> None:
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert x.t == y.t
+            assert x.u.components.tobytes() == y.u.components.tobytes()
+            assert x.v.components.tobytes() == y.v.components.tobytes()
+            assert x.theta.values.tobytes() == y.theta.values.tobytes()
+
+    def test_large_run_falls_back_where_the_bound_misses(self, monkeypatch):
+        # the l1 bound of `large` drops below zero while min(theta) stays
+        # near 0.36, so part of the run needs the inverse transform
+        s0 = make_initial_data(ScenarioSpec("large", seed=7))
+        cfg = StepperConfig(dt=2e-3, t_end=1.0, record_every=50)
+        out, verdicts = self._runs(monkeypatch, s0, ModelParams(mu=1.0), cfg)
+        (states, error, inverses), (ref_states, ref_error, ref_inverses) = out.values()
+        # built steps (every 50th of 500) take the transform without asking
+        assert len(verdicts) == 500 - 10
+        fallbacks = verdicts.count(False)
+        assert 0 < fallbacks < len(verdicts)
+        assert inverses == ref_inverses - (len(verdicts) - fallbacks)
+        assert error is ref_error is None
+        self._assert_same_states(states, ref_states)
+
+    @pytest.mark.parametrize("floor, clamp", [(0.4, True), (0.45, False)])
+    def test_floor_crossing_run_matches_every_step_check(self, monkeypatch, caplog, floor, clamp):
+        s0 = make_initial_data(ScenarioSpec("large", seed=7))
+        cfg = StepperConfig(dt=2e-3, t_end=1.0, record_every=50, positivity_floor=floor,
+                            clamp_theta=clamp)
+        with caplog.at_level(logging.WARNING, logger="thermoelast.dynamics"):
+            out, verdicts = self._runs(monkeypatch, s0, ModelParams(mu=1.0), cfg)
+        (states, error, _), (ref_states, ref_error, _) = out.values()
+        assert True in verdicts and False in verdicts
+        assert error == ref_error
+        assert (error is None) == clamp
+        self._assert_same_states(states, ref_states)
+        if clamp:
+            clamped = [r.getMessage() for r in caplog.records if "clamped" in r.getMessage()]
+            assert clamped and len(clamped) % 2 == 0
+            assert clamped[: len(clamped) // 2] == clamped[len(clamped) // 2:]
 
 
 class TestFailureModes:

@@ -306,11 +306,12 @@ class TestComparison:
             return calls[0]
 
         setup = count(0.0, [0.0])
-        # the Strang step and the positivity check, plus u and v per capture
-        assert count(0.12, [0.0, 0.04, 0.08, 0.12]) - setup <= 5 * 60 + 2 * 3
+        # the Strang step (the positivity check is certified from the
+        # spectrum), plus theta, u and v per capture
+        assert count(0.12, [0.0, 0.04, 0.08, 0.12]) - setup <= 4 * 60 + 3 * 3
         # the last step is emitted anyway, so it does not set the cadence:
         # steps 20, 40, 60 and 61 are built
-        assert count(0.122, [0.0, 0.04, 0.08, 0.122]) - setup <= 5 * 61 + 2 * 4
+        assert count(0.122, [0.0, 0.04, 0.08, 0.122]) - setup <= 4 * 61 + 3 * 4
 
 
 class TestOracleVerdicts:

@@ -3,6 +3,7 @@ error reporting on malformed input."""
 
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -225,6 +226,17 @@ class TestTimeseries:
         path = _write_raw(tmp_path, "short.csv", text.encode("ascii"))
         with pytest.raises(ValueError, match="row 2 has 3 fields"):
             read_timeseries(path)
+
+    def test_non_numeric_cell(self, tmp_path):
+        row = ["1"] * len(RECORD_FIELDS)
+        row[2] = "abc"
+        lines = [",".join(RECORD_FIELDS), ",".join(["0"] * len(RECORD_FIELDS)), ",".join(row)]
+        text = "\n".join(lines) + "\n"
+        path = _write_raw(tmp_path, "nan.csv", text.encode("ascii"))
+        want = f"row 3, column {RECORD_FIELDS[2]}: not a number: 'abc'"
+        with pytest.raises(ValueError, match=re.escape(want)) as info:
+            read_timeseries(path)
+        assert str(info.value).startswith(path)
 
     def test_empty_file(self, tmp_path):
         path = _write_raw(tmp_path, "zero.csv", b"")
