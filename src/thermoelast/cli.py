@@ -15,16 +15,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from . import diagnostics as diag
 from .config import ConfigError, load_config, serialize_config
-from .dynamics import ModelParams, NonFinite, PositivityLoss, SimState, run
-from .experiments import EXPERIMENT_NAMES, experiment_defaults, run_experiment
+from .dynamics import ModelParams, NonFinite, PositivityLoss, SimState
+from .experiments import EXPERIMENT_NAMES, _run_recorded, experiment_defaults, run_experiment
 from .grid import ScalarField, VectorField, field_norms, quadrature
-from .oracle import build_galerkin, compare_oracle, integrate_galerkin, spectral_states_at
+from .oracle import crosscheck
 from .operators import curl, divergence, helmholtz_project
 from .scenarios import make_initial_data
 from .snapshots import (
@@ -32,8 +31,9 @@ from .snapshots import (
     atomic_write_text,
     read_header,
     read_snapshot,
+    read_state,
     write_snapshot,
-    write_timeseries,
+    write_state,
 )
 
 __all__ = ["main"]
@@ -41,27 +41,20 @@ __all__ = ["main"]
 
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    s0 = make_initial_data(cfg.scenario)
-    rec = diag.TrajectoryRecorder(cfg.params)
-    final = run(s0, cfg.params, cfg.stepper, sink=rec)
+    ts = os.path.join(cfg.out_dir, "timeseries.csv")
+    final, records = _run_recorded(cfg, ts)
+    config_path = os.path.join(cfg.out_dir, "run-config.txt")
+    paths = [ts, *write_state(final, cfg.out_dir), config_path]
+    atomic_write_text(config_path, serialize_config(cfg))
 
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    paths = {"timeseries": os.path.join(cfg.out_dir, "timeseries.csv")}
-    write_timeseries(rec.records, paths["timeseries"])
-    for name, f in (("final_u", final.u), ("final_v", final.v), ("final_theta", final.theta)):
-        paths[name] = os.path.join(cfg.out_dir, name + ".tefld")
-        write_snapshot(f, paths[name], t=final.t)
-    paths["config"] = os.path.join(cfg.out_dir, "run-config.txt")
-    atomic_write_text(paths["config"], serialize_config(cfg))
-
-    first, last = rec.records[0], rec.records[-1]
-    drift = max(abs(r.energy - first.energy) for r in rec.records) / abs(first.energy)
-    print(f"scenario {cfg.scenario.name} (d={s0.grid.d}, n={s0.grid.n_per_axis[0]}), "
+    first, last = records[0], records[-1]
+    drift = max(abs(r.energy - first.energy) for r in records) / abs(first.energy)
+    print(f"scenario {cfg.scenario.name} (d={final.grid.d}, n={final.grid.n_per_axis[0]}), "
           f"{cfg.stepper.n_steps()} steps to t={final.t:g}")
     print(f"energy drift {drift:.3e}, entropy change {last.entropy - first.entropy:+.6e}")
     print(f"theta range [{last.theta_min:.6g}, {last.theta_max:.6g}]")
-    for key in ("timeseries", "final_u", "final_v", "final_theta", "config"):
-        print(f"wrote {paths[key]}")
+    for path in paths:
+        print(f"wrote {path}")
     return 0
 
 
@@ -88,7 +81,6 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     print(f"  curl residual     = {curl_resid:.3e}")
     print(f"  orthogonality     = {abs(cross):.3e}")
     if args.out_dir:
-        os.makedirs(args.out_dir, exist_ok=True)
         for name, part in (("div_free", parts.div_free), ("curl_free", parts.curl_free),
                            ("potential", parts.potential)):
             path = os.path.join(args.out_dir, name + ".tefld")
@@ -99,53 +91,18 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     return 0 if ok else 2
 
 
-def _model_from_args(args: argparse.Namespace) -> ModelParams:
-    return ModelParams(mu=args.mu, operator=args.operator, zeta=args.zeta,
-                       lame_lambda=args.lame_lambda)
-
-
-def _state_paths(root: str) -> dict[str, str] | None:
-    """Locate a u/v/theta snapshot triple under a directory."""
-    for pattern in ("final_{}.tefld", "{}.tefld"):
-        paths = {k: os.path.join(root, pattern.format(k)) for k in ("u", "v", "theta")}
-        if all(os.path.exists(p) for p in paths.values()):
-            return paths
-    return None
-
-
-def _diagnose_state(s: SimState, p: ModelParams, dt_micro: float) -> list[tuple[str, float]]:
-    return [
-        ("energy", diag.total_energy(s, p)),
-        ("entropy", diag.entropy(s)),
-        ("entropy_production", diag.entropy_production(s)),
-        ("fisher_functional", diag.fisher_functional(s, p)),
-        ("fisher_identity_residual", diag.fisher_identity_residual(s, p, dt_micro=dt_micro)),
-        ("theta_min", float(np.min(s.theta.values))),
-        ("theta_max", float(np.max(s.theta.values))),
-    ]
-
-
 def _cmd_diagnose(args: argparse.Namespace) -> int:
-    p = _model_from_args(args)
+    p = ModelParams(mu=args.mu, operator=args.operator, zeta=args.zeta, lame_lambda=args.lame_lambda)
     rows: list[tuple[str, float]]
     if os.path.isdir(args.snapshot):
-        paths = _state_paths(args.snapshot)
-        if paths is None:
-            raise SnapshotError(
-                f"{args.snapshot}: no u/v/theta snapshot triple "
-                "(expected final_u.tefld, final_v.tefld, final_theta.tefld)"
-            )
-        u = read_snapshot(paths["u"])
-        v = read_snapshot(paths["v"], grid=u.grid)
-        theta = read_snapshot(paths["theta"], grid=u.grid)
-        if not isinstance(u, VectorField) or not isinstance(v, VectorField) \
-                or not isinstance(theta, ScalarField):
-            raise SnapshotError(f"{args.snapshot}: triple has wrong field kinds")
-        t = read_header(paths["u"]).t
-        p.validate_for_dimension(u.grid.d)
-        s = SimState(t, u, v, theta)
-        print(f"state at t={t:g} on n={u.grid.n_per_axis}")
-        rows = _diagnose_state(s, p, args.dt_micro)
+        s = read_state(args.snapshot)
+        p.validate_for_dimension(s.grid.d)
+        print(f"state at t={s.t:g} on n={s.grid.n_per_axis}")
+        rec = diag.TrajectoryRecorder(p, compute_identity=True, dt_micro=args.dt_micro)
+        rec(s)
+        rows = [(name, getattr(rec.records[0], name)) for name in (
+            "energy", "entropy", "entropy_production", "fisher_functional",
+            "fisher_identity_residual", "theta_min", "theta_max")]
     else:
         f = read_snapshot(args.snapshot)
         t = read_header(args.snapshot).t
@@ -179,30 +136,19 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
 
 def _cmd_compare_oracle(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    s0 = make_initial_data(cfg.scenario)
-    sys_ = build_galerkin(s0, cfg.params, args.modes)
-    traj = integrate_galerkin(sys_, cfg.stepper.t_end)
-
-    # unless the config pins its own product treatment, match the oracle's
-    # truncation so the residual is pure time-integration error
-    stepper = cfg.stepper
-    if stepper.dealias and stepper.product_band == 0:
-        stepper = replace(stepper, product_band=args.modes)
-
-    n_steps = stepper.n_steps()
+    n_steps = cfg.stepper.n_steps()
     if n_steps < 1:
         raise ValueError("compare-oracle needs t_end > 0")
     stride = max(1, n_steps // 10)
-    idxs = sorted({*range(0, n_steps + 1, stride), n_steps})
-    times = [i * stepper.dt for i in idxs]
-    states = spectral_states_at(s0, cfg.params, stepper, times)
-    cmp = compare_oracle(traj, states)
+    times = [i * cfg.stepper.dt for i in sorted({*range(0, n_steps + 1, stride), n_steps})]
+    s0 = make_initial_data(cfg.scenario)
+    cmp = crosscheck(s0, cfg.params, cfg.stepper, args.modes, times)
 
     print(f"{'t':>10} {'|du|_L2':>13} {'|dv|_L2':>13} {'|dtheta|_L2':>13}")
     for t, du, dv, dth in cmp.rows():
         print(f"{t:10.4f} {du:13.4e} {dv:13.4e} {dth:13.4e}")
     print(f"sup distance {cmp.sup_distance:.6e} (tolerance {args.tolerance:g}, "
-          f"modes {args.modes}, n {s0.grid.n_per_axis[0]}, dealias {stepper.dealias})")
+          f"modes {args.modes}, n {s0.grid.n_per_axis[0]}, dealias {cfg.stepper.dealias})")
     ok = cmp.sup_distance <= args.tolerance
     print(f"verdict: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 2

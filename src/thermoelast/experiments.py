@@ -28,13 +28,13 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from .config import RunConfig, build_config, convert_value
-from .diagnostics import TrajectoryRecorder, galerkin_initial_smallness
+from .diagnostics import DiagnosticsRecord, TrajectoryRecorder, galerkin_initial_smallness
 from .dynamics import SimState, run
 from .grid import spectral_l2_sq
 from .operators import longitudinal_part
-from .oracle import build_galerkin, compare_oracle, integrate_galerkin, spectral_states_at
+from .oracle import crosscheck
 from .scenarios import make_initial_data
-from .snapshots import atomic_write_text, write_snapshot, write_timeseries
+from .snapshots import atomic_write_text, write_state, write_table, write_timeseries
 
 __all__ = [
     "DECAY_GATE",
@@ -79,19 +79,21 @@ class ExperimentReport:
         return out
 
 
-def _run_recorded(cfg: RunConfig, s0: SimState | None = None, extra_sink=None
-                  ) -> tuple[SimState, TrajectoryRecorder]:
+def _run_recorded(cfg: RunConfig, csv_path: str, s0: SimState | None = None, extra_sink=None
+                  ) -> tuple[SimState, list[DiagnosticsRecord]]:
+    """Run cfg (from s0, else its scenario) recording the full battery at
+    its cadence; the records go to csv_path as a time series."""
     if s0 is None:
         s0 = make_initial_data(cfg.scenario)
     rec = TrajectoryRecorder(cfg.params)
-    if extra_sink is None:
-        sink = rec
-    else:
-        def sink(s: SimState) -> None:
-            rec(s)
+
+    def sink(s: SimState) -> None:
+        rec(s)
+        if extra_sink is not None:
             extra_sink(s)
     final = run(s0, cfg.params, cfg.stepper, sink=sink)
-    return final, rec
+    write_timeseries(rec.records, csv_path)
+    return final, rec.records
 
 
 def _rel(x: float, ref: float) -> float:
@@ -118,10 +120,9 @@ def _exp_attractor(o: dict, out_dir: str) -> tuple[list[Check], list[str]]:
         cfg = build_config(o | {"scenario": "small-mixed", "epsilon": eps})
         s0 = make_initial_data(cfg.scenario)
         smallness = galerkin_initial_smallness(s0, cfg.params)
-        final, rec = _run_recorded(cfg, s0)
-        gated, flat, rise = _fisher_rise(rec.records, smallness)
         path = os.path.join(out_dir, f"timeseries-eps{i}.csv")
-        write_timeseries(rec.records, path)
+        _, records = _run_recorded(cfg, path, s0)
+        gated, flat, rise = _fisher_rise(records, smallness)
         artifacts.append(path)
         detail = f"smallness={smallness:.3e} gate={DECAY_GATE:g} maxF/F0-1={rise:.3e}"
         if gated:
@@ -132,8 +133,9 @@ def _exp_attractor(o: dict, out_dir: str) -> tuple[list[Check], list[str]]:
 
 
 def _asymptotics(scenario: str, o: dict, out_dir: str) -> tuple[list[Check], list[str]]:
-    final, rec = _run_recorded(build_config(o | {"scenario": scenario}))
-    first, last = rec.records[0], rec.records[-1]
+    ts = os.path.join(out_dir, "timeseries.csv")
+    final, records = _run_recorded(build_config(o | {"scenario": scenario}), ts)
+    first, last = records[0], records[-1]
     chi_ratio = _rel(last.chi_h1, first.chi_h1)
     th_ratio = _rel(last.theta_l2_dist, first.theta_l2_dist)
     checks = [
@@ -142,16 +144,9 @@ def _asymptotics(scenario: str, o: dict, out_dir: str) -> tuple[list[Check], lis
         Check("theta-converges", th_ratio <= 1e-2,
               f"|theta-theta_inf| {first.theta_l2_dist:.6e} -> {last.theta_l2_dist:.6e} "
               f"(ratio {th_ratio:.3e}, need <= 1e-2)"),
-        _bounds_check(rec.records, scenario),
+        _bounds_check(records, scenario),
     ]
-    ts = os.path.join(out_dir, "timeseries.csv")
-    write_timeseries(rec.records, ts)
-    artifacts = [ts]
-    for name, f in (("final_u", final.u), ("final_v", final.v), ("final_theta", final.theta)):
-        path = os.path.join(out_dir, name + ".tefld")
-        write_snapshot(f, path, t=final.t)
-        artifacts.append(path)
-    return checks, artifacts
+    return checks, [ts, *write_state(final, out_dir)]
 
 
 def _exp_oscillation(o: dict, out_dir: str) -> tuple[list[Check], list[str]]:
@@ -162,16 +157,18 @@ def _exp_oscillation(o: dict, out_dir: str) -> tuple[list[Check], list[str]]:
         nu = math.sqrt(spectral_l2_sq(s.grid, uh - longitudinal_part(s.grid, uh)[1]))
         nu_series.append((s.t, nu))
 
-    final, rec = _run_recorded(build_config(o | {"scenario": "small-div-free"}), extra_sink=track_nu)
+    ts = os.path.join(out_dir, "timeseries.csv")
+    _, records = _run_recorded(build_config(o | {"scenario": "small-div-free"}), ts,
+                               extra_sink=track_nu)
 
-    e0 = rec.records[0].nu_energy
-    drift = max(abs(r.nu_energy - e0) for r in rec.records) / e0
+    e0 = records[0].nu_energy
+    drift = max(abs(r.nu_energy - e0) for r in records) / e0
     tail_start = o["t_end"] - o["tail"]
     tail_max = max(norm for t, norm in nu_series if t >= tail_start)
     nu0 = nu_series[0][1]
     spread = max(
-        max(r.theta_max - r.theta_min for r in rec.records),
-        max(abs(r.theta_max - rec.records[0].theta_max) for r in rec.records),
+        max(r.theta_max - r.theta_min for r in records),
+        max(abs(r.theta_max - records[0].theta_max) for r in records),
     )
     checks = [
         Check("nu-energy-constant", drift <= 1e-5, f"relative drift {drift:.3e}, need <= 1e-5"),
@@ -180,10 +177,8 @@ def _exp_oscillation(o: dict, out_dir: str) -> tuple[list[Check], list[str]]:
         Check("theta-inert", spread <= 1e-10,
               f"max temperature spread {spread:.3e} (coupling vanishes identically)"),
     ]
-    ts = os.path.join(out_dir, "timeseries.csv")
-    write_timeseries(rec.records, ts)
     nu_path = os.path.join(out_dir, "nu_l2.csv")
-    atomic_write_text(nu_path, "t,nu_l2\n" + "".join(f"{t:.17g},{v:.17g}\n" for t, v in nu_series))
+    write_table(nu_path, ("t", "nu_l2"), nu_series)
     return checks, [ts, nu_path]
 
 
@@ -204,10 +199,9 @@ def _exp_bounds(o: dict, out_dir: str) -> tuple[list[Check], list[str]]:
     checks: list[Check] = []
     artifacts: list[str] = []
     for name in names:
-        final, rec = _run_recorded(build_config(o | {"scenario": name}))
-        checks.append(_bounds_check(rec.records, name))
         path = os.path.join(out_dir, f"timeseries-{name}.csv")
-        write_timeseries(rec.records, path)
+        _, records = _run_recorded(build_config(o | {"scenario": name}), path)
+        checks.append(_bounds_check(records, name))
         artifacts.append(path)
     return checks, artifacts
 
@@ -216,16 +210,12 @@ def _exp_oracle_xcheck(o: dict, out_dir: str) -> tuple[list[Check], list[str]]:
     times = [round(i * o["sample_dt"], 12) for i in range(int(round(o["t_end"] / o["sample_dt"])) + 1)]
 
     def one(n_grid: int, dealias: bool):
-        # the matching run integrates the same truncated system (products
-        # restricted to the oracle's mode cube); the control lets products
-        # alias freely on a grid too coarse to hold them
-        cfg = build_config(o | {"scenario": "band-limited", "n": n_grid, "dealias": dealias,
-                                "product_band": o["modes"] if dealias else 0})
-        s0 = make_initial_data(cfg.scenario)
-        sys = build_galerkin(s0, cfg.params, o["modes"])
-        traj = integrate_galerkin(sys, o["t_end"])
-        states = spectral_states_at(s0, cfg.params, cfg.stepper, times)
-        return compare_oracle(traj, states)
+        # the matching run integrates the same truncated system (crosscheck
+        # restricts its products to the oracle's mode cube); the control
+        # lets products alias freely on a grid too coarse to hold them
+        cfg = build_config(o | {"scenario": "band-limited", "n": n_grid, "dealias": dealias})
+        return crosscheck(make_initial_data(cfg.scenario), cfg.params, cfg.stepper,
+                          o["modes"], times)
 
     main = one(o["n"], True)
     control = one(o["control_n"], False)
@@ -242,10 +232,7 @@ def _exp_oracle_xcheck(o: dict, out_dir: str) -> tuple[list[Check], list[str]]:
     artifacts = []
     for label, cmp in (("match", main), ("control", control)):
         path = os.path.join(out_dir, f"distances-{label}.csv")
-        body = "t,u_dist,v_dist,theta_dist\n" + "".join(
-            f"{t:.17g},{a:.17g},{b:.17g},{c:.17g}\n" for t, a, b, c in cmp.rows()
-        )
-        atomic_write_text(path, body)
+        write_table(path, ("t", "u_dist", "v_dist", "theta_dist"), cmp.rows())
         artifacts.append(path)
     return checks, artifacts
 
@@ -310,7 +297,6 @@ def run_experiment(
     """Run one named experiment and write its artifacts and report."""
     opts = _apply_overrides(experiment_defaults(name), overrides or {})
     target = out_dir or os.path.join("out", name)
-    os.makedirs(target, exist_ok=True)
     started = time.perf_counter()
     checks, artifacts = _EXPERIMENTS[name][0](opts, target)
     report = ExperimentReport(name, checks, artifacts, elapsed=time.perf_counter() - started)

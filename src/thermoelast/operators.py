@@ -167,7 +167,11 @@ class HelmholtzParts:
 
 
 def helmholtz_project(v: VectorField) -> HelmholtzParts:
-    """Orthogonal split v = div_free + curl_free, curl_free = grad(potential)."""
+    """Orthogonal split v = div_free + curl_free, curl_free = grad(potential).
+
+    The physical parts drop the non-Hermitian half of each Nyquist mode, so
+    on fields with Nyquist content their norms differ from Parseval sums over
+    v^ - chi^ and chi^ (by about 1%, up to 3% on random 16^2 and 8^3 fields)."""
     grid = v.grid
     vh = v.spectral()
     a, curl_free_h = longitudinal_part(grid, vh)

@@ -16,6 +16,10 @@ For the same reason `galerkin_rhs` writes out its own elastic symbol instead
 of calling `operators.elastic_symbol`, which the stepper it is compared
 against uses.
 
+`crosscheck` is the whole comparison: build, integrate, capture the stepper
+at the wanted times, measure.  It matches the stepper's products to the
+oracle's cube unless the config pins its own product treatment.
+
 The initial temperature is regularised the way the underlying construction
 demands: after projection it is shifted by the constant
 c = max(0, 1e-6 - min(theta)) - the min taken on a 4x oversampled grid - and
@@ -48,6 +52,7 @@ __all__ = [
     "convolve_truncated",
     "spectral_states_at",
     "compare_oracle",
+    "crosscheck",
 ]
 
 POSITIVITY_SHIFT_TARGET = 1e-6
@@ -405,3 +410,14 @@ def compare_oracle(traj: OracleTrajectory, states: Sequence[SimState]) -> Oracle
         dv.append(field_norms(VectorField(s.grid, s.v.components - ref.v.components))["l2"])
         dth.append(field_norms(ScalarField(s.grid, s.theta.values - ref.theta.values))["l2"])
     return OracleComparison(times, du, dv, dth)
+
+
+def crosscheck(s0: SimState, p: ModelParams, cfg: StepperConfig, modes: int,
+               times: Sequence[float]) -> OracleComparison:
+    """The oracle on the [-modes, modes]^d cube against the stepper from s0.
+    Dealiased products with no pinned band run at product_band = modes, so the
+    distance is pure time-integration error; other settings are kept."""
+    traj = integrate_galerkin(build_galerkin(s0, p, modes), cfg.t_end)
+    if cfg.dealias and not cfg.product_band:
+        cfg = replace(cfg, product_band=modes)
+    return compare_oracle(traj, spectral_states_at(s0, p, cfg, times))

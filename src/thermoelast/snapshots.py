@@ -10,8 +10,13 @@ so they re-read exactly.  The payload is comps * prod(n) little-endian
 float64 values, row-major within a component, components stored whole one
 after another.  read(write(f)) reproduces f bit for bit.
 
-Time series go to CSV: a header row naming every diagnostics field, one row
-per record, every value at 17 significant digits, LF line endings.
+A run's state is the snapshot triple final_{u,v,theta}.tefld in one
+directory, each stamped with the state's time; `read_state` also accepts the
+bare names {u,v,theta}.tefld.
+
+Tables go to CSV (`write_table`): a header row, one row per item, every value
+at 17 significant digits, LF line endings; a time series has one column per
+diagnostics field.
 
 All writes go through a temp file in the target directory followed by an
 atomic rename, so readers never observe partial files.
@@ -22,10 +27,12 @@ from __future__ import annotations
 import os
 import tempfile
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .diagnostics import RECORD_FIELDS, DiagnosticsRecord
+from .dynamics import SimState
 from .grid import ScalarField, TorusGrid, VectorField
 
 __all__ = [
@@ -34,6 +41,9 @@ __all__ = [
     "write_snapshot",
     "read_snapshot",
     "read_header",
+    "write_state",
+    "read_state",
+    "write_table",
     "write_timeseries",
     "read_timeseries",
     "atomic_write_bytes",
@@ -175,12 +185,44 @@ def read_snapshot(path: str, grid: TorusGrid | None = None) -> ScalarField | Vec
     return VectorField(target, flat.reshape((header.comps,) + target.shape))
 
 
+_STATE_LAYOUTS = ("final_{}.tefld", "{}.tefld")
+
+
+def write_state(s: SimState, directory: str) -> list[str]:
+    """Write the final_{u,v,theta}.tefld triple stamped with s.t; returns the paths."""
+    paths = []
+    for name, f in (("u", s.u), ("v", s.v), ("theta", s.theta)):
+        paths.append(os.path.join(directory, _STATE_LAYOUTS[0].format(name)))
+        write_snapshot(f, paths[-1], t=s.t)
+    return paths
+
+
+def read_state(directory: str) -> SimState:
+    """The u/v/theta triple under directory, at the time stamped on u."""
+    for layout in _STATE_LAYOUTS:
+        paths = [os.path.join(directory, layout.format(k)) for k in ("u", "v", "theta")]
+        if all(os.path.exists(p) for p in paths):
+            break
+    else:
+        raise SnapshotError(f"{directory}: no u/v/theta snapshot triple "
+                            "(expected final_u.tefld, final_v.tefld, final_theta.tefld)")
+    u = read_snapshot(paths[0])
+    v, theta = (read_snapshot(p, grid=u.grid) for p in paths[1:])
+    if not isinstance(u, VectorField) or not isinstance(v, VectorField) \
+            or not isinstance(theta, ScalarField):
+        raise SnapshotError(f"{directory}: triple has wrong field kinds")
+    return SimState(read_header(paths[0]).t, u, v, theta)
+
+
+def write_table(path: str, header: Sequence[str], rows: Iterable[Sequence[float]]) -> None:
+    """CSV: the header row, then each row's values at 17 significant digits."""
+    lines = [",".join(header)] + [",".join(_g17(x) for x in row) for row in rows]
+    atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("ascii"))
+
+
 def write_timeseries(records: list[DiagnosticsRecord], path: str) -> None:
     """CSV with the full diagnostics schema; header-only when records is empty."""
-    lines = [",".join(RECORD_FIELDS)]
-    for rec in records:
-        lines.append(",".join(_g17(getattr(rec, name)) for name in RECORD_FIELDS))
-    atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("ascii"))
+    write_table(path, RECORD_FIELDS, ([getattr(r, name) for name in RECORD_FIELDS] for r in records))
 
 
 def read_timeseries(path: str) -> list[DiagnosticsRecord]:

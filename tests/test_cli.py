@@ -141,6 +141,22 @@ class TestDiagnose:
         assert "fisher_functional" in text
         assert "verdict: PASS" in text
 
+    def test_state_directory_matches_last_record(self, run_cfg, capsys):
+        # diagnose reads one full record of the state, so on a run's
+        # directory it prints the run's last time-series row
+        cfg_path, out = run_cfg
+        assert main(["run", cfg_path]) == 0
+        capsys.readouterr()
+        assert main(["diagnose", out, "--mu", "1.0"]) == 0
+        rows = [line.split(" = ") for line in capsys.readouterr().out.splitlines() if " = " in line]
+        printed = {name.strip(): value for name, value in rows}
+        last = read_timeseries(os.path.join(out, "timeseries.csv"))[-1]
+        for name in ("energy", "entropy", "entropy_production", "fisher_functional",
+                     "theta_min", "theta_max"):
+            assert printed[name] == "%.12e" % getattr(last, name), name
+        assert math.isnan(last.fisher_identity_residual)
+        assert math.isfinite(float(printed["fisher_identity_residual"]))
+
     def test_printed_rows_pinned(self, tmp_path, capsys):
         # the printed output, byte for byte; every row shown is well
         # conditioned to its printed digits

@@ -6,7 +6,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from thermoelast import ConfigError, parse_config, write_timeseries
+from thermoelast import ConfigError, parse_config, read_timeseries, write_timeseries
+from thermoelast import experiments
 from thermoelast.diagnostics import TrajectoryRecorder
 from thermoelast.dynamics import run
 from thermoelast.experiments import (
@@ -62,6 +63,31 @@ def test_tiny_run_writes_checks_and_artifacts(name, tmp_path):
     assert all(os.path.getsize(path) > 0 for path in want)
     text = (tmp_path / "report.txt").read_text(encoding="utf-8")
     assert text == f"experiment: {name}\n" + "\n".join(report.lines()) + "\n"
+
+
+@pytest.mark.parametrize("name, csv, header", [
+    ("oscillation", "nu_l2.csv", ("t", "nu_l2")),
+    ("oracle-xcheck", "distances-match.csv", ("t", "u_dist", "v_dist", "theta_dist")),
+])
+def test_tables_read_back_to_the_written_floats(name, csv, header, monkeypatch, tmp_path):
+    written = {}
+
+    def spy(path, head, rows):
+        written[os.path.basename(path)] = (tuple(head), [tuple(r) for r in rows])
+        real_write_table(path, head, rows)
+
+    real_write_table = experiments.write_table
+    monkeypatch.setattr(experiments, "write_table", spy)
+    run_experiment(name, TINY[name], out_dir=str(tmp_path))
+    lines = (tmp_path / csv).read_text(encoding="ascii").splitlines()
+    assert written[csv][0] == header
+    assert lines[0] == ",".join(header)
+    rows = [tuple(float(x) for x in line.split(",")) for line in lines[1:]]
+    assert rows == written[csv][1] and rows
+    if name == "oscillation":
+        assert [r[0] for r in rows] == [r.t for r in read_timeseries(str(tmp_path / "timeseries.csv"))]
+    else:
+        assert [r[0] for r in rows] == [0.0, 0.1, 0.2]
 
 
 def test_defaults_key_sets():

@@ -3,6 +3,7 @@ reconstruction, tendencies, and the comparison harness."""
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from thermoelast import oracle
 from thermoelast.experiments import run_experiment
 from thermoelast.oracle import (
     convolve_truncated,
+    crosscheck,
     galerkin_rhs,
     reconstruct_scalar,
     reconstruct_vector,
@@ -312,6 +314,31 @@ class TestComparison:
         # the last step is emitted anyway, so it does not set the cadence:
         # steps 20, 40, 60 and 61 are built
         assert count(0.122, [0.0, 0.04, 0.08, 0.122]) - setup <= 4 * 61 + 3 * 4
+
+
+class TestCrosscheck:
+    """crosscheck is the explicit build, integrate, capture and compare
+    pipeline, with the stepper's products matched to the oracle's cube only
+    when the config dealiases and pins no band of its own."""
+
+    @pytest.mark.parametrize("dealias, band, runs_as, not_as", [
+        (True, 0, {"product_band": 3}, {}),
+        (True, 2, {}, {"product_band": 3}),
+        (False, 0, {}, {"dealias": True}),
+    ])
+    def test_is_the_explicit_pipeline(self, dealias, band, runs_as, not_as):
+        s0 = make_initial_data(ScenarioSpec("band-limited", n=16, epsilon=0.04))
+        p = ModelParams(mu=1.0)
+        cfg = StepperConfig(dt=2e-3, t_end=0.02, dealias=dealias, product_band=band)
+        times = [0.0, 0.01, 0.02]
+
+        def explicit(stepper: StepperConfig):
+            traj = integrate_galerkin(build_galerkin(s0, p, 3), stepper.t_end)
+            return compare_oracle(traj, spectral_states_at(s0, p, stepper, times))
+
+        got = crosscheck(s0, p, cfg, 3, times)
+        assert got == explicit(replace(cfg, **runs_as))
+        assert got != explicit(replace(cfg, **not_as))
 
 
 class TestOracleVerdicts:

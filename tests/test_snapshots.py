@@ -12,6 +12,7 @@ from thermoelast import (
     DiagnosticsRecord,
     RECORD_FIELDS,
     ScalarField,
+    SimState,
     SnapshotError,
     TorusGrid,
     VectorField,
@@ -21,7 +22,7 @@ from thermoelast import (
     write_snapshot,
     write_timeseries,
 )
-from thermoelast.snapshots import MAGIC, atomic_write_bytes
+from thermoelast.snapshots import MAGIC, atomic_write_bytes, read_state, write_state, write_table
 
 
 @pytest.fixture
@@ -242,6 +243,86 @@ class TestTimeseries:
         path = _write_raw(tmp_path, "zero.csv", b"")
         with pytest.raises(ValueError, match="empty time series"):
             read_timeseries(path)
+
+
+def _state(grid: TorusGrid, rng, t: float) -> SimState:
+    u, v = (VectorField(grid, _awkward_values((grid.d,) + grid.shape, rng)) for _ in range(2))
+    return SimState(t, u, v, ScalarField(grid, _awkward_values(grid.shape, rng)))
+
+
+def _same_bits(a: SimState, b: SimState) -> bool:
+    return a.t == b.t and all(
+        x.tobytes() == y.tobytes()
+        for x, y in ((a.u.components, b.u.components), (a.v.components, b.v.components),
+                     (a.theta.values, b.theta.values))
+    )
+
+
+class TestState:
+    def test_round_trip_bit_exact(self, grid8, rng, tmp_path):
+        s = _state(grid8, rng, t=0.30000000000000004)
+        paths = write_state(s, str(tmp_path / "run"))
+        assert paths == [str(tmp_path / "run" / f"final_{k}.tefld") for k in ("u", "v", "theta")]
+        assert all(read_header(p).t == s.t for p in paths)
+        assert _same_bits(read_state(str(tmp_path / "run")), s)
+
+    def test_bare_layout_accepted(self, grid8, rng, tmp_path):
+        s = _state(grid8, rng, t=1.25)
+        for name, f in (("u", s.u), ("v", s.v), ("theta", s.theta)):
+            write_snapshot(f, str(tmp_path / f"{name}.tefld"), t=s.t)
+        assert _same_bits(read_state(str(tmp_path)), s)
+
+    def test_final_layout_wins_over_bare(self, grid8, rng, tmp_path):
+        final, bare = _state(grid8, rng, t=1.0), _state(grid8, rng, t=2.0)
+        write_state(final, str(tmp_path))
+        for name, f in (("u", bare.u), ("v", bare.v), ("theta", bare.theta)):
+            write_snapshot(f, str(tmp_path / f"{name}.tefld"), t=bare.t)
+        assert _same_bits(read_state(str(tmp_path)), final)
+
+    def test_incomplete_triple(self, grid8, rng, tmp_path):
+        paths = write_state(_state(grid8, rng, t=0.0), str(tmp_path))
+        os.unlink(paths[1])
+        with pytest.raises(SnapshotError, match="no u/v/theta snapshot triple"):
+            read_state(str(tmp_path))
+
+    def test_wrong_field_kinds(self, grid8, rng, tmp_path):
+        s = _state(grid8, rng, t=0.0)
+        write_state(s, str(tmp_path))
+        write_snapshot(s.u, str(tmp_path / "final_theta.tefld"))
+        with pytest.raises(SnapshotError, match="triple has wrong field kinds"):
+            read_state(str(tmp_path))
+
+    def test_grids_must_match(self, grid8, rng, tmp_path):
+        s = _state(grid8, rng, t=0.0)
+        write_state(s, str(tmp_path))
+        other = TorusGrid((8, 10))
+        write_snapshot(ScalarField(other, np.ones(other.shape)), str(tmp_path / "final_theta.tefld"))
+        with pytest.raises(SnapshotError, match="does not match context") as info:
+            read_state(str(tmp_path))
+        assert str(info.value).startswith(str(tmp_path / "final_theta.tefld"))
+
+
+class TestTable:
+    def test_header_and_rows_read_back_exactly(self, tmp_path):
+        rows = [(0.1, 1.0 / 3.0, -math.pi), (2.0**-1074, math.nan, math.inf), (1e300, -0.0, 5e-324)]
+        path = str(tmp_path / "t.csv")
+        write_table(path, ("a", "b", "c"), rows)
+        text = (tmp_path / "t.csv").read_bytes().decode("ascii")
+        assert text.endswith("\n") and "\r" not in text
+        header, *body = text[:-1].split("\n")
+        assert header == "a,b,c"
+        back = [tuple(float(x) for x in line.split(",")) for line in body]
+        assert len(back) == len(rows)
+        for got, want in zip(back, rows):
+            assert all(x == y or (math.isnan(x) and math.isnan(y)) for x, y in zip(got, want))
+            assert [math.copysign(1.0, x) for x in got] == [math.copysign(1.0, y) for y in want]
+
+    def test_timeseries_is_the_record_table(self, tmp_path):
+        recs = [_record(float(i)) for i in range(3)]
+        write_timeseries(recs, str(tmp_path / "ts.csv"))
+        write_table(str(tmp_path / "t.csv"), RECORD_FIELDS,
+                    [[getattr(r, name) for name in RECORD_FIELDS] for r in recs])
+        assert (tmp_path / "ts.csv").read_bytes() == (tmp_path / "t.csv").read_bytes()
 
 
 class TestAtomicity:
