@@ -24,7 +24,6 @@ Keys and defaults:
     dealias                = true            2/3-rule products
     positivity_floor       = 1e-10           abort threshold for min(theta)
     record_every           = 1               diagnostics cadence in steps
-    clamp_theta            = false           clamp instead of abort (debug)
     product_band           = 0               0: 2/3-rule products; B > 0:
                                              exact Galerkin truncation to the
                                              mode cube |k|_inf <= B
@@ -91,7 +90,6 @@ _DEFAULTS: dict[str, object] = {
     "dealias": True,
     "positivity_floor": 1e-10,
     "record_every": 1,
-    "clamp_theta": False,
     "product_band": 0,
     "out_dir": "out",
 }

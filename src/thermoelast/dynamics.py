@@ -12,8 +12,10 @@ composition: half-step of the exact linear flows (per-mode heat decay and
 wave rotation at the longitudinal speed, in cos/sinc form), a full step of
 the coupling integrated with an explicit midpoint rule, then the linear
 half-steps again.  The two linear sub-flows act on disjoint fields and
-commute, so the scheme is time-symmetric and second order.  nu is rotated
-in closed form from its initial value whenever a state is built.
+commute, so the scheme is second order.  It is not time-symmetric: the
+explicit midpoint rule is not self-adjoint, and a step forward then back
+misses its start by O(dt^4).  nu is rotated in closed form from its initial
+value whenever a state is built.
 
 States are held in physical space at the API boundary, entering the
 stepper through `_SpectralStepper.load` and leaving through `.state`; `run`
@@ -23,10 +25,10 @@ by the 2/3 rule (unless disabled).  The evolved state is confined to the
 Nyquist-free subspace in either mode: the Nyquist modes have no conjugate
 partners, and odd derivatives there cannot keep a real field real.
 Temperature positivity is enforced by error: a step that drags min(theta) to
-the configured floor raises PositivityLoss rather than clamping, unless the
-clamp debug flag is set.  A step that builds no state checks positivity from
-the temperature spectrum by its l1 bound, and makes the inverse transform to
-take min(theta) only when that bound cannot clear the floor.
+the configured floor raises PositivityLoss.  A step that builds no state
+checks positivity from the temperature spectrum by its l1 bound, and makes
+the inverse transform to take min(theta) only when that bound cannot clear
+the floor.
 """
 
 from __future__ import annotations
@@ -138,7 +140,6 @@ class StepperConfig:
     dealias: bool = True
     positivity_floor: float = 1e-10
     record_every: int = 1
-    clamp_theta: bool = False
     # > 0 restricts products to the mode cube |k|_inf <= product_band instead
     # of the 2/3 rule, making the run the exact Galerkin truncation of that
     # cube (used when comparing against the truncated-system oracle)
@@ -306,25 +307,12 @@ def _signed_step(s: SimState, p: ModelParams, dt: float) -> SimState:
     return stepper.state(t, au, av, s.grid.to_physical(th), nu_u, nu_v, 1)
 
 
-def _enforce_floor(t: float, theta: np.ndarray, floor: float, clamp: bool) -> int:
-    """The positivity rule on physical temperature values at time t.
-
-    Returns 0 while min(theta) stays above the floor.  Otherwise raises
-    PositivityLoss or, in clamp mode, raises the offending values to the
-    floor in place, logs, and returns how many were clamped.
-    """
+def _enforce_floor(t: float, theta: np.ndarray, floor: float) -> None:
+    """The positivity rule on physical temperature values at time t: raise
+    PositivityLoss when min(theta) reaches the floor."""
     tmin = float(np.min(theta))
-    if tmin > floor:
-        return 0
-    if not clamp:
+    if tmin <= floor:
         raise PositivityLoss(t, tmin)
-    n_clamped = int(np.sum(theta <= floor))
-    log.warning(
-        "clamped %d temperature values to %.3e at t=%.6g (min was %.3e)",
-        n_clamped, floor, t, tmin,
-    )
-    np.maximum(theta, floor, out=theta)
-    return n_clamped
 
 
 def _floor_certificate(grid: TorusGrid, floor: float) -> Callable[[np.ndarray], bool]:
@@ -386,7 +374,7 @@ def run(
     _dt_advisory(s0, p, cfg.dt)
     if not np.all(np.isfinite(s0.theta.values)):
         raise NonFinite(s0.t, "theta")
-    _enforce_floor(s0.t, s0.theta.values, cfg.positivity_floor, clamp=False)
+    _enforce_floor(s0.t, s0.theta.values, cfg.positivity_floor)
     certified = _floor_certificate(grid, cfg.positivity_floor)
     au, av, th, nu_u, nu_v = stepper.load(s0)
     t0 = s0.t
@@ -394,29 +382,21 @@ def run(
     if sink is not None:
         sink(s0.copy())
     state = s0.copy() if n_steps == 0 else None
-    clamp_total = 0
     for i in range(1, n_steps + 1):
         au, av, th = stepper.step(au, av, th)
         t = t0 + i * cfg.dt
         # nu never enters a step: it is checked once, with the first
         _check_finite(t, au, av, th, (nu_u, nu_v) if i == 1 else (None, None))
         build = i == n_steps or (sink is not None and i % cfg.record_every == 0)
-        # a certified spectrum would neither raise nor clamp, and no state
-        # reads its values, so its inverse transform is skipped
+        # a certified spectrum cannot raise, and no state reads its values,
+        # so its inverse transform is skipped
         if build or not certified(th):
             theta_phys = grid.to_physical(th)
-            n_clamped = _enforce_floor(t, theta_phys, cfg.positivity_floor, cfg.clamp_theta)
-            if n_clamped:
-                clamp_total += n_clamped
-                # clamping is pointwise and repopulates the unpaired Nyquist
-                # lines; project back onto the evolution subspace
-                th = grid.to_spectral(theta_phys) * stepper.state_mask
+            _enforce_floor(t, theta_phys, cfg.positivity_floor)
         if build:
             # nu is rotated from its initial value, so a state does not
             # depend on which earlier states were built
             state = stepper.state(t, au, av, theta_phys, nu_u, nu_v, i)
             if sink is not None:
                 sink(state.copy() if i == n_steps else state)
-    if clamp_total:
-        log.warning("run clamped temperature %d times in total", clamp_total)
     return state

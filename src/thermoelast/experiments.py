@@ -237,22 +237,19 @@ def _exp_oracle_xcheck(o: dict, out_dir: str) -> tuple[list[Check], list[str]]:
     return checks, artifacts
 
 
+_ASYMPTOTICS_DEFAULTS = {
+    "epsilon": 0.0, "d": 2, "n": 0, "seed": 0, "mu": 1.0, "zeta": 1.0, "lame_lambda": 0.5,
+    "dt": 2e-3, "t_end": 100.0, "record_every": 50,
+}
+
 _EXPERIMENTS = {
     "attractor": (
         _exp_attractor,
         {"epsilons": "2e-3,5e-3,1e-2", "d": 2, "n": 0, "seed": 0,
          "mu": 1.0, "dt": 2e-3, "t_end": 20.0, "record_every": 10},
     ),
-    "asymptotics": (
-        partial(_asymptotics, "small-mixed"),
-        {"epsilon": 0.0, "d": 2, "n": 0, "seed": 0, "mu": 1.0, "zeta": 1.0, "lame_lambda": 0.5,
-         "dt": 2e-3, "t_end": 100.0, "record_every": 50},
-    ),
-    "lame-asymptotics": (
-        partial(_asymptotics, "lame-small-mixed"),
-        {"epsilon": 0.0, "d": 2, "n": 0, "seed": 0, "mu": 1.0, "zeta": 1.0, "lame_lambda": 0.5,
-         "dt": 2e-3, "t_end": 100.0, "record_every": 50},
-    ),
+    "asymptotics": (partial(_asymptotics, "small-mixed"), _ASYMPTOTICS_DEFAULTS),
+    "lame-asymptotics": (partial(_asymptotics, "lame-small-mixed"), _ASYMPTOTICS_DEFAULTS),
     "oscillation": (
         _exp_oscillation,
         {"epsilon": 0.0, "d": 2, "n": 0, "seed": 0, "mu": 1.0,

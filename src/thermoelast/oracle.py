@@ -113,14 +113,6 @@ class GalerkinSystem:
     def k_sq(self) -> np.ndarray:
         return sum(k * k for k in self.wavevectors())
 
-    def hermitian_residue(self) -> float:
-        """Max deviation from coefficient conjugate symmetry (real fields)."""
-        worst = 0.0
-        for arr in (self.u_hat, self.v_hat, self.th_hat):
-            flipped = np.conj(np.flip(arr, axis=tuple(range(arr.ndim - self.d, arr.ndim))))
-            worst = max(worst, float(np.max(np.abs(arr - flipped))))
-        return worst
-
 
 def _embedding_rows(n: int, grid: TorusGrid) -> tuple[np.ndarray, ...]:
     if any(m < 2 * n + 2 for m in grid.n_per_axis):
@@ -270,16 +262,6 @@ class OracleTrajectory:
             reconstruct_scalar(sys.th_hat, sys.n, grid),
         )
 
-    def entropy_at(self, t: float) -> float:
-        """int log theta on the oversampled reconstruction."""
-        sys = self.coeffs_at(t)
-        os_grid = _oversample_grid(sys.n, sys.lengths)
-        theta = reconstruct_scalar(sys.th_hat, sys.n, os_grid)
-        tmin = float(np.min(theta.values))
-        if tmin <= 0.0:
-            raise PositivityLoss(t, tmin)
-        return quadrature(os_grid, np.log(theta.values))
-
 
 def _pack(u: np.ndarray, v: np.ndarray, th: np.ndarray) -> np.ndarray:
     z = np.concatenate([u.ravel(), v.ravel(), th.ravel()])
@@ -299,8 +281,6 @@ def _unpack(y: np.ndarray, sys: GalerkinSystem) -> tuple[np.ndarray, np.ndarray,
 def integrate_galerkin(
     sys: GalerkinSystem,
     t_end: float,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
     positivity_floor: float = 1e-10,
 ) -> OracleTrajectory:
     """Integrate the coefficient ODE to t_end with an adaptive RK 5(4) pair.
@@ -334,8 +314,8 @@ def integrate_galerkin(
         (sys.t, t_end),
         y0,
         method="RK45",
-        rtol=rtol,
-        atol=atol,
+        rtol=1e-10,
+        atol=1e-12,
         dense_output=True,
         events=[theta_floor],
     )

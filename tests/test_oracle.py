@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from thermoelast import (
-    GalerkinSystem,
     ModelParams,
     PositivityLoss,
     ScalarField,
@@ -35,14 +34,6 @@ from thermoelast.oracle import (
     reconstruct_vector,
 )
 from thermoelast.scenarios import ScenarioSpec
-
-
-def _hermitian_cube(rng, n, d):
-    """Random coefficient cube with conjugate symmetry (a real field)."""
-    shape = (2 * n + 1,) * d
-    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    flip = np.conj(np.flip(a))
-    return (a + flip) / 2.0
 
 
 class TestConvolution:
@@ -86,7 +77,6 @@ class TestProjection:
             warnings.simplefilter("error")
             sys = build_galerkin(s, ModelParams(mu=1.0), n=3)
         assert sys.shift == 0.0
-        assert sys.hermitian_residue() < 1e-14
 
     def test_unresolved_state_warns(self):
         s = make_initial_data(ScenarioSpec("random", n=16, epsilon=0.1, seed=3))
@@ -114,21 +104,6 @@ class TestProjection:
         assert 0.49 < sys.shift < 0.51
         center = sys.th_hat[(3, 3)]
         assert center.real == pytest.approx(1.0 + sys.shift, rel=1e-12)
-
-    def test_hermitian_residue_detects_corruption(self, rng):
-        n = 3
-        sys = GalerkinSystem(
-            n=n,
-            lengths=(2 * math.pi, 2 * math.pi),
-            p=ModelParams(mu=1.0),
-            t=0.0,
-            u_hat=np.stack([_hermitian_cube(rng, n, 2) for _ in range(2)]),
-            v_hat=np.stack([_hermitian_cube(rng, n, 2) for _ in range(2)]),
-            th_hat=_hermitian_cube(rng, n, 2),
-        )
-        assert sys.hermitian_residue() < 1e-14
-        sys.th_hat[n, n] += 1j  # the self-paired center must stay real
-        assert sys.hermitian_residue() > 1.9
 
 
 class TestReconstruction:
@@ -193,19 +168,6 @@ class TestIntegration:
         traj = integrate_galerkin(sys, 1.0)
         got = traj.coeffs_at(1.0).th_hat[(4, 3)]  # offset (+1, 0)
         assert got == pytest.approx(0.15 * math.exp(-1.0), rel=1e-9)
-
-    def test_entropy_at_closed_form(self, grid2d_small):
-        a = 0.25
-        x1 = grid2d_small.meshes()[0]
-        theta = ScalarField(
-            grid2d_small,
-            np.broadcast_to(1.0 + a * np.cos(x1), grid2d_small.shape).copy(),
-        )
-        s = SimState(0.0, VectorField.zeros(grid2d_small), VectorField.zeros(grid2d_small), theta)
-        sys = build_galerkin(s, ModelParams(mu=1.0), n=3)
-        traj = integrate_galerkin(sys, 0.01)
-        want = (2 * math.pi) ** 2 * math.log((1.0 + math.sqrt(1.0 - a**2)) / 2.0)
-        assert traj.entropy_at(0.0) == pytest.approx(want, rel=1e-10)
 
     def test_time_range_enforced(self, grid2d_small):
         s = SimState.equilibrium(grid2d_small)
