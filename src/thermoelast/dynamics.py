@@ -28,7 +28,8 @@ Temperature positivity is enforced by error: a step that drags min(theta) to
 the configured floor raises PositivityLoss.  A step that builds no state
 checks positivity from the temperature spectrum by its l1 bound, and makes
 the inverse transform to take min(theta) only when that bound cannot clear
-the floor.
+the floor.  A state is checked finite once, where it enters: `load` raises
+NonFinite(t0, field) for a non-finite u, v or theta before any transform.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ from typing import Callable
 import numpy as np
 
 from .grid import ScalarField, TorusGrid, VectorField
-from .operators import (check_lame_ellipticity, divergence, elastic_symbol, k_dot,
-                        lame_speeds_sq, longitudinal_part)
+from .operators import (check_lame_ellipticity, elastic_symbol, k_dot, lame_speeds_sq,
+                        longitudinal_part)
 
 __all__ = [
     "ModelParams",
@@ -70,9 +71,9 @@ class PositivityLoss(RuntimeError):
 
 
 class NonFinite(RuntimeError):
-    """A state field stopped being finite during a step."""
+    """A state field is not finite: at the initial time or after a step."""
 
-    def __init__(self, t: float, what: str = "state"):
+    def __init__(self, t: float, what: str):
         self.t = t
         self.what = what
         super().__init__(f"non-finite {what} at t={t:.6g}")
@@ -218,7 +219,9 @@ class _SpectralStepper:
 
     def load(self, s: SimState) -> tuple[np.ndarray, ...]:
         """(a_u, a_v, theta^, nu_u, nu_v) of s on the evolution subspace:
-        curl-free amplitudes, temperature, solenoidal remainders."""
+        curl-free amplitudes, temperature, solenoidal remainders; raises
+        NonFinite(s.t, field) before any transform if s is not finite."""
+        _check_finite(s.t, s.u.components, s.v.components, s.theta.values)
         mask = self.state_mask
         uh, vh = s.u.spectral() * mask, s.v.spectral() * mask
         (au, chi_u), (av, chi_v) = (longitudinal_part(self.grid, wh) for wh in (uh, vh))
@@ -285,12 +288,10 @@ def evaluate_rhs(s: SimState, p: ModelParams, dealias: bool = True) -> tuple[Vec
     )
 
 
-def _check_finite(t: float, au: np.ndarray, av: np.ndarray, th: np.ndarray,
-                  nu: tuple[np.ndarray | None, np.ndarray | None] = (None, None)) -> None:
-    """Raise NonFinite naming u, v or theta, in that order, for the first
-    non-finite spectrum; nu = (nu_u, nu_v), if given, counts as u and v."""
-    for name, arr in (("u", au), ("u", nu[0]), ("v", av), ("v", nu[1]), ("theta", th)):
-        if arr is not None and not np.isfinite(arr.view(np.float64)).all():
+def _check_finite(t: float, u: np.ndarray, v: np.ndarray, theta: np.ndarray) -> None:
+    """Raise NonFinite naming the first of u, v, theta with a non-finite entry."""
+    for name, arr in (("u", u), ("v", v), ("theta", theta)):
+        if not np.isfinite(arr.view(np.float64)).all():
             raise NonFinite(t, name)
 
 
@@ -303,7 +304,7 @@ def _signed_step(s: SimState, p: ModelParams, dt: float) -> SimState:
     au, av, th, nu_u, nu_v = stepper.load(s)
     au, av, th = stepper.step(au, av, th)
     t = s.t + dt
-    _check_finite(t, au, av, th, (nu_u, nu_v))
+    _check_finite(t, au, av, th)
     return stepper.state(t, au, av, s.grid.to_physical(th), nu_u, nu_v, 1)
 
 
@@ -343,15 +344,16 @@ def step(s: SimState, p: ModelParams, cfg: StepperConfig) -> SimState:
     return run(s, p, replace(cfg, t_end=cfg.dt))
 
 
-def _dt_advisory(s: SimState, p: ModelParams, dt: float) -> None:
-    div_v = divergence(s.v).values
+def _dt_advisory(stepper: _SpectralStepper, s: SimState, av: np.ndarray, p: ModelParams) -> None:
+    # div v of the velocity the run evolves: i|k| a_v, as the coupling forms it
+    div_v = stepper.grid.to_physical(stepper.ik_abs * av)
     scale = p.mu * float(np.max(np.abs(s.theta.values))) * float(np.max(np.abs(div_v)))
     bound = 0.5 / (scale + 1.0)
-    if dt > bound:
+    if stepper.dt > bound:
         log.warning(
             "dt=%.3g exceeds the advisory coupling bound %.3g "
             "(0.5 / (mu * max|theta| * max|div v| + 1)); accuracy may suffer",
-            dt, bound,
+            stepper.dt, bound,
         )
 
 
@@ -371,12 +373,10 @@ def run(
     grid = s0.grid
     stepper = _SpectralStepper(grid, p, cfg.dt, cfg.dealias, cfg.product_band)
     n_steps = cfg.n_steps()
-    _dt_advisory(s0, p, cfg.dt)
-    if not np.all(np.isfinite(s0.theta.values)):
-        raise NonFinite(s0.t, "theta")
+    au, av, th, nu_u, nu_v = stepper.load(s0)
+    _dt_advisory(stepper, s0, av, p)
     _enforce_floor(s0.t, s0.theta.values, cfg.positivity_floor)
     certified = _floor_certificate(grid, cfg.positivity_floor)
-    au, av, th, nu_u, nu_v = stepper.load(s0)
     t0 = s0.t
 
     if sink is not None:
@@ -385,8 +385,8 @@ def run(
     for i in range(1, n_steps + 1):
         au, av, th = stepper.step(au, av, th)
         t = t0 + i * cfg.dt
-        # nu never enters a step: it is checked once, with the first
-        _check_finite(t, au, av, th, (nu_u, nu_v) if i == 1 else (None, None))
+        # nu never enters a step, so the finite load keeps it finite
+        _check_finite(t, au, av, th)
         build = i == n_steps or (sink is not None and i % cfg.record_every == 0)
         # a certified spectrum cannot raise, and no state reads its values,
         # so its inverse transform is skipped

@@ -21,7 +21,7 @@ the empirical decay gate of 1e-2 at the default amplitude.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -156,7 +156,7 @@ def _build_mixed(spec: ScenarioSpec, grid: TorusGrid):
 
 def _build_large(spec: ScenarioSpec, grid: TorusGrid):
     eps = spec.amplitude()
-    u, v, _ = _build_mixed(replace(spec, epsilon=eps), grid)
+    u, v, _ = _build_mixed(spec, grid)
     x1 = grid.meshes()[0]
     ripple = min(0.5 * eps, 0.5)
     theta = spec.theta_baseline * (1.0 + ripple * np.cos(x1))

@@ -19,6 +19,7 @@ from thermoelast import (
 )
 from thermoelast.cli import main
 from thermoelast.scenarios import ScenarioSpec
+from thermoelast.snapshots import write_state
 
 
 def _write(path, text):
@@ -206,6 +207,15 @@ class TestDiagnose:
         write_snapshot(ScalarField(grid, vals), snap)
         assert main(["diagnose", snap, "--mu", "1.0"]) == 2
         assert "verdict: FAIL" in capsys.readouterr().out
+
+    def test_non_finite_state_directory_is_refused(self, tmp_path, capsys):
+        # the stepper's entry check names the field and the state's own time
+        s = make_initial_data(ScenarioSpec("small-mixed", n=16, epsilon=0.2))
+        s.t = 0.5
+        s.theta.values[3, 4] = math.nan
+        write_state(s, str(tmp_path))
+        assert main(["diagnose", str(tmp_path), "--mu", "1.0"]) == 1
+        assert "non-finite theta at t=0.5\n" in capsys.readouterr().err
 
 
 @pytest.fixture

@@ -26,7 +26,7 @@ from thermoelast import (
     run,
     step,
 )
-from thermoelast import dynamics
+from thermoelast import dynamics, operators
 from thermoelast.dynamics import _floor_certificate
 from thermoelast.scenarios import ScenarioSpec
 
@@ -383,6 +383,14 @@ class TestFloorCertificate:
         self._assert_same_states(states, ref_states)
 
 
+def _poisoned_state(field: str, bad: float) -> SimState:
+    """small-mixed at t = 0.25 with one entry of u, v or theta set to bad."""
+    s = make_initial_data(ScenarioSpec("small-mixed", epsilon=0.2))
+    s.t = 0.25
+    {"u": s.u.components[1], "v": s.v.components[1], "theta": s.theta.values}[field][3, 5] = bad
+    return s
+
+
 class TestFailureModes:
     """Typed errors at the initial time or mid-run, with the time and the
     field or minimum they report."""
@@ -437,22 +445,34 @@ class TestFailureModes:
         assert (err.value.t, err.value.what) == (0.25 + 3 * 0.01, what)
 
     def test_nan_in_initial_displacement(self):
+        # a NaN in u is reported at the initial time, not after the first step
         s0 = make_initial_data(ScenarioSpec("small-mixed", epsilon=0.2))
         s0.u.components[1, 3, 5] = np.nan
         with pytest.raises(NonFinite) as err:
             run(s0, ModelParams(mu=1.0), StepperConfig(dt=0.01, t_end=0.1))
-        assert err.value.t == pytest.approx(0.01)
-        assert err.value.what == "u"
+        assert (err.value.t, err.value.what) == (s0.t, "u")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_initial_temperature(self, bad):
-        # reported at the initial time, before the positivity rule reads min(theta)
-        s0 = make_initial_data(ScenarioSpec("small-mixed", epsilon=0.2))
-        s0.t = 0.25
-        s0.theta.values[3, 5] = bad
-        with pytest.raises(NonFinite) as err:
-            run(s0, ModelParams(mu=1.0), StepperConfig(dt=0.01, t_end=0.1))
-        assert (err.value.t, err.value.what) == (0.25, "theta")
+    def test_non_finite_initial_temperature(self, bad, caplog):
+        # one non-finite entry in u, v or theta is reported at the initial
+        # time under its own name by every entry point, before the advisory
+        # and the positivity rule read the state; dt is far past the advisory
+        # bound of the finite state, so a late check would log a warning
+        p, cfg = ModelParams(mu=1.0), StepperConfig(dt=10.0, t_end=20.0)
+        entries = {
+            "run": lambda s: run(s, p, cfg),
+            "step": lambda s: step(s, p, cfg),
+            "_signed_step": lambda s: dynamics._signed_step(s, p, 1e-3),
+        }
+        for field in ("u", "v", "theta"):
+            for entry, call in entries.items():
+                s0 = _poisoned_state(field, bad)
+                caplog.clear()
+                with caplog.at_level(logging.WARNING, logger="thermoelast.dynamics"):
+                    with pytest.raises(NonFinite) as err:
+                        call(s0)
+                assert (err.value.t, err.value.what) == (0.25, field), entry
+                assert not caplog.records, (entry, field)
 
     @pytest.mark.parametrize("bad", ["nan-theta", "theta-below-floor"])
     def test_step_reports_bad_initial_state_like_run(self, bad):
@@ -471,20 +491,25 @@ class TestFailureModes:
                 step(s0, ModelParams(mu=1.0), cfg)
             assert (err.value.t, err.value.theta_min) == (0.25, 0.25)
 
-    def test_solenoidal_spectra_are_checked_as_u_and_v(self):
-        from thermoelast.dynamics import _check_finite
+    @pytest.mark.parametrize("field", ["u", "v", "theta"])
+    def test_load_checks_before_any_transform(self, monkeypatch, field):
+        # the entry check reads the physical arrays: a non-finite state is
+        # refused before a spectrum exists, so no inf * 0 in a mask multiply
+        calls = [0]
+        real = TorusGrid.to_spectral
 
-        ok = np.ones(4, dtype=complex)
-        bad = np.array([1.0, np.nan, 0.0, 1.0], dtype=complex)
-        _check_finite(0.5, ok, ok, ok)
-        _check_finite(0.5, ok, ok, ok, (ok, ok))
-        for nu, what in (((bad, ok), "u"), ((ok, bad), "v"), ((bad, bad), "u")):
-            with pytest.raises(NonFinite) as err:
-                _check_finite(0.5, ok, ok, ok, nu)
-            assert (err.value.t, err.value.what) == (0.5, what)
+        def counted(self, values):
+            calls[0] += 1
+            return real(self, values)
+
+        monkeypatch.setattr(TorusGrid, "to_spectral", counted)
+        s0 = _poisoned_state(field, np.inf)
+        stepper = dynamics._SpectralStepper(s0.grid, ModelParams(mu=1.0), 0.01)
         with pytest.raises(NonFinite) as err:
-            _check_finite(0.5, ok, bad, ok, (bad, ok))
-        assert err.value.what == "u"
+            stepper.load(s0)
+        assert (err.value.t, err.value.what, calls[0]) == (0.25, field, 0)
+        stepper.load(make_initial_data(ScenarioSpec("small-mixed", epsilon=0.2)))
+        assert calls[0] == 3  # u, v and theta; the counter sees a finite load
 
 
 class TestSolenoidalPart:
@@ -536,6 +561,21 @@ class TestAdvisory:
         with caplog.at_level(logging.WARNING, logger="thermoelast.dynamics"):
             run(s0, ModelParams(mu=1.0), StepperConfig(dt=0.01, t_end=0.05))
         assert not [rec for rec in caplog.records if "advisory" in rec.getMessage()]
+
+    @pytest.mark.parametrize("name, d, operator", [("random", 2, "laplacian"),
+                                                   ("lame-random", 3, "lame")])
+    def test_bound_is_the_documented_formula(self, caplog, name, d, operator):
+        # 0.5 / (mu max|theta| max|div v| + 1) computed here from the physical
+        # state, div v by operators.divergence; a zero-length run still advises
+        s0 = make_initial_data(ScenarioSpec(name, d=d))
+        p = ModelParams(mu=1.3, operator=operator)
+        div_v = operators.divergence(s0.v).values
+        bound = 0.5 / (p.mu * np.max(np.abs(s0.theta.values)) * np.max(np.abs(div_v)) + 1.0)
+        for factor, warns in ((1.01, True), (0.99, False)):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="thermoelast.dynamics"):
+                run(s0, p, StepperConfig(dt=factor * bound, t_end=0.0))
+            assert any("advisory" in rec.getMessage() for rec in caplog.records) is warns
 
 
 class TestRunMechanics:
