@@ -97,7 +97,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     if os.path.isdir(args.snapshot):
         s = read_state(args.snapshot)
         p.validate_for_dimension(s.grid.d)
-        print(f"state at t={s.t:g} on n={s.grid.n_per_axis}")
+        header = f"state at t={s.t:g} on n={s.grid.n_per_axis}"
         rec = diag.TrajectoryRecorder(p, compute_identity=True, dt_micro=args.dt_micro)
         rec(s)
         rows = [(name, getattr(rec.records[0], name)) for name in (
@@ -107,7 +107,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
         f = read_snapshot(args.snapshot)
         t = read_header(args.snapshot).t
         if isinstance(f, ScalarField):
-            print(f"temperature field at t={t:g} on n={f.grid.n_per_axis}")
+            header = f"temperature field at t={t:g} on n={f.grid.n_per_axis}"
             s = SimState(t, VectorField.zeros(f.grid), VectorField.zeros(f.grid), f)
             rows = [
                 ("entropy", diag.entropy(s)),
@@ -117,7 +117,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
                 ("mean", float(np.mean(f.values))),
             ]
         else:
-            print(f"vector field at t={t:g} on n={f.grid.n_per_axis}")
+            header = f"vector field at t={t:g} on n={f.grid.n_per_axis}"
             parts = helmholtz_project(f)
             norms = field_norms(f)
             rows = [
@@ -126,6 +126,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
                 ("div_free_l2", field_norms(parts.div_free)["l2"]),
                 ("curl_free_l2", field_norms(parts.curl_free)["l2"]),
             ]
+    print(header)
     width = max(len(name) for name, _ in rows)
     for name, value in rows:
         print(f"  {name:<{width}} = {value:.12e}")

@@ -14,7 +14,7 @@ genuinely independent discretisation of the same dynamics, which makes it a
 meaningful oracle for the pseudo-spectral stepper at matched resolutions.
 For the same reason `galerkin_rhs` writes out its own elastic symbol instead
 of calling `operators.elastic_symbol`, which the stepper it is compared
-against uses.
+against uses.  `scipy.integrate` loads on the first `integrate_galerkin` call.
 
 `crosscheck` is the whole comparison: build, integrate, capture the stepper
 at the wanted times, measure.  It matches the stepper's products to the
@@ -35,7 +35,6 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .dynamics import ModelParams, PositivityLoss, SimState, StepperConfig, run
 from .grid import ScalarField, TorusGrid, TWO_PI, VectorField, field_norms, quadrature
@@ -307,6 +306,9 @@ def integrate_galerkin(
 
     theta_floor.terminal = True
     theta_floor.direction = -1.0
+
+    # Imported here: scipy.integrate pulls in ~24 MB of SciPy that no other path needs.
+    from scipy.integrate import solve_ivp
 
     y0 = _pack(sys.u_hat, sys.v_hat, sys.th_hat)
     sol = solve_ivp(

@@ -215,7 +215,9 @@ class TestDiagnose:
         s.theta.values[3, 4] = math.nan
         write_state(s, str(tmp_path))
         assert main(["diagnose", str(tmp_path), "--mu", "1.0"]) == 1
-        assert "non-finite theta at t=0.5\n" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert "non-finite theta at t=0.5\n" in err
+        assert out == ""
 
 
 @pytest.fixture
