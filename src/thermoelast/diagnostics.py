@@ -84,10 +84,24 @@ def dealias_field(f: ScalarField) -> ScalarField:
     return ScalarField.from_spectral(f.grid, f.spectral() * f.grid.dealias_mask)
 
 
-def _check_positive(theta: ScalarField, what: str) -> None:
+def _check_positive(theta: ScalarField, what: str) -> float:
+    """min(theta); raises ValueError naming `what` unless it is positive."""
     tmin = float(np.min(theta.values))
     if tmin <= 0.0:
         raise ValueError(f"{what} requires positive temperature, min is {tmin:.6g}")
+    return tmin
+
+
+def _log_theta(theta: ScalarField, what: str) -> tuple[np.ndarray, float]:
+    """(log theta, min theta): the one positivity check and logarithm behind
+    the entropy, its production and the log-hessian integral."""
+    tmin = _check_positive(theta, what)
+    return np.log(theta.values), tmin
+
+
+def _entropy_production(grid: TorusGrid, log_spec: np.ndarray) -> float:
+    """int |grad log theta|^2 from the coefficients of log theta, dealiased."""
+    return spectral_l2_sq(grid, log_spec * grid.dealias_mask, grid.k_sq)
 
 
 def _wave_energy(grid: TorusGrid, p: ModelParams, uh: np.ndarray, vh: np.ndarray) -> float:
@@ -106,16 +120,13 @@ def total_energy(s: SimState, p: ModelParams) -> float:
 
 def entropy(s: SimState) -> float:
     """int log(theta); nondecreasing along the flow."""
-    _check_positive(s.theta, "entropy")
-    return quadrature(s.grid, np.log(s.theta.values))
+    return quadrature(s.grid, _log_theta(s.theta, "entropy")[0])
 
 
 def entropy_production(s: SimState) -> float:
     """int |grad log theta|^2, the instantaneous entropy production rate."""
-    _check_positive(s.theta, "entropy production")
-    grid = s.grid
-    log_spec = grid.to_spectral(np.log(s.theta.values)) * grid.dealias_mask
-    return spectral_l2_sq(grid, log_spec, grid.k_sq)
+    log_theta = _log_theta(s.theta, "entropy production")[0]
+    return _entropy_production(s.grid, s.grid.to_spectral(log_theta))
 
 
 def dissipation_residual(records: list[DiagnosticsRecord]) -> float:
@@ -157,8 +168,7 @@ def fisher_functional(s: SimState, p: ModelParams) -> float:
 
 def weighted_log_hessian_integral(w: ScalarField) -> float:
     """int w |hess log w|^2 with the log dealiased before differentiation."""
-    _check_positive(w, "weighted log-hessian integral")
-    log_w = dealias_field(ScalarField(w.grid, np.log(w.values)))
+    log_w = dealias_field(ScalarField(w.grid, _log_theta(w, "weighted log-hessian integral")[0]))
     h = operators.hessian(log_w)
     return quadrature(w.grid, np.sum(h * h, axis=(0, 1)) * w.values)
 
@@ -250,10 +260,12 @@ class TrajectoryRecorder:
     """Accumulates DiagnosticsRecords from the states a run emits.
 
     The first state received becomes the reference for the dissipation
-    baseline and the predicted temperature limit.  Each record transforms u
-    and v once and hands the coefficients to the same kernels the public
-    functions use, so its columns equal theirs bit for bit.  The production integral is
-    accumulated by the trapezoid rule on the record cadence.  Computing the
+    baseline and the predicted temperature limit.  Each record takes log
+    theta once, forward-transforms u, v and log theta in one stacked call
+    (byte-identical to one call per field, at a third of the dispatch cost)
+    and hands the coefficients to the same kernels the public functions
+    use, so its columns equal theirs bit for bit.  The production integral
+    is accumulated by the trapezoid rule on the record cadence.  Computing the
     Fisher identity residual needs two extra micro-steps per record, so it is
     off by default and the column is NaN when disabled.
 
@@ -288,13 +300,15 @@ class TrajectoryRecorder:
         self._prod_integral = 0.0
 
     def __call__(self, s: SimState) -> None:
-        p = self.p
-        uh, vh = s.u.spectral(), s.v.spectral()
+        p, grid, d = self.p, s.grid, s.grid.d
+        log_theta, theta_min = _log_theta(s.theta, "entropy")
+        spec = grid.to_spectral(np.concatenate((s.u.components, s.v.components, log_theta[None])))
+        uh, vh = spec[:d], spec[d:2 * d]
         if not self.records:
             self._theta_inf = _theta_infinity(s, p, uh, vh)
         e = _total_energy(s, p, uh, vh)
-        ent = entropy(s)
-        prod = entropy_production(s)
+        ent = quadrature(grid, log_theta)
+        prod = _entropy_production(grid, spec[2 * d])
         if not math.isnan(self._prev_t):
             self._prod_integral += 0.5 * (prod + self._prev_prod) * (s.t - self._prev_t)
         self._prev_t = s.t
@@ -320,7 +334,7 @@ class TrajectoryRecorder:
                 dissipation_residual=diss,
                 fisher_functional=fisher,
                 fisher_identity_residual=identity,
-                theta_min=float(np.min(s.theta.values)),
+                theta_min=theta_min,
                 theta_max=float(np.max(s.theta.values)),
                 **split,
             )

@@ -20,15 +20,17 @@ value whenever a state is built.
 States are held in physical space at the API boundary, entering the
 stepper through `_SpectralStepper.load` and leaving through `.state`; `run`
 keeps them spectral in between and builds physical fields on the record
-cadence.  `step` is one step of `run`.  Products in the coupling are formed pointwise in physical space and dealiased
+cadence, in two inverse transforms: u stacked with theta, then v.  `step` is
+one step of `run`.  Products in the coupling are formed pointwise in physical space and dealiased
 by the 2/3 rule (unless disabled).  The evolved state is confined to the
 Nyquist-free subspace in either mode: the Nyquist modes have no conjugate
 partners, and odd derivatives there cannot keep a real field real.
 Temperature positivity is enforced by error: a step that drags min(theta) to
-the configured floor raises PositivityLoss.  A step that builds no state
-checks positivity from the temperature spectrum by its l1 bound, and makes
-the inverse transform to take min(theta) only when that bound cannot clear
-the floor.  A state is checked finite once, where it enters: `load` raises
+the configured floor raises PositivityLoss.  A step that builds a state
+takes min(theta) from the built values.  A step that builds no state checks
+positivity from the temperature spectrum by its l1 bound, and makes the
+inverse transform to take min(theta) only when that bound cannot clear the
+floor.  A state is checked finite once, where it enters: `load` raises
 NonFinite(t0, field) for a non-finite u, v or theta before any transform.
 """
 
@@ -227,21 +229,31 @@ class _SpectralStepper:
         (au, chi_u), (av, chi_v) = (longitudinal_part(self.grid, wh) for wh in (uh, vh))
         return au, av, s.theta.spectral() * mask, uh - chi_u, vh - chi_v
 
-    def state(self, t: float, au: np.ndarray, av: np.ndarray, theta: np.ndarray,
+    def state(self, t: float, au: np.ndarray, av: np.ndarray, th: np.ndarray,
               nu_u: np.ndarray, nu_v: np.ndarray, n_steps: int) -> SimState:
-        """The state at time t from the amplitudes, physical theta values and
-        nu rotated n_steps * dt at the transverse speed; one spectrum is
-        alive at a time."""
+        """The state at time t from the amplitudes, the temperature spectrum
+        and nu rotated n_steps * dt at the transverse speed, in two inverse
+        transforms: u with theta in one (d+1)-field call, then v.
+
+        A stacked transform is byte-identical to one call per field, and
+        each call costs more in dispatch than in arithmetic on small grids.
+        v gets its own call so that at most d+1 fields' spectra are alive
+        at once: one (2d+1)-field call would raise the peak memory of a
+        large 3D run by a further d fields."""
         grid = self.grid
         c, s, m = self._rotation(self.a_t, n_steps * self.dt)
-        uv = []
-        for f, g, a in ((c, s, au), (m, c, av)):
-            wh = f * nu_u
-            wh += g * nu_v
-            wh += grid.unit_wavevectors * a
-            uv.append(VectorField(grid, grid.to_physical(wh)))
-            del wh
-        return SimState(t, *uv, ScalarField(grid, theta))
+        d = grid.d
+        uth = np.empty((d + 1,) + th.shape, dtype=th.dtype)
+        np.multiply(c, nu_u, out=uth[:d])
+        uth[:d] += s * nu_v
+        uth[:d] += grid.unit_wavevectors * au
+        uth[d] = th
+        uth = grid.to_physical(uth)
+        vh = m * nu_u
+        vh += c * nu_v
+        vh += grid.unit_wavevectors * av
+        v = grid.to_physical(vh)
+        return SimState(t, VectorField(grid, uth[:d]), VectorField(grid, v), ScalarField(grid, uth[d]))
 
     def _coupling_rhs(self, av: np.ndarray, th: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         grid = self.grid
@@ -305,7 +317,7 @@ def _signed_step(s: SimState, p: ModelParams, dt: float) -> SimState:
     au, av, th = stepper.step(au, av, th)
     t = s.t + dt
     _check_finite(t, au, av, th)
-    return stepper.state(t, au, av, s.grid.to_physical(th), nu_u, nu_v, 1)
+    return stepper.state(t, au, av, th, nu_u, nu_v, 1)
 
 
 def _enforce_floor(t: float, theta: np.ndarray, floor: float) -> None:
@@ -387,16 +399,15 @@ def run(
         t = t0 + i * cfg.dt
         # nu never enters a step, so the finite load keeps it finite
         _check_finite(t, au, av, th)
-        build = i == n_steps or (sink is not None and i % cfg.record_every == 0)
-        # a certified spectrum cannot raise, and no state reads its values,
-        # so its inverse transform is skipped
-        if build or not certified(th):
-            theta_phys = grid.to_physical(th)
-            _enforce_floor(t, theta_phys, cfg.positivity_floor)
-        if build:
+        if i == n_steps or (sink is not None and i % cfg.record_every == 0):
             # nu is rotated from its initial value, so a state does not
             # depend on which earlier states were built
-            state = stepper.state(t, au, av, theta_phys, nu_u, nu_v, i)
+            state = stepper.state(t, au, av, th, nu_u, nu_v, i)
+            _enforce_floor(t, state.theta.values, cfg.positivity_floor)
             if sink is not None:
                 sink(state.copy() if i == n_steps else state)
+        elif not certified(th):
+            # a certified spectrum cannot raise, and no state reads its
+            # values, so only an uncertified one is transformed
+            _enforce_floor(t, grid.to_physical(th), cfg.positivity_floor)
     return state

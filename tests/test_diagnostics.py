@@ -298,6 +298,10 @@ class TestDecompositionReport:
         row = rec.records[1]
         assert row.t == s.t > first.t
         assert row.energy == total_energy(s, p)
+        assert row.entropy == entropy(s)
+        assert row.entropy_production == entropy_production(s)
+        assert row.theta_min == float(np.min(s.theta.values))
+        assert row.theta_max == float(np.max(s.theta.values))
         assert row.fisher_functional == fisher_functional(s, p)
         report = decomposition_report(s, first, p)
         for key in ("chi_h1", "chi_t_l2", "nu_energy", "theta_l2_dist"):
@@ -394,8 +398,10 @@ class TestTrajectoryRecorder:
         for light, full in zip(rec.records, recorded.records):
             assert light.energy == full.energy
             assert light.entropy == full.entropy
+            assert light.entropy_production == full.entropy_production
             assert light.production_integral == full.production_integral
             assert light.theta_min == full.theta_min
+            assert light.theta_max == full.theta_max
             assert math.isnan(light.fisher_functional)
             assert math.isnan(light.chi_h1)
             assert math.isnan(light.nu_energy)

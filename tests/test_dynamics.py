@@ -674,6 +674,51 @@ class TestRunMechanics:
         assert d1 / d2 > 3.5
 
 
+class TestTransformBudget:
+    """A built state costs two inverse transforms and a ledger record one
+    forward transform, with the bits of one call per field."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("operator", ["laplacian", "lame"])
+    def test_stacked_build_matches_per_field_transforms(self, d, operator):
+        s0 = make_initial_data(ScenarioSpec("random", d=d, n=16, seed=7))
+        grid, n_steps = s0.grid, 5
+        stepper = dynamics._SpectralStepper(grid, ModelParams(mu=1.0, operator=operator), 1e-3)
+        au, av, th, nu_u, nu_v = stepper.load(s0)
+        got = stepper.state(0.005, au, av, th, nu_u, nu_v, n_steps)
+        c, s, m = stepper._rotation(stepper.a_t, n_steps * stepper.dt)
+        k = grid.unit_wavevectors
+        want = (grid.to_physical(c * nu_u + s * nu_v + k * au),
+                grid.to_physical(m * nu_u + c * nu_v + k * av),
+                grid.to_physical(th))
+        fields = (got.u.components, got.v.components, got.theta.values)
+        for a, b in zip(fields, want):
+            assert a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(fields) for b in fields[i + 1:])
+
+    def test_ledger_run_call_counts(self, monkeypatch):
+        calls = {"to_physical": 0, "to_spectral": 0}
+        for name in calls:
+            def counted(self, arr, name=name, real=getattr(TorusGrid, name)):
+                calls[name] += 1
+                return real(self, arr)
+
+            monkeypatch.setattr(TorusGrid, name, counted)
+        s0 = make_initial_data(ScenarioSpec("small-mixed"))
+        p = ModelParams(mu=1.0)
+        n = 10
+        rec = TrajectoryRecorder(p, battery="ledger")
+        run(s0, p, StepperConfig(dt=1e-3, t_end=n * 1e-3, record_every=1), sink=rec)
+        assert len(rec.records) == n + 1
+        # fixed: load transforms u, v and theta forward, the dt advisory
+        # takes div v back, and the initial state's record is one forward
+        # call; per step: two coupling evaluations of one inverse and one
+        # forward call each, two inverse calls to build the state and one
+        # forward call to record it
+        assert calls == {"to_physical": 1 + n * (2 + 2), "to_spectral": 3 + 1 + n * (2 + 1)}
+
+
 class TestProductBand:
     def test_grid_too_small_for_band(self):
         s0 = make_initial_data(ScenarioSpec("band-limited", n=8, epsilon=0.05))
