@@ -17,8 +17,10 @@ The quantities tracked here are the ones the dynamics is supposed to respect:
 
 The elastic terms are the operator's quadratic form `operators.elastic_form`:
 unweighted in the energies, weighted by |k|^2 in the Fisher functional.
-Every quadratic quantity of u and v is read by Parseval from one forward
-transform of each field, the curl-free parts from `operators.longitudinal_part`.
+Every quadratic quantity of u and v is read by Parseval from their
+coefficients, the curl-free parts from `operators.longitudinal_part`; a
+record takes u, v, log theta and theta forward in one stacked transform and
+inverts only grad theta.
 Pointwise nonlinearities (log, sqrt, quotients) are evaluated in physical
 space; where their result is differentiated spectrally it is dealiased by the
 2/3 rule first.
@@ -148,22 +150,24 @@ def dissipation_residual(records: list[DiagnosticsRecord]) -> float:
     return worst
 
 
-def _fisher_ratio(theta: ScalarField) -> np.ndarray:
-    """|grad theta|^2 / theta on the grid."""
-    _check_positive(theta, "Fisher functional")
-    return np.sum(operators.gradient(theta).components ** 2, axis=0) / theta.values
+def _fisher_ratio(theta: ScalarField, th: np.ndarray) -> np.ndarray:
+    """|grad theta|^2 / theta on the grid from theta and its coefficients
+    th; the caller has checked that theta is positive."""
+    grad = theta.grid.to_physical(operators._grad_spec(theta.grid, th))
+    return np.sum(grad**2, axis=0) / theta.values
 
 
-def _fisher_functional(s: SimState, p: ModelParams, uh: np.ndarray, vh: np.ndarray) -> float:
+def _fisher_functional(s: SimState, p: ModelParams, uh: np.ndarray, vh: np.ndarray, th: np.ndarray) -> float:
     k_sq = s.grid.k_sq
     grad_v_sq = spectral_l2_sq(s.grid, vh, k_sq)
     elastic = operators.elastic_form(s.grid, uh, p.wave_speeds_sq, k_sq)
-    return 0.5 * (grad_v_sq + elastic + quadrature(s.grid, _fisher_ratio(s.theta)))
+    return 0.5 * (grad_v_sq + elastic + quadrature(s.grid, _fisher_ratio(s.theta, th)))
 
 
 def fisher_functional(s: SimState, p: ModelParams) -> float:
     """F = 1/2 (int |grad v|^2 + second-order elastic term + int |grad theta|^2/theta)."""
-    return _fisher_functional(s, p, s.u.spectral(), s.v.spectral())
+    _check_positive(s.theta, "Fisher functional")
+    return _fisher_functional(s, p, s.u.spectral(), s.v.spectral(), s.theta.spectral())
 
 
 def weighted_log_hessian_integral(w: ScalarField) -> float:
@@ -198,9 +202,10 @@ def fisher_identity_residual(s: SimState, p: ModelParams, dt_micro: float = 1e-5
     if dt_micro <= 0.0:
         raise ValueError(f"dt_micro must be > 0, got {dt_micro}")
     grid = s.grid
-    hess_term = weighted_log_hessian_integral(s.theta)
+    hess_term = weighted_log_hessian_integral(s.theta)  # checks theta > 0
     div_v = operators.divergence(s.v)
-    rhs = -hess_term - 0.5 * p.mu * quadrature(grid, _fisher_ratio(s.theta) * div_v.values)
+    ratio = _fisher_ratio(s.theta, s.theta.spectral())
+    rhs = -hess_term - 0.5 * p.mu * quadrature(grid, ratio * div_v.values)
     fwd = fisher_functional(_signed_step(s, p, dt_micro), p)
     bwd = fisher_functional(_signed_step(s, p, -dt_micro), p)
     lhs = (fwd - bwd) / (2.0 * dt_micro)
@@ -251,20 +256,23 @@ def galerkin_initial_smallness(s: SimState, p: ModelParams) -> float:
     """
     grid = s.grid
     p.validate_for_dimension(grid.d)
+    _check_positive(s.theta, "Fisher functional")
     grad_v_sq = spectral_l2_sq(grid, s.v.spectral(), grid.k_sq)
     lap_u_sq = spectral_l2_sq(grid, s.u.spectral(), grid.k_sq**2)
-    return grad_v_sq + lap_u_sq + quadrature(grid, _fisher_ratio(s.theta))
+    return grad_v_sq + lap_u_sq + quadrature(grid, _fisher_ratio(s.theta, s.theta.spectral()))
 
 
 class TrajectoryRecorder:
     """Accumulates DiagnosticsRecords from the states a run emits.
 
     The first state received becomes the reference for the dissipation
-    baseline and the predicted temperature limit.  Each record takes log
-    theta once, forward-transforms u, v and log theta in one stacked call
-    (byte-identical to one call per field, at a third of the dispatch cost)
-    and hands the coefficients to the same kernels the public functions
-    use, so its columns equal theirs bit for bit.  The production integral
+    baseline and the predicted temperature limit.  Each record checks
+    theta > 0 and takes log theta once, forward-transforms u, v, log theta
+    and (full battery) theta in one stacked call (byte-identical to one call
+    per field, at a fraction of the dispatch cost) and hands the
+    coefficients to the same kernels the public functions use, so its
+    columns equal theirs bit for bit.  A full record's one other transform
+    takes grad theta back for the Fisher term.  The production integral
     is accumulated by the trapezoid rule on the record cadence.  Computing the
     Fisher identity residual needs two extra micro-steps per record, so it is
     off by default and the column is NaN when disabled.
@@ -302,7 +310,10 @@ class TrajectoryRecorder:
     def __call__(self, s: SimState) -> None:
         p, grid, d = self.p, s.grid, s.grid.d
         log_theta, theta_min = _log_theta(s.theta, "entropy")
-        spec = grid.to_spectral(np.concatenate((s.u.components, s.v.components, log_theta[None])))
+        fields = (s.u.components, s.v.components, log_theta[None])
+        if self.battery == "full":
+            fields += (s.theta.values[None],)
+        spec = grid.to_spectral(np.concatenate(fields))
         uh, vh = spec[:d], spec[d:2 * d]
         if not self.records:
             self._theta_inf = _theta_infinity(s, p, uh, vh)
@@ -318,7 +329,7 @@ class TrajectoryRecorder:
             self._diss_base = lhs
         diss = abs(lhs - self._diss_base) / abs(self._diss_base) if self._diss_base else math.nan
         if self.battery == "full":
-            fisher = _fisher_functional(s, p, uh, vh)
+            fisher = _fisher_functional(s, p, uh, vh, spec[2 * d + 1])
             identity = fisher_identity_residual(s, p, self.dt_micro) if self.compute_identity else math.nan
             split = _split_columns(s, p, uh, vh, self._theta_inf)
         else:

@@ -10,7 +10,8 @@ therefore real by construction.  Derivatives of band-limited fields are exact:
 transform, multiply by the wavevector lattice, transform back.
 
 A TorusGrid builds each spectral array (wavevectors, |k|^2, k/|k|, masks)
-on first use and keeps it.  Every mask is a cube in mode-index space with a
+and the scalars every Parseval sum reads (point count, cell volume) on first
+use and keeps them.  Every mask is a cube in mode-index space with a
 per-axis bound: m // 3 (2/3 rule), m/2 - 1 (Nyquist-free) or a fixed band.
 
 The default box edge is 2*pi, which makes the wavevector lattice the integer
@@ -96,23 +97,17 @@ class TorusGrid:
         """Shape of a spectral array: the last axis keeps modes 0..m/2."""
         return self.n_per_axis[:-1] + (self.n_per_axis[-1] // 2 + 1,)
 
-    @property
+    @cached_property
     def n_total(self) -> int:
-        return int(np.prod(self.n_per_axis))
+        return math.prod(self.n_per_axis)
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
-        vol = 1.0
-        for m, ell in zip(self.n_per_axis, self.length_per_axis):
-            vol *= ell / m
-        return vol
+        return math.prod(ell / m for m, ell in zip(self.n_per_axis, self.length_per_axis))
 
     @property
     def measure(self) -> float:
-        vol = 1.0
-        for ell in self.length_per_axis:
-            vol *= ell
-        return vol
+        return math.prod(self.length_per_axis)
 
     def axes(self) -> tuple[np.ndarray, ...]:
         """1D coordinate arrays along each axis."""
@@ -297,11 +292,16 @@ def quadrature(grid: TorusGrid, values: np.ndarray) -> float:
 
 def spectral_l2_sq(grid: TorusGrid, spec: np.ndarray, weight: np.ndarray | None = None) -> float:
     """Squared L2 norm from half-spectrum coefficients (Parseval), optionally
-    weighted per mode; leading component axes are summed."""
-    w = (spec.real**2 + spec.imag**2) * grid.hermitian_weight
+    weighted per mode; leading component axes are summed.
+
+    The power |c|^2 * hermitian_weight * weight is built in one array, in
+    that order of operations, and reduced once."""
+    power = np.square(spec.real)
+    power += np.square(spec.imag)
+    power *= grid.hermitian_weight
     if weight is not None:
-        w = w * weight
-    return float(np.sum(w)) * grid.cell_volume / grid.n_total
+        power *= weight
+    return float(power.sum()) * grid.cell_volume / grid.n_total
 
 
 def field_norms(f: ScalarField | VectorField) -> dict[str, float]:

@@ -230,6 +230,14 @@ class TestFisher:
         s2 = make_initial_data(ScenarioSpec("small-mixed", n=16, epsilon=5e-3))
         assert 0.0 < galerkin_initial_smallness(s2, p) < 1e-2
 
+    @pytest.mark.parametrize("fn", [fisher_functional, galerkin_initial_smallness, fisher_identity_residual])
+    def test_requires_positive_theta(self, grid2d_small, fn):
+        theta = np.ones(grid2d_small.shape)
+        theta[1, 2] = -0.5
+        s = _state(grid2d_small, theta=ScalarField(grid2d_small, theta))
+        with pytest.raises(ValueError, match="requires positive temperature, min is -0.5"):
+            fn(s, ModelParams(mu=1.0))
+
 
 class TestThetaInfinity:
     def test_gradient_data_prediction(self, grid2d_small):

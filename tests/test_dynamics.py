@@ -675,8 +675,9 @@ class TestRunMechanics:
 
 
 class TestTransformBudget:
-    """A built state costs two inverse transforms and a ledger record one
-    forward transform, with the bits of one call per field."""
+    """A built state costs two inverse transforms, a ledger record one
+    forward transform and a full record one forward and one inverse
+    transform, with the bits of one call per field."""
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("operator", ["laplacian", "lame"])
@@ -717,6 +718,32 @@ class TestTransformBudget:
         # forward call each, two inverse calls to build the state and one
         # forward call to record it
         assert calls == {"to_physical": 1 + n * (2 + 2), "to_spectral": 3 + 1 + n * (2 + 1)}
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_full_record_call_counts(self, monkeypatch, d):
+        # a full record forward-transforms (u, v, log theta, theta) in one
+        # call and takes only grad theta back
+        calls, recording = [], [False]
+        for name in ("to_physical", "to_spectral"):
+            def counted(self, arr, name=name, real=getattr(TorusGrid, name)):
+                if recording[0]:
+                    calls.append((name, arr.shape[:arr.ndim - self.d]))
+                return real(self, arr)
+
+            monkeypatch.setattr(TorusGrid, name, counted)
+        s0 = make_initial_data(ScenarioSpec("small-mixed", d=d, n=8))
+        p = ModelParams(mu=1.0)
+        n = 4
+        rec = TrajectoryRecorder(p)
+
+        def sink(s):
+            recording[0] = True
+            rec(s)
+            recording[0] = False
+
+        run(s0, p, StepperConfig(dt=1e-3, t_end=n * 1e-3, record_every=1), sink=sink)
+        assert len(rec.records) == n + 1
+        assert calls == [("to_spectral", (2 * d + 2,)), ("to_physical", (d,))] * (n + 1)
 
 
 class TestProductBand:

@@ -47,6 +47,12 @@ class TestConstruction:
         assert TorusGrid((8, 8)) == TorusGrid((8, 8))
         assert TorusGrid((8, 8)) != TorusGrid((8, 10))
         assert TorusGrid((8, 8)) != TorusGrid((8, 8), (1.0, 1.0))
+        g, fresh = TorusGrid((4, 6, 8)), TorusGrid((4, 6, 8))
+        before = hash(g)
+        assert type(g.n_total) is int and g.n_total == 4 * 6 * 8
+        assert g.cell_volume == fresh.cell_volume
+        # reading the cached scalars changes neither equality nor hash
+        assert g == fresh and hash(g) == before == hash(fresh)
 
 
 class TestGeometry:
@@ -158,6 +164,22 @@ class TestQuadratureAndNorms:
         direct = quadrature(grid2d, f.values**2)
         spectral = spectral_l2_sq(grid2d, f.spectral())
         assert spectral == pytest.approx(direct, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [(16, 12), (8, 6, 10)])
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("weight", [None, "k_sq", "k_sq**2"])
+    def test_parseval_kernel_bits(self, n, stacked, weight, rng):
+        # the in-place kernel must keep the elementwise values and the
+        # reduction of the plain expression bit for bit
+        grid = TorusGrid(n)
+        lead = (grid.d,) if stacked else ()
+        spec = grid.to_spectral(rng.standard_normal(lead + grid.shape))
+        w = {None: None, "k_sq": grid.k_sq, "k_sq**2": grid.k_sq**2}[weight]
+        power = (spec.real**2 + spec.imag**2) * grid.hermitian_weight
+        if w is not None:
+            power = power * w
+        want = float(np.sum(power)) * grid.cell_volume / grid.n_total
+        assert spectral_l2_sq(grid, spec, w) == want
 
     def test_norms_of_sine(self, grid2d):
         f = ScalarField.from_function(grid2d, lambda x, y: np.sin(x))
