@@ -38,9 +38,9 @@ the elastic operator, everything else the Laplacian.
 
 Value constraints live with the objects the keys build (`ScenarioSpec`,
 `ModelParams`, `StepperConfig`); their errors are reported on the line of
-the first key the message names that the text sets.  Only what those objects
-cannot see is checked here: `operator = auto`, `seed`, `out_dir`, and
-`zeta > 0` under either operator.
+the first key the message names that the text sets; `seed >= 0` and
+`zeta > 0` (under either operator) among them.  Only what those objects
+cannot see is checked here: `operator = auto` and `out_dir`.
 """
 
 from __future__ import annotations
@@ -159,10 +159,8 @@ def build_config(values: dict[str, object], lines: dict[str, int] | None = None)
     """
     lines = lines or {}
     cfg = {**_DEFAULTS, **values}
-    _require(cfg["seed"] >= 0, f"seed must be >= 0, got {cfg['seed']}", "seed", lines)
     _require(cfg["operator"] in ("auto",) + OPERATOR_KINDS,
              f"operator must be auto, laplacian, or lame, got {cfg['operator']!r}", "operator", lines)
-    _require(cfg["zeta"] > 0, f"zeta must be > 0, got {cfg['zeta']}", "zeta", lines)
     _require(bool(cfg["out_dir"]), "out_dir must be non-empty", "out_dir", lines)
     if cfg["operator"] == "auto":
         cfg["operator"] = scenario_default_operator(cfg["scenario"])

@@ -16,7 +16,9 @@ The quantities tracked here are the ones the dynamics is supposed to respect:
   curl-free displacement H1 norm, distance of theta to its predicted limit).
 
 The elastic terms are the operator's quadratic form `operators.elastic_form`:
-unweighted in the energies, weighted by |k|^2 in the Fisher functional.
+unweighted in the energies, weighted by |k|^2 in F, which is the |k|^2-weighted
+wave energy plus half the Fisher information; the smallness gate is 2F at the
+Laplacian speeds.
 Every quadratic quantity of u and v is read by Parseval from their
 coefficients, the curl-free parts from `operators.longitudinal_part`; a
 record takes u, v, log theta and theta forward in one stacked transform and
@@ -106,9 +108,12 @@ def _entropy_production(grid: TorusGrid, log_spec: np.ndarray) -> float:
     return spectral_l2_sq(grid, log_spec * grid.dealias_mask, grid.k_sq)
 
 
-def _wave_energy(grid: TorusGrid, p: ModelParams, uh: np.ndarray, vh: np.ndarray) -> float:
-    """1/2 ||v||^2 + 1/2 int u . A u from the coefficients of u and v."""
-    return 0.5 * spectral_l2_sq(grid, vh) + 0.5 * operators.elastic_form(grid, uh, p.wave_speeds_sq)
+def _wave_energy(
+    grid: TorusGrid, p: ModelParams, uh: np.ndarray, vh: np.ndarray, weight: np.ndarray | None = None
+) -> float:
+    """1/2 ||v||^2 + 1/2 int u . A u from the coefficients of u and v, each
+    mode times weight if given (|k|^2 in the Fisher functional)."""
+    return 0.5 * spectral_l2_sq(grid, vh, weight) + 0.5 * operators.elastic_form(grid, uh, p.wave_speeds_sq, weight)
 
 
 def _total_energy(s: SimState, p: ModelParams, uh: np.ndarray, vh: np.ndarray) -> float:
@@ -158,10 +163,8 @@ def _fisher_ratio(theta: ScalarField, th: np.ndarray) -> np.ndarray:
 
 
 def _fisher_functional(s: SimState, p: ModelParams, uh: np.ndarray, vh: np.ndarray, th: np.ndarray) -> float:
-    k_sq = s.grid.k_sq
-    grad_v_sq = spectral_l2_sq(s.grid, vh, k_sq)
-    elastic = operators.elastic_form(s.grid, uh, p.wave_speeds_sq, k_sq)
-    return 0.5 * (grad_v_sq + elastic + quadrature(s.grid, _fisher_ratio(s.theta, th)))
+    """The |k|^2-weighted wave energy plus half the Fisher information."""
+    return _wave_energy(s.grid, p, uh, vh, s.grid.k_sq) + 0.5 * quadrature(s.grid, _fisher_ratio(s.theta, th))
 
 
 def fisher_functional(s: SimState, p: ModelParams) -> float:
@@ -170,19 +173,22 @@ def fisher_functional(s: SimState, p: ModelParams) -> float:
     return _fisher_functional(s, p, s.u.spectral(), s.v.spectral(), s.theta.spectral())
 
 
+def _hessian_sq(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
+    """|hess f|^2 on the grid, f the values dealiased before differentiation."""
+    h = operators.hessian(dealias_field(ScalarField(grid, values)))
+    return np.sum(h * h, axis=(0, 1))
+
+
 def weighted_log_hessian_integral(w: ScalarField) -> float:
     """int w |hess log w|^2 with the log dealiased before differentiation."""
-    log_w = dealias_field(ScalarField(w.grid, _log_theta(w, "weighted log-hessian integral")[0]))
-    h = operators.hessian(log_w)
-    return quadrature(w.grid, np.sum(h * h, axis=(0, 1)) * w.values)
+    log_w = _log_theta(w, "weighted log-hessian integral")[0]
+    return quadrature(w.grid, _hessian_sq(w.grid, log_w) * w.values)
 
 
 def sqrt_hessian_integral(w: ScalarField) -> float:
     """int |hess sqrt(w)|^2 with the root dealiased before differentiation."""
     _check_positive(w, "sqrt-hessian integral")
-    root = dealias_field(ScalarField(w.grid, np.sqrt(w.values)))
-    h = operators.hessian(root)
-    return quadrature(w.grid, np.sum(h * h, axis=(0, 1)))
+    return quadrature(w.grid, _hessian_sq(w.grid, np.sqrt(w.values)))
 
 
 def hessian_inequality_constant(d: int) -> float:
@@ -252,14 +258,11 @@ def decomposition_report(s: SimState, s0: SimState, p: ModelParams) -> dict[str,
 def galerkin_initial_smallness(s: SimState, p: ModelParams) -> float:
     """The smallness functional gating the decay theory:
 
-    ||grad v||^2 + ||laplacian u||^2 + int |grad theta|^2 / theta.
+    ||grad v||^2 + ||laplacian u||^2 + int |grad theta|^2 / theta,
+    that is 2F at the Laplacian speeds whatever the operator of p.
     """
-    grid = s.grid
-    p.validate_for_dimension(grid.d)
-    _check_positive(s.theta, "Fisher functional")
-    grad_v_sq = spectral_l2_sq(grid, s.v.spectral(), grid.k_sq)
-    lap_u_sq = spectral_l2_sq(grid, s.u.spectral(), grid.k_sq**2)
-    return grad_v_sq + lap_u_sq + quadrature(grid, _fisher_ratio(s.theta, s.theta.spectral()))
+    p.validate_for_dimension(s.grid.d)
+    return 2.0 * fisher_functional(s, ModelParams(mu=p.mu))
 
 
 class TrajectoryRecorder:

@@ -95,6 +95,8 @@ class ModelParams:
             raise ValueError(f"mu must be > 0, got {self.mu}")
         if self.operator not in OPERATOR_KINDS:
             raise ValueError(f"operator must be one of {OPERATOR_KINDS}, got {self.operator!r}")
+        if not self.zeta > 0.0:
+            raise ValueError(f"zeta must be > 0, got {self.zeta}")
 
     def validate_for_dimension(self, d: int) -> None:
         if self.operator == "lame":

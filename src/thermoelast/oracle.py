@@ -22,8 +22,7 @@ oracle's cube unless the config pins its own product treatment.
 
 The initial temperature is regularised the way the underlying construction
 demands: after projection it is shifted by the constant
-c = max(0, 1e-6 - min(theta)) - the min taken on a 4x oversampled grid - and
-the temperature-gradient quotient norm is checked not to have grown.
+c = max(0, 1e-6 - min(theta)), the min taken on a 4x oversampled grid.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import ModelParams, PositivityLoss, SimState, StepperConfig, run
-from .grid import ScalarField, TorusGrid, TWO_PI, VectorField, field_norms, quadrature
+from .grid import ScalarField, TorusGrid, TWO_PI, VectorField, field_norms
 
 __all__ = [
     "GalerkinSystem",
@@ -146,14 +145,6 @@ def _oversample_grid(n: int, lengths: tuple[float, ...]) -> TorusGrid:
     return TorusGrid((m,) * len(lengths), lengths)
 
 
-def _quotient_norm(theta: ScalarField) -> float:
-    """int |grad theta|^2 / theta, used to audit the regularisation shift."""
-    grid = theta.grid
-    th = grid.to_spectral(theta.values)
-    grads = grid.to_physical(np.stack([1j * k * th for k in grid.wavevectors]))
-    return quadrature(grid, np.sum(grads**2, axis=0) / theta.values)
-
-
 def build_galerkin(s0: SimState, p: ModelParams, n: int) -> GalerkinSystem:
     """Project a grid state onto the [-n, n]^d mode cube.
 
@@ -188,22 +179,9 @@ def build_galerkin(s0: SimState, p: ModelParams, n: int) -> GalerkinSystem:
         )
 
     os_grid = _oversample_grid(n, grid.length_per_axis)
-    theta_os = reconstruct_scalar(th_hat, n, os_grid)
-    tmin = float(np.min(theta_os.values))
-    shift = max(0.0, POSITIVITY_SHIFT_TARGET - tmin)
+    shift = max(0.0, POSITIVITY_SHIFT_TARGET - float(np.min(reconstruct_scalar(th_hat, n, os_grid).values)))
     if shift > 0.0:
-        center = (n,) * grid.d
-        th_hat = th_hat.copy()
-        th_hat[center] += shift
-        shifted = ScalarField(os_grid, theta_os.values + shift)
-        q_before = _quotient_norm(ScalarField(grid, s0.theta.values))
-        q_after = _quotient_norm(shifted)
-        if q_after > q_before * (1.0 + 1e-10) + 1e-14:
-            warnings.warn(
-                f"temperature regularisation raised the gradient quotient norm "
-                f"({q_before:.6g} -> {q_after:.6g})",
-                stacklevel=2,
-            )
+        th_hat[(n,) * grid.d] += shift  # the mean mode; project returns a fresh array
     return GalerkinSystem(
         n=n,
         lengths=grid.length_per_axis,
@@ -396,10 +374,11 @@ def compare_oracle(traj: OracleTrajectory, states: Sequence[SimState]) -> Oracle
 
 def crosscheck(s0: SimState, p: ModelParams, cfg: StepperConfig, modes: int,
                times: Sequence[float]) -> OracleComparison:
-    """The oracle on the [-modes, modes]^d cube against the stepper from s0.
-    Dealiased products with no pinned band run at product_band = modes, so the
-    distance is pure time-integration error; other settings are kept."""
-    traj = integrate_galerkin(build_galerkin(s0, p, modes), cfg.t_end)
+    """The oracle on the [-modes, modes]^d cube against the stepper from s0,
+    both held to cfg's positivity floor.  Dealiased products with no pinned
+    band run at product_band = modes, so the distance is pure time-integration
+    error; other settings are kept."""
+    traj = integrate_galerkin(build_galerkin(s0, p, modes), cfg.t_end, cfg.positivity_floor)
     if cfg.dealias and not cfg.product_band:
         cfg = replace(cfg, product_band=modes)
     return compare_oracle(traj, spectral_states_at(s0, p, cfg, times))

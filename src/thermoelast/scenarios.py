@@ -66,6 +66,8 @@ class ScenarioSpec:
             raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
         if self.theta_baseline <= 0:
             raise ValueError(f"theta_baseline must be positive, got {self.theta_baseline}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def grid(self) -> TorusGrid:
         n = self.n or default_points(self.d)

@@ -210,6 +210,20 @@ class TestFisher:
         got = fisher_functional(s, ModelParams(mu=1.0))
         assert got == pytest.approx(want, rel=1e-12)
 
+    def test_lame_elastic_term_closed_form(self, grid2d_small):
+        # u = eps grad sin(x1 + x2) is curl-free with |k|^2 = 2, so the
+        # |k|^2-weighted elastic term is a_l |k|^4 int |u|^2 =
+        # 4 a_l eps^2 (2pi)^2 and F = 2 (2 zeta + lam) eps^2 (2pi)^2
+        zeta, lam, eps = 1.3, 0.4, 0.2
+
+        def g(*m):
+            return eps * np.cos(m[0] + m[1])
+
+        s = _state(grid2d_small, u=VectorField.from_functions(grid2d_small, [g, g]))
+        p = ModelParams(mu=1.0, operator="lame", zeta=zeta, lame_lambda=lam)
+        want = 2.0 * (2.0 * zeta + lam) * eps**2 * MEASURE_2D
+        assert fisher_functional(s, p) == pytest.approx(want, rel=1e-12)
+
     def test_identity_residual_small(self, grid2d_small):
         s = make_initial_data(ScenarioSpec("small-mixed", n=16, epsilon=0.1))
         p = ModelParams(mu=1.0)
@@ -229,6 +243,12 @@ class TestFisher:
         assert galerkin_initial_smallness(s, p) < 1e-24
         s2 = make_initial_data(ScenarioSpec("small-mixed", n=16, epsilon=5e-3))
         assert 0.0 < galerkin_initial_smallness(s2, p) < 1e-2
+
+    @pytest.mark.parametrize("p", SPLIT_OPERATORS)
+    def test_smallness_is_twice_laplacian_fisher(self, p):
+        # the gate reads the Laplacian speeds whatever the operator of p
+        s = make_initial_data(ScenarioSpec("random", n=16, epsilon=0.05, seed=5))
+        assert galerkin_initial_smallness(s, p) == 2 * fisher_functional(s, ModelParams(mu=1.0))
 
     @pytest.mark.parametrize("fn", [fisher_functional, galerkin_initial_smallness, fisher_identity_residual])
     def test_requires_positive_theta(self, grid2d_small, fn):

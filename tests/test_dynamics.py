@@ -42,6 +42,11 @@ class TestParamValidation:
         with pytest.raises(ValueError, match="operator must be one of"):
             ModelParams(mu=1.0, operator="biharmonic")
 
+    @pytest.mark.parametrize("operator", ["laplacian", "lame"])
+    def test_zeta_positive(self, operator):
+        with pytest.raises(ValueError, match=r"zeta must be > 0, got 0\.0"):
+            ModelParams(mu=1.0, operator=operator, zeta=0.0)
+
     def test_dimension_validation_for_lame(self):
         p = ModelParams(mu=1.0, operator="lame", zeta=1.0, lame_lambda=-1.0)
         with pytest.raises(ValueError, match=r"d\*lam"):

@@ -25,7 +25,9 @@ from thermoelast import (
     spectral_states_at,
 )
 from thermoelast import oracle
+from thermoelast.diagnostics import _fisher_ratio
 from thermoelast.experiments import run_experiment
+from thermoelast.grid import quadrature
 from thermoelast.oracle import (
     convolve_truncated,
     crosscheck,
@@ -34,6 +36,8 @@ from thermoelast.oracle import (
     reconstruct_vector,
 )
 from thermoelast.scenarios import ScenarioSpec
+
+from conftest import random_scalar
 
 
 class TestConvolution:
@@ -104,6 +108,32 @@ class TestProjection:
         assert 0.49 < sys.shift < 0.51
         center = sys.th_hat[(3, 3)]
         assert center.real == pytest.approx(1.0 + sys.shift, rel=1e-12)
+
+    @pytest.mark.parametrize("a", [1.5, -1.0], ids=["negative-min", "zero-at-grid-point"])
+    def test_shifted_build_is_silent(self, grid2d_small, a):
+        # theta = 1 + a cos 3x1 dips below 0, or (a = -1) is exactly 0 on x1 = 0
+        x1 = grid2d_small.meshes()[0]
+        theta = ScalarField(grid2d_small, np.broadcast_to(1.0 + a * np.cos(3 * x1), grid2d_small.shape).copy())
+        assert np.min(theta.values) == min(0.0, 1.0 - abs(a))
+        s = SimState(0.0, VectorField.zeros(grid2d_small), VectorField.zeros(grid2d_small), theta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sys = build_galerkin(s, ModelParams(mu=1.0), n=3)
+        assert sys.shift > 0.0
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_shift_cannot_raise_fisher_information(self, d, rng):
+        # the property behind the shift, on one grid: adding c > 0 to a
+        # positive theta keeps grad theta and lowers |grad theta|^2 / theta
+        grid = TorusGrid((16,) * d)
+        for _ in range(5):
+            bump = random_scalar(grid, rng, band=3).values
+            theta = 1.0 + 0.99 * bump / np.max(np.abs(bump))
+            before = quadrature(grid, _fisher_ratio(ScalarField(grid, theta), grid.to_spectral(theta)))
+            for c in (1e-6, 0.1, 10.0):
+                shifted = theta + c
+                after = quadrature(grid, _fisher_ratio(ScalarField(grid, shifted), grid.to_spectral(shifted)))
+                assert after <= before
 
 
 class TestReconstruction:
@@ -301,6 +331,20 @@ class TestCrosscheck:
         got = crosscheck(s0, p, cfg, 3, times)
         assert got == explicit(replace(cfg, **runs_as))
         assert got != explicit(replace(cfg, **not_as))
+
+    def test_oracle_watches_the_config_floor(self, monkeypatch):
+        seen = []
+        real = oracle.integrate_galerkin
+
+        def spy(sys, t_end, positivity_floor=None):
+            seen.append(positivity_floor)
+            return real(sys, t_end, positivity_floor)
+
+        monkeypatch.setattr(oracle, "integrate_galerkin", spy)
+        s0 = make_initial_data(ScenarioSpec("band-limited", n=16, epsilon=0.04))
+        cfg = StepperConfig(dt=2e-3, t_end=0.01, positivity_floor=1e-3)
+        crosscheck(s0, ModelParams(mu=1.0), cfg, 3, [0.0, 0.01])
+        assert seen == [1e-3]
 
 
 class TestOracleVerdicts:

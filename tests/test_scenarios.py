@@ -147,6 +147,7 @@ class TestValidation:
             ({"name": "small-mixed", "length": 0.0}, "length must be positive"),
             ({"name": "small-mixed", "epsilon": -1.0}, "epsilon must be >= 0"),
             ({"name": "small-mixed", "theta_baseline": 0.0}, "theta_baseline must be positive"),
+            ({"name": "random", "seed": -1}, "seed must be >= 0, got -1"),
         ],
     )
     def test_spec_rejects(self, kwargs, match):
