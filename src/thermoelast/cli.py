@@ -98,8 +98,9 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
         s = read_state(args.snapshot)
         p.validate_for_dimension(s.grid.d)
         header = f"state at t={s.t:g} on n={s.grid.n_per_axis}"
-        rec = diag.TrajectoryRecorder(p, compute_identity=True, dt_micro=args.dt_micro)
+        rec = diag.TrajectoryRecorder(p)
         rec(s)
+        rec.records[0].fisher_identity_residual = diag.fisher_identity_residual(s, p, args.dt_micro)
         rows = [(name, getattr(rec.records[0], name)) for name in (
             "energy", "entropy", "entropy_production", "fisher_functional",
             "fisher_identity_residual", "theta_min", "theta_max")]

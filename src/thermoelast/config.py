@@ -30,8 +30,10 @@ Keys and defaults:
     out_dir                = out             artifact directory
 
 A key's type is the type of its default: integer, number, `true`/`false`,
-or text.  `convert_value` does that conversion and `build_config` turns the
-typed values into a `RunConfig`; the named experiments use both.
+or text.  A number must be finite: `nan`, `inf` and `-inf` are rejected on
+their line.  `convert_value` does that conversion and `build_config` turns
+the typed values into a `RunConfig`; the named experiments use both, so
+their `--set` overrides follow the same rules.
 
 `operator = auto` resolves against the scenario name: `lame-*` scenarios get
 the elastic operator, everything else the Laplacian.
@@ -45,6 +47,7 @@ cannot see is checked here: `operator = auto` and `out_dir`.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import asdict, dataclass, fields
 
@@ -102,10 +105,13 @@ def convert_value(key: str, raw: str, default: object, line: int | None = None) 
             return raw == "true"
         raise ConfigError(f"{key} expects true or false, got {raw!r}", line)
     try:
-        return type(default)(raw)
+        value = type(default)(raw)
     except ValueError:
         kind = "an integer" if isinstance(default, int) else "a number"
         raise ConfigError(f"{key} expects {kind}, got {raw!r}", line) from None
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{key} expects a finite number, got {raw!r}", line)
+    return value
 
 
 def _scan(text: str) -> tuple[dict[str, object], dict[str, int]]:

@@ -53,7 +53,6 @@ __all__ = [
     "theta_infinity_prediction",
     "decomposition_report",
     "galerkin_initial_smallness",
-    "dealias_field",
     "sqrt_hessian_integral",
     "weighted_log_hessian_integral",
     "hessian_inequality_constant",
@@ -81,11 +80,6 @@ class DiagnosticsRecord:
 
 
 RECORD_FIELDS = tuple(f.name for f in dataclasses.fields(DiagnosticsRecord))
-
-
-def dealias_field(f: ScalarField) -> ScalarField:
-    """Project a scalar onto the 2/3-rule band."""
-    return ScalarField.from_spectral(f.grid, f.spectral() * f.grid.dealias_mask)
 
 
 def _check_positive(theta: ScalarField, what: str) -> float:
@@ -175,7 +169,7 @@ def fisher_functional(s: SimState, p: ModelParams) -> float:
 
 def _hessian_sq(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
     """|hess f|^2 on the grid, f the values dealiased before differentiation."""
-    h = operators.hessian(dealias_field(ScalarField(grid, values)))
+    h = operators._hessian_spec(grid, grid.to_spectral(values) * grid.dealias_mask)
     return np.sum(h * h, axis=(0, 1))
 
 
@@ -205,8 +199,8 @@ def fisher_identity_residual(s: SimState, p: ModelParams, dt_micro: float = 1e-5
     Returned as |difference| / (1 + |exact rate|); second-order small in
     dt_micro until the spatial quadrature floor is reached.
     """
-    if dt_micro <= 0.0:
-        raise ValueError(f"dt_micro must be > 0, got {dt_micro}")
+    if not 0.0 < dt_micro < math.inf:
+        raise ValueError(f"dt_micro must be > 0 and finite, got {dt_micro}")
     grid = s.grid
     hess_term = weighted_log_hessian_integral(s.theta)  # checks theta > 0
     div_v = operators.divergence(s.v)
@@ -276,9 +270,10 @@ class TrajectoryRecorder:
     coefficients to the same kernels the public functions use, so its
     columns equal theirs bit for bit.  A full record's one other transform
     takes grad theta back for the Fisher term.  The production integral
-    is accumulated by the trapezoid rule on the record cadence.  Computing the
-    Fisher identity residual needs two extra micro-steps per record, so it is
-    off by default and the column is NaN when disabled.
+    is accumulated by the trapezoid rule on the record cadence.  The
+    fisher_identity_residual column is always NaN: the residual costs two
+    extra micro-steps of the full dynamics, so it is computed on demand by
+    `fisher_identity_residual` (as `thermoelast diagnose DIR` does).
 
     The trapezoid error in the production integral scales with the record
     cadence squared, so ledger audits want record_every=1; at that cadence
@@ -288,20 +283,10 @@ class TrajectoryRecorder:
     extremes) and writes NaN in the rest.
     """
 
-    def __init__(
-        self,
-        p: ModelParams,
-        compute_identity: bool = False,
-        dt_micro: float = 1e-5,
-        battery: str = "full",
-    ):
+    def __init__(self, p: ModelParams, battery: str = "full"):
         if battery not in ("full", "ledger"):
             raise ValueError("battery must be 'full' or 'ledger'")
-        if compute_identity and battery != "full":
-            raise ValueError("identity residual needs the full battery")
         self.p = p
-        self.compute_identity = compute_identity
-        self.dt_micro = dt_micro
         self.battery = battery
         self.records: list[DiagnosticsRecord] = []
         self._theta_inf = math.nan
@@ -333,10 +318,9 @@ class TrajectoryRecorder:
         diss = abs(lhs - self._diss_base) / abs(self._diss_base) if self._diss_base else math.nan
         if self.battery == "full":
             fisher = _fisher_functional(s, p, uh, vh, spec[2 * d + 1])
-            identity = fisher_identity_residual(s, p, self.dt_micro) if self.compute_identity else math.nan
             split = _split_columns(s, p, uh, vh, self._theta_inf)
         else:
-            fisher = identity = math.nan
+            fisher = math.nan
             split = dict.fromkeys(("chi_h1", "chi_t_l2", "nu_energy", "theta_l2_dist"), math.nan)
         self.records.append(
             DiagnosticsRecord(
@@ -347,7 +331,7 @@ class TrajectoryRecorder:
                 production_integral=self._prod_integral,
                 dissipation_residual=diss,
                 fisher_functional=fisher,
-                fisher_identity_residual=identity,
+                fisher_identity_residual=math.nan,
                 theta_min=theta_min,
                 theta_max=float(np.max(s.theta.values)),
                 **split,

@@ -151,10 +151,10 @@ class StepperConfig:
     product_band: int = 0
 
     def __post_init__(self) -> None:
-        if not self.dt > 0.0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
-        if self.t_end < 0.0:
-            raise ValueError(f"t_end must be >= 0, got {self.t_end}")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be > 0 and finite, got {self.dt}")
+        if not 0.0 <= self.t_end < math.inf:
+            raise ValueError(f"t_end must be >= 0 and finite, got {self.t_end}")
         if not self.positivity_floor > 0.0:
             raise ValueError(f"positivity_floor must be > 0, got {self.positivity_floor}")
         if self.record_every < 1:

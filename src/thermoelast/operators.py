@@ -104,10 +104,10 @@ def laplacian(f: ScalarField | VectorField) -> ScalarField | VectorField:
     return VectorField.from_spectral(grid, -grid.k_sq * f.spectral())
 
 
-def hessian(f: ScalarField) -> np.ndarray:
-    """All second partials of a scalar as a (d, d, *grid.shape) array."""
-    grid = f.grid
-    fh = f.spectral()
+def _hessian_spec(grid: TorusGrid, fh: np.ndarray) -> np.ndarray:
+    """All second partials of a scalar with coefficients fh, as a
+    (d, d, *grid.shape) array, from one inverse transform of the d(d+1)/2
+    distinct ones."""
     k = grid.wavevectors
     pairs = [(i, j) for i in range(grid.d) for j in range(i, grid.d)]
     parts = grid.to_physical(np.stack([-(k[i] * k[j]) * fh for i, j in pairs]))
@@ -115,6 +115,11 @@ def hessian(f: ScalarField) -> np.ndarray:
     for (i, j), part in zip(pairs, parts):
         out[i, j] = out[j, i] = part
     return out
+
+
+def hessian(f: ScalarField) -> np.ndarray:
+    """All second partials of a scalar as a (d, d, *grid.shape) array."""
+    return _hessian_spec(f.grid, f.spectral())
 
 
 def check_lame_coefficients(zeta: float, lam: float) -> None:

@@ -3,14 +3,17 @@ and error reporting."""
 
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
 
 from thermoelast import (
+    ModelParams,
     ScalarField,
     TorusGrid,
     VectorField,
+    fisher_identity_residual,
     load_config,
     make_initial_data,
     read_snapshot,
@@ -19,7 +22,7 @@ from thermoelast import (
 )
 from thermoelast.cli import main
 from thermoelast.scenarios import ScenarioSpec
-from thermoelast.snapshots import write_state
+from thermoelast.snapshots import read_state, write_state
 
 
 def _write(path, text):
@@ -72,6 +75,17 @@ class TestRun:
         path = _write(tmp_path / "bad.cfg", "mu = -1\n")
         assert main(["run", path]) == 1
         assert "mu must be > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, raw", [("t_end", "inf"), ("dt", "inf"), ("mu", "nan")])
+    def test_non_finite_number_is_a_config_error(self, tmp_path, capsys, key, raw):
+        # an infinite t_end has no step count, and dt = inf would pass the
+        # lattice check (0 * inf is NaN) and run zero steps
+        path = _write(tmp_path / "bad.cfg", f"seed = 0\n{key} = {raw}\nout_dir = {tmp_path / 'out'}\n")
+        assert main(["run", path]) == 1
+        out, err = capsys.readouterr()
+        assert err == f"error: line 2: {key} expects a finite number, got {raw!r}\n"
+        assert out == ""
+        assert not os.path.exists(tmp_path / "out")
 
     def test_unbuildable_scenario(self, tmp_path, capsys):
         path = _write(tmp_path / "bad.cfg", "scenario = small-curl-free\nepsilon = 2.0\n")
@@ -157,6 +171,28 @@ class TestDiagnose:
             assert printed[name] == "%.12e" % getattr(last, name), name
         assert math.isnan(last.fisher_identity_residual)
         assert math.isfinite(float(printed["fisher_identity_residual"]))
+
+    def test_identity_row_is_the_public_function(self, run_cfg, capsys):
+        cfg_path, out = run_cfg
+        assert main(["run", cfg_path]) == 0
+        capsys.readouterr()
+        assert main(["diagnose", out, "--mu", "1.0", "--dt-micro", "1e-4"]) == 0
+        rows = [line.split(" = ") for line in capsys.readouterr().out.splitlines() if " = " in line]
+        printed = {name.strip(): value for name, value in rows}
+        want = fisher_identity_residual(read_state(out), ModelParams(mu=1.0), 1e-4)
+        assert printed["fisher_identity_residual"] == "%.12e" % want
+
+    @pytest.mark.parametrize("dt_micro", ["nan", "inf"])
+    def test_non_finite_micro_step_is_refused(self, run_cfg, capsys, dt_micro):
+        cfg_path, out = run_cfg
+        assert main(["run", cfg_path]) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["diagnose", out, "--mu", "1.0", "--dt-micro", dt_micro]) == 1
+        out_text, err = capsys.readouterr()
+        assert err == f"error: dt_micro must be > 0 and finite, got {dt_micro}\n"
+        assert out_text == ""
 
     def test_printed_rows_pinned(self, tmp_path, capsys):
         # the printed output, byte for byte; every row shown is well

@@ -13,7 +13,10 @@ from thermoelast import (
     parse_config,
     serialize_config,
 )
+from thermoelast.config import _DEFAULTS, convert_value
 from thermoelast.scenarios import SCENARIO_NAMES
+
+NUMBER_KEYS = tuple(key for key, value in _DEFAULTS.items() if isinstance(value, float))
 
 
 class TestDefaults:
@@ -79,6 +82,21 @@ class TestScanErrors:
     def test_conversion_errors(self, text, match):
         with pytest.raises(ConfigError, match=match):
             parse_config(text)
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", NUMBER_KEYS)
+    def test_non_finite_numbers_rejected(self, key, raw):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"seed = 0\n{key} = {raw}\n")
+        assert err.value.line == 2
+        assert str(err.value) == f"line 2: {key} expects a finite number, got {raw!r}"
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    def test_non_finite_override_rejected(self, raw):
+        # the experiments convert --set values with the same function,
+        # including keys that are not config keys
+        with pytest.raises(ConfigError, match=f"tolerance expects a finite number, got '{raw}'"):
+            convert_value("tolerance", raw, 1e-5)
 
     def test_error_carries_line_attribute(self):
         with pytest.raises(ConfigError) as err:

@@ -193,6 +193,25 @@ class TestHessianIntegrals:
             rhs = const * weighted_log_hessian_integral(w)
             assert lhs <= rhs * (1 + 1e-8) + 1e-8
 
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("fn", [weighted_log_hessian_integral, sqrt_hessian_integral])
+    def test_transform_budget(self, monkeypatch, d, fn):
+        # the pointwise log or root goes forward once, is dealiased on its
+        # coefficients, and its d(d+1)/2 distinct second partials come back
+        # in one inverse call
+        grid = TorusGrid((8,) * d)
+        w = ScalarField(grid, np.broadcast_to(1.0 + 0.2 * np.cos(grid.meshes()[0]), grid.shape).copy())
+        calls = []
+        for name in ("to_physical", "to_spectral"):
+            def counted(self, arr, name=name, real=getattr(TorusGrid, name)):
+                calls.append((name, arr.shape))
+                return real(self, arr)
+
+            monkeypatch.setattr(TorusGrid, name, counted)
+        fn(w)
+        assert calls == [("to_spectral", grid.shape),
+                         ("to_physical", (d * (d + 1) // 2,) + grid.spectral_shape)]
+
 
 class TestFisher:
     def test_functional_closed_form(self, grid2d_small):
@@ -257,6 +276,12 @@ class TestFisher:
         s = _state(grid2d_small, theta=ScalarField(grid2d_small, theta))
         with pytest.raises(ValueError, match="requires positive temperature, min is -0.5"):
             fn(s, ModelParams(mu=1.0))
+
+    @pytest.mark.parametrize("dt_micro", [0.0, -1e-5, math.nan, math.inf])
+    def test_identity_rejects_bad_micro_step(self, grid2d_small, dt_micro):
+        s = SimState.equilibrium(grid2d_small)
+        with pytest.raises(ValueError, match="dt_micro must be > 0"):
+            fisher_identity_residual(s, ModelParams(mu=1.0), dt_micro)
 
 
 class TestThetaInfinity:
@@ -411,11 +436,14 @@ class TestTrajectoryRecorder:
         assert res < 1e-6
 
     def test_identity_on_demand(self):
+        # the residual is a function of a state, applied to the states a
+        # run emits
         s0 = make_initial_data(ScenarioSpec("small-mixed", n=16, epsilon=0.1))
         p = ModelParams(mu=1.0)
-        rec = TrajectoryRecorder(p, compute_identity=True, dt_micro=1e-4)
-        run(s0, p, StepperConfig(dt=1e-3, t_end=0.01, record_every=10), sink=rec)
-        assert all(abs(r.fisher_identity_residual) < 1e-5 for r in rec.records)
+        states = []
+        run(s0, p, StepperConfig(dt=1e-3, t_end=0.01, record_every=10), sink=states.append)
+        assert [s.t for s in states] == pytest.approx([0.0, 0.01])
+        assert all(abs(fisher_identity_residual(s, p, dt_micro=1e-4)) < 1e-5 for s in states)
 
     def test_ledger_battery_matches_full_on_balance_columns(self, recorded):
         s0 = make_initial_data(ScenarioSpec("small-mixed", n=16, epsilon=0.1))
@@ -440,5 +468,3 @@ class TestTrajectoryRecorder:
         p = ModelParams(mu=1.0)
         with pytest.raises(ValueError, match="battery must be"):
             TrajectoryRecorder(p, battery="everything")
-        with pytest.raises(ValueError, match="full battery"):
-            TrajectoryRecorder(p, compute_identity=True, battery="ledger")

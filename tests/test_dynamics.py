@@ -69,6 +69,15 @@ class TestParamValidation:
             StepperConfig(dt=0.1, dealias=False, product_band=2)
         assert StepperConfig(dt=0.25, t_end=1.0).n_steps() == 4
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_stepper_config_rejects_non_finite_times(self, value):
+        # an infinite t_end has no step count, and dt = inf would pass the
+        # lattice check (0 * inf is NaN) and run zero steps
+        with pytest.raises(ValueError, match="dt must be > 0 and finite"):
+            StepperConfig(dt=value, t_end=1.0)
+        with pytest.raises(ValueError, match="t_end must be >= 0 and finite"):
+            StepperConfig(dt=1e-3, t_end=value)
+
     def test_state_grids_must_match(self, grid2d_small, grid2d):
         with pytest.raises(ValueError, match="share one grid"):
             SimState(
