@@ -91,6 +91,9 @@ class ModelParams:
     lame_lambda: float = 0.5
 
     def __post_init__(self) -> None:
+        for name in ("mu", "zeta", "lame_lambda"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.mu > 0.0:
             raise ValueError(f"mu must be > 0, got {self.mu}")
         if self.operator not in OPERATOR_KINDS:

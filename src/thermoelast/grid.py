@@ -9,6 +9,14 @@ complex conjugates of these.  Fields coming back from spectral space are
 therefore real by construction.  Derivatives of band-limited fields are exact:
 transform, multiply by the wavevector lattice, transform back.
 
+The two grid transforms call the pocketfft binding that `scipy.fft.rfftn`
+and `irfftn` end in, with the arguments those functions pass (unnormalised
+forward, 1/N inverse, one thread), so their output is the public call's bit
+for bit without its per-call argument handling.  The forward transform
+takes float64 to complex128 and the inverse complex128 to float64; other
+inputs are converted first.  `scipy.fft.set_workers` and `set_backend`
+contexts do not apply to them.
+
 A TorusGrid builds each spectral array (wavevectors, |k|^2, k/|k|, masks)
 and the scalars every Parseval sum reads (point count, cell volume) on first
 use and keeps them.  Every mask is a cube in mode-index space with a
@@ -27,7 +35,7 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.fft
+from scipy.fft._pocketfft import pypocketfft
 
 __all__ = [
     "TWO_PI",
@@ -77,6 +85,8 @@ class TorusGrid:
         lengths = tuple(float(ell) for ell in self.length_per_axis or (TWO_PI,) * len(n))
         if len(lengths) != len(n):
             raise ValueError("length_per_axis must match n_per_axis in length")
+        if not all(math.isfinite(ell) for ell in lengths):
+            raise ValueError(f"length_per_axis must be finite, got {lengths}")
         if any(ell <= 0.0 for ell in lengths):
             raise ValueError("box edge lengths must be positive")
         object.__setattr__(self, "n_per_axis", n)
@@ -188,24 +198,34 @@ class TorusGrid:
         herm[..., -1] = 1.0
         return herm
 
+    @cached_property
+    def _transform_axes(self) -> tuple[int, ...]:
+        return tuple(range(-self.d, 0))
+
     def to_spectral(self, values: np.ndarray) -> np.ndarray:
         """Real forward FFT over the trailing d axes (leading axes pass
-        through); a (..., *shape) float array becomes a complex
+        through); a (..., *shape) float64 array becomes a complex128
         (..., *spectral_shape) array in the half-spectrum layout."""
-        return scipy.fft.rfftn(values, axes=tuple(range(-self.d, 0)))
+        values = np.asarray(values, dtype=np.float64)
+        # (a, axes, forward, inorm, out, nthreads): unnormalised, as rfftn
+        return pypocketfft.r2c(values, self._transform_axes, True, 0, None, 1)
 
     def to_physical(self, spec: np.ndarray) -> np.ndarray:
-        """Inverse of `to_spectral`: a complex (..., *spectral_shape) array in
-        the half-spectrum layout becomes a real (..., *shape) float array.
+        """Inverse of `to_spectral`: a complex128 (..., *spectral_shape) array
+        in the half-spectrum layout becomes a float64 (..., *shape) array.
 
         The last-axis planes 0 and m/2 hold their own conjugates; only the
         Hermitian part of their coefficients contributes.
         """
+        spec = np.asarray(spec, dtype=np.complex128)
         if spec.shape[spec.ndim - self.d:] != self.spectral_shape:
             raise ValueError(
                 f"spectral shape {spec.shape} does not end in {self.spectral_shape}"
             )
-        return scipy.fft.irfftn(spec, s=self.n_per_axis, axes=tuple(range(-self.d, 0)))
+        # (a, axes, lastsize, forward, inorm, out, nthreads): 1/N, as irfftn
+        return pypocketfft.c2r(
+            spec, self._transform_axes, self.n_per_axis[-1], False, 2, None, 1
+        )
 
 
 def _check_values(grid: TorusGrid, values: np.ndarray, lead: int) -> np.ndarray:

@@ -21,6 +21,7 @@ the empirical decay gate of 1e-2 at the default amplitude.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,9 @@ class ScenarioSpec:
             raise ValueError(f"d must be 2 or 3, got {self.d}")
         if self.n and (self.n < 4 or self.n % 2):
             raise ValueError(f"n must be 0 (auto) or even and >= 4, got {self.n}")
+        for name in ("length", "epsilon", "theta_baseline"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.length <= 0:
             raise ValueError(f"length must be positive, got {self.length}")
         if self.epsilon < 0:

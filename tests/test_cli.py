@@ -194,6 +194,24 @@ class TestDiagnose:
         assert err == f"error: dt_micro must be > 0 and finite, got {dt_micro}\n"
         assert out_text == ""
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--mu", "inf"], "mu must be finite, got inf"),
+         (["--mu", "1.0", "--operator", "lame", "--lame-lambda", "nan"],
+          "lame_lambda must be finite, got nan")],
+    )
+    def test_non_finite_parameter_is_refused(self, run_cfg, capsys, flags, message):
+        # the parameters are refused before any state is read or stepped
+        cfg_path, out = run_cfg
+        assert main(["run", cfg_path]) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["diagnose", out] + flags) == 1
+        out_text, err = capsys.readouterr()
+        assert err == f"error: {message}\n"
+        assert out_text == ""
+
     def test_printed_rows_pinned(self, tmp_path, capsys):
         # the printed output, byte for byte; every row shown is well
         # conditioned to its printed digits

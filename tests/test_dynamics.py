@@ -47,6 +47,14 @@ class TestParamValidation:
         with pytest.raises(ValueError, match=r"zeta must be > 0, got 0\.0"):
             ModelParams(mu=1.0, operator=operator, zeta=0.0)
 
+    @pytest.mark.parametrize("field", ["mu", "zeta", "lame_lambda"])
+    @pytest.mark.parametrize("operator", ["laplacian", "lame"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, field, operator, bad):
+        kwargs = {"mu": 1.0, "operator": operator, field: bad}
+        with pytest.raises(ValueError, match=f"{field} must be finite, got {bad}"):
+            ModelParams(**kwargs)
+
     def test_dimension_validation_for_lame(self):
         p = ModelParams(mu=1.0, operator="lame", zeta=1.0, lame_lambda=-1.0)
         with pytest.raises(ValueError, match=r"d\*lam"):

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from thermoelast import ScalarField, TorusGrid, VectorField, field_norms, quadrature
+from thermoelast.cli import main
 from thermoelast.grid import TWO_PI, spectral_l2_sq
 
 from conftest import random_scalar
@@ -42,6 +44,12 @@ class TestConstruction:
     def test_nonpositive_length(self):
         with pytest.raises(ValueError, match="positive"):
             TorusGrid((8, 8), (1.0, -2.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_length(self, bad):
+        # an infinite box would give a lattice of zero wavevectors
+        with pytest.raises(ValueError, match="length_per_axis must be finite"):
+            TorusGrid((8, 8), (1.0, bad))
 
     def test_equality_ignores_derived_arrays(self):
         assert TorusGrid((8, 8)) == TorusGrid((8, 8))
@@ -140,6 +148,67 @@ class TestTransforms:
         np.testing.assert_allclose(again, kept, rtol=0, atol=1e-12)
         with pytest.raises(ValueError, match="spectral shape"):
             grid.to_physical(np.fft.fftn(vals, axes=tuple(range(-grid.d, 0))))
+
+    @pytest.mark.parametrize(
+        "grid",
+        [TorusGrid((8, 12)), TorusGrid((6, 8, 10), (1.0, 2.5, 7.0)), TorusGrid((8, 8), (3.0, 3.0))],
+        ids=["8x12", "6x8x10", "8x8-box3"],
+    )
+    def test_kernel_is_the_public_call(self, grid, rng):
+        # the grid transforms call the binding behind scipy.fft.rfftn and
+        # irfftn with the same arguments: same bytes, shape and dtype, on
+        # every input those functions accept from callers today
+        d, axes = grid.d, tuple(range(-grid.d, 0))
+
+        def fwd(x):
+            return grid.to_spectral(x), scipy.fft.rfftn(x, axes=axes)
+
+        def inv(x):
+            return grid.to_physical(x), scipy.fft.irfftn(x, s=grid.n_per_axis, axes=axes)
+
+        def same(pair):
+            got, want = pair
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+        stack = rng.standard_normal((2 * d + 2,) + grid.shape)
+        spec = grid.to_spectral(stack)
+        for lead in [(), (d,), (d + 1,)]:
+            vals = stack[: math.prod(lead)].reshape(lead + grid.shape)
+            same(fwd(vals))
+            same(inv(scipy.fft.rfftn(vals, axes=axes)))
+        # strided views: one slice of a stack, a leading prefix and a
+        # reversed leading axis
+        for x in [stack[2 * d], stack[:d], stack[::-1]]:
+            same(fwd(x))
+        for x in [spec[2 * d], spec[:d], spec[::-1]]:
+            same(inv(x))
+        # inputs the binding alone would refuse: ints, lists, big-endian
+        # floats, a real spectrum
+        ints = rng.integers(-5, 5, size=(d,) + grid.shape)
+        for x in [ints, ints.tolist(), stack[:d].astype(">f8")]:
+            same(fwd(x))
+        for x in [spec[0].real.copy(), spec[:d].tolist(), spec[0].astype(">c16"),
+                  rng.integers(-5, 5, size=grid.spectral_shape)]:
+            same(inv(x))
+
+    def test_grid_is_the_only_home_of_transforms(self, tmp_path, monkeypatch):
+        # every transform a run, its full-battery records, diagnose and
+        # decompose make goes through the grid's two methods
+        def public(*args, **kwargs):
+            raise AssertionError("a public scipy.fft transform was called")
+
+        monkeypatch.setattr(scipy.fft, "rfftn", public)
+        monkeypatch.setattr(scipy.fft, "irfftn", public)
+        for d, scenario in [(2, "small-mixed"), (3, "lame-random")]:
+            out = tmp_path / f"run{d}"
+            cfg = tmp_path / f"run{d}.cfg"
+            cfg.write_text(f"scenario = {scenario}\nd = {d}\nn = 8\ndt = 0.01\nt_end = 0.02\n"
+                           f"out_dir = {out}\n", encoding="utf-8")
+            operator = ["--operator", "lame"] if scenario.startswith("lame") else []
+            assert main(["run", str(cfg)]) == 0
+            assert main(["diagnose", str(out), "--mu", "1.0"] + operator) == 0
+            assert main(["decompose", str(out / "final_u.tefld")]) == 0
 
     def test_roundoff_scale_imaginary_is_tolerated(self, grid2d_small):
         # whole field at rounding scale, on a mode stored without its

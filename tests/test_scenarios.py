@@ -1,5 +1,7 @@
 """Initial-data families: structure, amplitudes, seeds, and validation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,12 @@ class TestValidation:
     def test_spec_rejects(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
             ScenarioSpec(**kwargs)
+
+    @pytest.mark.parametrize("field", ["length", "epsilon", "theta_baseline"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_spec_rejects_non_finite(self, field, bad):
+        with pytest.raises(ValueError, match=f"{field} must be finite, got {bad}"):
+            ScenarioSpec("small-mixed", **{field: bad})
 
     def test_non_positive_temperature_rejected(self):
         with pytest.raises(ValueError, match="non-positive temperature"):
