@@ -19,12 +19,17 @@ value whenever a state is built.
 
 States are held in physical space at the API boundary, entering the
 stepper through `_SpectralStepper.load` and leaving through `.state`; `run`
-keeps them spectral in between and builds physical fields on the record
-cadence, in two inverse transforms: u stacked with theta, then v.  `step` is
-one step of `run`.  Products in the coupling are formed pointwise in physical space and dealiased
-by the 2/3 rule (unless disabled).  The evolved state is confined to the
-Nyquist-free subspace in either mode: the Nyquist modes have no conjugate
-partners, and odd derivatives there cannot keep a real field real.
+keeps them spectral in between, as one stacked array z = (a_u, a_v, theta^)
+that each step advances in place, and builds physical fields on the record
+cadence, in two inverse transforms: u stacked with theta, then v.  The
+products of a step and the spectra of a build are written into one work
+block the stepper owns; every emitted state is built in fresh arrays, so
+none shares memory with the stepper or with another state.  `step` is one
+step of `run`.  Products in the coupling are formed pointwise in physical
+space and dealiased by the 2/3 rule (unless disabled).  The evolved state is
+confined to the Nyquist-free subspace in either mode: the Nyquist modes have
+no conjugate partners, and odd derivatives there cannot keep a real field
+real.
 Temperature positivity is enforced by error: a step that drags min(theta) to
 the configured floor raises PositivityLoss.  A step that builds a state
 takes min(theta) from the built values.  A step that builds no state checks
@@ -179,9 +184,16 @@ class StepperConfig:
 
 
 class _SpectralStepper:
-    """One Strang step of (a_u, a_v, theta^) in spectral variables, with the
-    one way into them (`load`) and out of them (`state`).  dt may be signed
-    (used by centred-difference diagnostics); forward runs use dt > 0."""
+    """One Strang step of z = (a_u, a_v, theta^), stacked in one spectral
+    array and advanced in place, with the one way into the spectral variables
+    (`load`) and out of them (`state`).  dt may be signed (used by
+    centred-difference diagnostics); forward runs use dt > 0.
+
+    Every product of a step and every spectrum a state build composes is
+    written into one work block of 2d+1 spectral arrays owned by the stepper:
+    a build needs all of them, the wave half-step's products, the coupling's
+    increments and its inverse transform's input four.  A step allocates
+    only what its transforms return."""
 
     def __init__(self, grid: TorusGrid, p: ModelParams, dt: float, dealias: bool = True,
                  product_band: int = 0):
@@ -204,13 +216,21 @@ class _SpectralStepper:
         # the evolution subspace: the mode cube in Galerkin mode, else
         # everything but the unpaired Nyquist lines
         self.state_mask = product_mask if product_band else grid.nyquist_free_mask
-        self.heat_half = np.exp(-grid.k_sq * (0.5 * self.dt))
+        # the real multipliers of a step are held complex: a real-by-complex
+        # multiply casts the real operand exactly, so the products keep their
+        # bits, and held complex they need no cast buffer
+        self.heat_half = np.exp(-grid.k_sq * (0.5 * self.dt)).astype(np.complex128)
         self.k_abs, self.inv_k_abs = np.sqrt(grid.k_sq), np.sqrt(grid.inv_k_sq)
         self.ik_abs = 1j * self.k_abs
         self.neg_mu_ik_abs = -p.mu * self.ik_abs
-        self.neg_mu_mask = -p.mu * product_mask
+        self.neg_mu_mask = (-p.mu * product_mask).astype(np.complex128)
         self.a_t, a_l = p.wave_speeds_sq
-        self.long_half = self._rotation(a_l, 0.5 * self.dt)
+        # the longitudinal half-step as a block [[c, s], [m, c]] acting on (a_u, a_v)
+        c, s, m = self._rotation(a_l, 0.5 * self.dt)
+        self.long_half = np.array([[c, s], [m, c]], dtype=np.complex128)
+        self.work = np.empty((2 * grid.d + 1,) + grid.spectral_shape, dtype=np.complex128)
+        self._wave_products = self.work[:4].reshape(self.long_half.shape)
+        self._pair, self._increment = self.work[:2], self.work[2:4]
 
     def _rotation(self, speed_sq: float, t: float) -> tuple[np.ndarray, ...]:
         """Per-mode (cos wt, sin(wt)/w, -w^2 sin(wt)/w), w = sqrt(speed_sq) |k|,
@@ -220,70 +240,89 @@ class _SpectralStepper:
         s[(0,) * self.grid.d] = t
         return np.cos(phase), s, -speed_sq * self.grid.k_sq * s
 
-    def _wave_half(self, au: np.ndarray, av: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        c, s, m = self.long_half
-        return c * au + s * av, m * au + c * av
+    def _wave_half(self, z: np.ndarray) -> None:
+        # (a_u, a_v) <- (c a_u + s a_v, m a_u + c a_v)
+        products = self._wave_products
+        np.multiply(self.long_half, z[:2], out=products)
+        np.add(products[:, 0], products[:, 1], out=z[:2])
 
-    def load(self, s: SimState) -> tuple[np.ndarray, ...]:
-        """(a_u, a_v, theta^, nu_u, nu_v) of s on the evolution subspace:
-        curl-free amplitudes, temperature, solenoidal remainders; raises
-        NonFinite(s.t, field) before any transform if s is not finite."""
+    def load(self, s: SimState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(z, nu_u, nu_v) of s on the evolution subspace: z stacks the
+        curl-free amplitudes a_u, a_v and the temperature spectrum, nu_u and
+        nu_v are the solenoidal remainders; raises NonFinite(s.t, field)
+        before any transform if s is not finite."""
         _check_finite(s.t, s.u.components, s.v.components, s.theta.values)
         mask = self.state_mask
-        uh, vh = s.u.spectral() * mask, s.v.spectral() * mask
-        (au, chi_u), (av, chi_v) = (longitudinal_part(self.grid, wh) for wh in (uh, vh))
-        return au, av, s.theta.spectral() * mask, uh - chi_u, vh - chi_v
+        z = np.empty((3,) + self.grid.spectral_shape, dtype=np.complex128)
+        nu = []
+        for a, w in zip(z, (s.u, s.v)):
+            # each spectrum becomes its remainder in place, so one vector
+            # field's temporaries are alive at a time
+            wh = w.spectral()
+            wh *= mask
+            a[...], chi = longitudinal_part(self.grid, wh)
+            wh -= chi
+            nu.append(wh)
+        np.multiply(s.theta.spectral(), mask, out=z[2])
+        return z, nu[0], nu[1]
 
-    def state(self, t: float, au: np.ndarray, av: np.ndarray, th: np.ndarray,
-              nu_u: np.ndarray, nu_v: np.ndarray, n_steps: int) -> SimState:
-        """The state at time t from the amplitudes, the temperature spectrum
-        and nu rotated n_steps * dt at the transverse speed, in two inverse
-        transforms: u with theta in one (d+1)-field call, then v.
+    def state(self, t: float, z: np.ndarray, nu_u: np.ndarray, nu_v: np.ndarray,
+              n_steps: int) -> SimState:
+        """The state at time t from z = (a_u, a_v, theta^) and nu rotated
+        n_steps * dt at the transverse speed, in two inverse transforms: u
+        with theta in one (d+1)-field call, then v.  The spectra are composed
+        in the work block; the fields are fresh arrays.
 
         A stacked transform is byte-identical to one call per field, and
         each call costs more in dispatch than in arithmetic on small grids.
-        v gets its own call so that at most d+1 fields' spectra are alive
-        at once: one (2d+1)-field call would raise the peak memory of a
-        large 3D run by a further d fields."""
+        v gets its own call so that its spectrum can take the block's first d
+        arrays: one (2d+1)-field call would need a block of 3d+1."""
         grid = self.grid
         c, s, m = self._rotation(self.a_t, n_steps * self.dt)
         d = grid.d
-        uth = np.empty((d + 1,) + th.shape, dtype=th.dtype)
-        np.multiply(c, nu_u, out=uth[:d])
-        uth[:d] += s * nu_v
-        uth[:d] += grid.unit_wavevectors * au
-        uth[d] = th
-        uth = grid.to_physical(uth)
-        vh = m * nu_u
-        vh += c * nu_v
-        vh += grid.unit_wavevectors * av
+        k = grid.unit_wavevectors
+        uth, term = self.work[:d + 1], self.work[d + 1:]
+        uh = np.multiply(c, nu_u, out=uth[:d])
+        uh += np.multiply(s, nu_v, out=term)
+        uh += np.multiply(k, z[0], out=term)
+        uth[d] = z[2]
+        u_theta = grid.to_physical(uth)
+        vh = np.multiply(m, nu_u, out=self.work[:d])
+        vh += np.multiply(c, nu_v, out=term)
+        vh += np.multiply(k, z[1], out=term)
         v = grid.to_physical(vh)
-        return SimState(t, VectorField(grid, uth[:d]), VectorField(grid, v), ScalarField(grid, uth[d]))
+        return SimState(t, VectorField(grid, u_theta[:d]), VectorField(grid, v),
+                        ScalarField(grid, u_theta[d]))
 
-    def _coupling_rhs(self, av: np.ndarray, th: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _coupling_rhs(self, pair: np.ndarray, out: np.ndarray) -> None:
+        """The coupling's tendency at pair = (a_v, theta^), written to out;
+        pair is overwritten with the inverse transform's input."""
         grid = self.grid
         # along k^, -mu grad(theta) is -mu i|k| theta^ and div v is i|k| a_v
-        dav = self.neg_mu_ik_abs * th
-        pair = np.empty((2,) + th.shape, dtype=th.dtype)
-        np.multiply(self.ik_abs, av, out=pair[0])
-        pair[1] = th
+        np.multiply(self.neg_mu_ik_abs, pair[1], out=out[0])
+        np.multiply(self.ik_abs, pair[0], out=pair[0])
         div_v, theta = grid.to_physical(pair)
-        dth = grid.to_spectral(theta * div_v) * self.neg_mu_mask
-        return dav, dth
+        np.multiply(theta, div_v, out=div_v)
+        np.multiply(grid.to_spectral(div_v), self.neg_mu_mask, out=out[1])
 
-    def _couple(self, av: np.ndarray, th: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        dt = self.dt
-        k1v, k1t = self._coupling_rhs(av, th)
-        k2v, k2t = self._coupling_rhs(av + 0.5 * dt * k1v, th + 0.5 * dt * k1t)
-        return av + dt * k2v, th + dt * k2t
+    def _couple(self, y: np.ndarray) -> None:
+        # explicit midpoint rule on y = (a_v, theta^), in place
+        dt, pair, k = self.dt, self._pair, self._increment
+        np.copyto(pair, y)
+        self._coupling_rhs(pair, k)
+        np.multiply(0.5 * dt, k, out=pair)
+        np.add(y, pair, out=pair)
+        self._coupling_rhs(pair, k)
+        np.multiply(dt, k, out=k)
+        np.add(y, k, out=y)
 
-    def step(self, au: np.ndarray, av: np.ndarray, th: np.ndarray):
-        th = self.heat_half * th
-        au, av = self._wave_half(au, av)
-        av, th = self._couple(av, th)
-        au, av = self._wave_half(au, av)
-        th = self.heat_half * th
-        return au, av, th
+    def step(self, z: np.ndarray) -> None:
+        """Advance z = (a_u, a_v, theta^) by one Strang step, in place."""
+        np.multiply(self.heat_half, z[2], out=z[2])
+        self._wave_half(z)
+        self._couple(z[1:])
+        self._wave_half(z)
+        np.multiply(self.heat_half, z[2], out=z[2])
 
 
 def evaluate_rhs(s: SimState, p: ModelParams, dealias: bool = True) -> tuple[VectorField, VectorField, ScalarField]:
@@ -318,11 +357,11 @@ def _signed_step(s: SimState, p: ModelParams, dt: float) -> SimState:
     Intended for centred-difference diagnostics with |dt| small.
     """
     stepper = _SpectralStepper(s.grid, p, dt)
-    au, av, th, nu_u, nu_v = stepper.load(s)
-    au, av, th = stepper.step(au, av, th)
+    z, nu_u, nu_v = stepper.load(s)
+    stepper.step(z)
     t = s.t + dt
-    _check_finite(t, au, av, th)
-    return stepper.state(t, au, av, th, nu_u, nu_v, 1)
+    _check_finite(t, *z)
+    return stepper.state(t, z, nu_u, nu_v, 1)
 
 
 def _enforce_floor(t: float, theta: np.ndarray, floor: float) -> None:
@@ -344,13 +383,15 @@ def _floor_certificate(grid: TorusGrid, floor: float) -> Callable[[np.ndarray], 
     The margin covers the sup-norm rounding of the inverse transform (the
     2-norm FFT bound of Higham, Accuracy and Stability of Numerical
     Algorithms, sec. 24.1, times sqrt(N)) and the rounding of the sum.
+    The test writes |theta^| into one buffer of its own.
     """
     n = grid.n_total
     weight = np.broadcast_to(grid.hermitian_weight, grid.spectral_shape).ravel()
     margin = (8.0 * math.log2(n) * math.sqrt(n) + n) * np.finfo(np.float64).eps
+    magnitude = np.empty(grid.spectral_shape)
 
     def clears(th: np.ndarray) -> bool:
-        l1 = float(np.abs(th).ravel() @ weight)
+        l1 = float(np.abs(th, out=magnitude).ravel() @ weight)
         return (2.0 * th.flat[0].real - l1 - margin * l1) / n > floor
 
     return clears
@@ -390,29 +431,38 @@ def run(
     grid = s0.grid
     stepper = _SpectralStepper(grid, p, cfg.dt, cfg.dealias, cfg.product_band)
     n_steps = cfg.n_steps()
-    au, av, th, nu_u, nu_v = stepper.load(s0)
-    _dt_advisory(stepper, s0, av, p)
+    z, nu_u, nu_v = stepper.load(s0)
+    _dt_advisory(stepper, s0, z[1], p)
     _enforce_floor(s0.t, s0.theta.values, cfg.positivity_floor)
     certified = _floor_certificate(grid, cfg.positivity_floor)
     t0 = s0.t
 
     if sink is not None:
         sink(s0.copy())
-    state = s0.copy() if n_steps == 0 else None
+    if n_steps == 0:
+        return s0.copy()
     for i in range(1, n_steps + 1):
-        au, av, th = stepper.step(au, av, th)
+        stepper.step(z)
         t = t0 + i * cfg.dt
         # nu never enters a step, so the finite load keeps it finite
-        _check_finite(t, au, av, th)
+        if not np.isfinite(z.view(np.float64)).all():
+            _check_finite(t, *z)
         if i == n_steps or (sink is not None and i % cfg.record_every == 0):
             # nu is rotated from its initial value, so a state does not
             # depend on which earlier states were built
-            state = stepper.state(t, au, av, th, nu_u, nu_v, i)
+            state = stepper.state(t, z, nu_u, nu_v, i)
             _enforce_floor(t, state.theta.values, cfg.positivity_floor)
-            if sink is not None:
-                sink(state.copy() if i == n_steps else state)
-        elif not certified(th):
+            if i < n_steps:
+                sink(state)
+                # run keeps no emitted state: one the sink lets go is freed
+                # before the next build
+                state = None
+        elif not certified(z[2]):
             # a certified spectrum cannot raise, and no state reads its
             # values, so only an uncertified one is transformed
-            _enforce_floor(t, grid.to_physical(th), cfg.positivity_floor)
+            _enforce_floor(t, grid.to_physical(z[2]), cfg.positivity_floor)
+    # the stepper's arrays are freed before the sink's copy of the final state is made
+    del stepper, certified, z, nu_u, nu_v
+    if sink is not None:
+        sink(state.copy())
     return state

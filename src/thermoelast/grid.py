@@ -17,10 +17,11 @@ takes float64 to complex128 and the inverse complex128 to float64; other
 inputs are converted first.  `scipy.fft.set_workers` and `set_backend`
 contexts do not apply to them.
 
-A TorusGrid builds each spectral array (wavevectors, |k|^2, k/|k|, masks)
-and the scalars every Parseval sum reads (point count, cell volume) on first
-use and keeps them.  Every mask is a cube in mode-index space with a
-per-axis bound: m // 3 (2/3 rule), m/2 - 1 (Nyquist-free) or a fixed band.
+A TorusGrid builds each spectral array (wavevectors, |k|^2, k/|k|, masks),
+the scalars every Parseval sum reads (point count, cell volume), and the
+dimension and spectral shape every transform checks, on first use and keeps
+them.  Every mask is a cube in mode-index space with a per-axis bound:
+m // 3 (2/3 rule), m/2 - 1 (Nyquist-free) or a fixed band.
 
 The default box edge is 2*pi, which makes the wavevector lattice the integer
 lattice and keeps the spectral identities used by the verification suite
@@ -94,7 +95,7 @@ class TorusGrid:
 
     # -- geometry ---------------------------------------------------------
 
-    @property
+    @cached_property
     def d(self) -> int:
         return len(self.n_per_axis)
 
@@ -102,7 +103,7 @@ class TorusGrid:
     def shape(self) -> tuple[int, ...]:
         return self.n_per_axis
 
-    @property
+    @cached_property
     def spectral_shape(self) -> tuple[int, ...]:
         """Shape of a spectral array: the last axis keeps modes 0..m/2."""
         return self.n_per_axis[:-1] + (self.n_per_axis[-1] // 2 + 1,)

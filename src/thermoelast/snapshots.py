@@ -198,7 +198,8 @@ def write_state(s: SimState, directory: str) -> list[str]:
 
 
 def read_state(directory: str) -> SimState:
-    """The u/v/theta triple under directory, at the time stamped on u."""
+    """The u/v/theta triple under directory, at the time stamped on all three;
+    a triple whose stamps differ is not one state and raises SnapshotError."""
     for layout in _STATE_LAYOUTS:
         paths = [os.path.join(directory, layout.format(k)) for k in ("u", "v", "theta")]
         if all(os.path.exists(p) for p in paths):
@@ -211,7 +212,13 @@ def read_state(directory: str) -> SimState:
     if not isinstance(u, VectorField) or not isinstance(v, VectorField) \
             or not isinstance(theta, ScalarField):
         raise SnapshotError(f"{directory}: triple has wrong field kinds")
-    return SimState(read_header(paths[0]).t, u, v, theta)
+    t = read_header(paths[0]).t
+    for path in paths[1:]:
+        stamp = read_header(path).t
+        if stamp != t:
+            raise SnapshotError(f"{path}: time stamp t={stamp!r} differs from "
+                                f"t={t!r} on {paths[0]}")
+    return SimState(t, u, v, theta)
 
 
 def write_table(path: str, header: Sequence[str], rows: Iterable[Sequence[float]]) -> None:

@@ -212,6 +212,19 @@ class TestDiagnose:
         assert err == f"error: {message}\n"
         assert out_text == ""
 
+    def test_mixed_time_stamps_are_refused(self, run_cfg, capsys):
+        # a v from a later run on the same grid: the triple is not one state
+        cfg_path, out = run_cfg
+        assert main(["run", cfg_path]) == 0
+        capsys.readouterr()
+        v_path = os.path.join(out, "final_v.tefld")
+        write_snapshot(read_snapshot(v_path), v_path, t=0.04)
+        assert main(["diagnose", out, "--mu", "1.0"]) == 1
+        out_text, err = capsys.readouterr()
+        assert err.startswith(f"error: {v_path}: time stamp t=0.04 differs from t=0.02")
+        assert err.endswith(f"on {os.path.join(out, 'final_u.tefld')}\n")
+        assert out_text == ""
+
     def test_printed_rows_pinned(self, tmp_path, capsys):
         # the printed output, byte for byte; every row shown is well
         # conditioned to its printed digits

@@ -5,10 +5,12 @@ determinism, and the Galerkin product-band mode.
 import dataclasses
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.fft._pocketfft import pypocketfft
 
 from thermoelast import (
     ModelParams,
@@ -445,19 +447,17 @@ class TestFailureModes:
 
     @pytest.mark.parametrize("what", ["u", "v", "theta"])
     def test_non_finite_mid_run(self, monkeypatch, what):
-        # a NaN put into (a_u, a_v, theta^) by the third step is reported
-        # after that step, under the name of the field it belongs to
+        # a NaN put into z = (a_u, a_v, theta^) by the third step is
+        # reported after that step, under the name of the field it belongs to
         real_step = dynamics._SpectralStepper.step
         index = ("u", "v", "theta").index(what)
         calls = [0]
 
-        def poisoned(self, au, av, th):
-            out = list(real_step(self, au, av, th))
+        def poisoned(self, z):
+            real_step(self, z)
             calls[0] += 1
             if calls[0] == 3:
-                out[index] = out[index].copy()
-                out[index].flat[5] = np.nan
-            return tuple(out)
+                z[index].flat[5] = np.nan
 
         monkeypatch.setattr(dynamics._SpectralStepper, "step", poisoned)
         s0 = make_initial_data(ScenarioSpec("small-mixed", epsilon=0.2))
@@ -707,10 +707,11 @@ class TestTransformBudget:
         s0 = make_initial_data(ScenarioSpec("random", d=d, n=16, seed=7))
         grid, n_steps = s0.grid, 5
         stepper = dynamics._SpectralStepper(grid, ModelParams(mu=1.0, operator=operator), 1e-3)
-        au, av, th, nu_u, nu_v = stepper.load(s0)
-        got = stepper.state(0.005, au, av, th, nu_u, nu_v, n_steps)
+        z, nu_u, nu_v = stepper.load(s0)
+        got = stepper.state(0.005, z, nu_u, nu_v, n_steps)
         c, s, m = stepper._rotation(stepper.a_t, n_steps * stepper.dt)
         k = grid.unit_wavevectors
+        au, av, th = z
         want = (grid.to_physical(c * nu_u + s * nu_v + k * au),
                 grid.to_physical(m * nu_u + c * nu_v + k * av),
                 grid.to_physical(th))
@@ -766,6 +767,107 @@ class TestTransformBudget:
         run(s0, p, StepperConfig(dt=1e-3, t_end=n * 1e-3, record_every=1), sink=sink)
         assert len(rec.records) == n + 1
         assert calls == [("to_spectral", (2 * d + 2,)), ("to_physical", (d,))] * (n + 1)
+
+
+# The per-field step, one array per field and a fresh array for every
+# product: the reference the stacked in-place step is held to, bit for bit.
+def _per_field_wave_half(self, au, av):
+    c, s, m = self.long_half[0, 0], self.long_half[0, 1], self.long_half[1, 0]
+    return c * au + s * av, m * au + c * av
+
+
+def _per_field_coupling_rhs(self, av, th):
+    grid = self.grid
+    # along k^, -mu grad(theta) is -mu i|k| theta^ and div v is i|k| a_v
+    dav = self.neg_mu_ik_abs * th
+    pair = np.empty((2,) + th.shape, dtype=th.dtype)
+    np.multiply(self.ik_abs, av, out=pair[0])
+    pair[1] = th
+    div_v, theta = grid.to_physical(pair)
+    dth = grid.to_spectral(theta * div_v) * self.neg_mu_mask
+    return dav, dth
+
+
+def _per_field_couple(self, av, th):
+    dt = self.dt
+    k1v, k1t = _per_field_coupling_rhs(self, av, th)
+    k2v, k2t = _per_field_coupling_rhs(self, av + 0.5 * dt * k1v, th + 0.5 * dt * k1t)
+    return av + dt * k2v, th + dt * k2t
+
+
+def _per_field_step(self, au, av, th):
+    th = self.heat_half * th
+    au, av = _per_field_wave_half(self, au, av)
+    av, th = _per_field_couple(self, av, th)
+    au, av = _per_field_wave_half(self, au, av)
+    th = self.heat_half * th
+    return au, av, th
+
+
+class TestStackedStep:
+    """The step advances one stacked z = (a_u, a_v, theta^) in place: bit
+    for bit the per-field step, and with no allocation of its own."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("operator", ["laplacian", "lame"])
+    @pytest.mark.parametrize("dealias, band", [(True, 0), (False, 0), (True, 3)])
+    @pytest.mark.parametrize("dt", [1e-3, -1e-3])
+    def test_matches_the_per_field_step(self, d, operator, dealias, band, dt):
+        # dt < 0 is the signed step of the centred-difference diagnostics
+        s0 = make_initial_data(ScenarioSpec("random", d=d, n=16, seed=7))
+        stepper = dynamics._SpectralStepper(s0.grid, ModelParams(mu=1.0, operator=operator), dt,
+                                            dealias, band)
+        z, _, _ = stepper.load(s0)
+        fields = tuple(a.copy() for a in z)
+        for _ in range(20):
+            stepper.step(z)
+            fields = _per_field_step(stepper, *fields)
+            for got, want in zip(z, fields):
+                assert got.tobytes() == want.tobytes()
+
+    def test_step_allocates_nothing_but_transform_outputs(self, monkeypatch):
+        s0 = make_initial_data(ScenarioSpec("random", d=3, n=16, seed=7))
+        grid = s0.grid
+        stepper = dynamics._SpectralStepper(grid, ModelParams(mu=1.0, operator="lame"), 1e-3)
+        z, _, _ = stepper.load(s0)
+        spectrum = np.empty(grid.spectral_shape, dtype=np.complex128).nbytes
+        outputs = 2 * grid.n_total * 8 + spectrum
+        axes, last = tuple(range(-grid.d, 0)), grid.n_per_axis[-1]
+
+        def growth(steps: int) -> int:
+            stepper.step(z)  # warm-up
+            tracemalloc.start()
+            try:
+                before, _ = tracemalloc.get_traced_memory()
+                for _ in range(steps):
+                    stepper.step(z)
+                return tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+
+        # a coupling evaluation's inverse transform returns a (2, *shape)
+        # pair, and the forward transform of the product in it a spectrum
+        assert growth(10) <= outputs + 4096
+        # with the transforms writing into buffers of their own, what is left
+        # is below the smallest array a step could make
+        buffers = {}
+
+        def into(forward):
+            def transform(self, arr):
+                key = (forward, arr.shape)
+                if key not in buffers:
+                    lead = arr.shape[:arr.ndim - grid.d]
+                    buffers[key] = (np.empty(lead + grid.spectral_shape, dtype=np.complex128)
+                                    if forward else np.empty(lead + grid.shape))
+                if forward:
+                    return pypocketfft.r2c(arr, axes, True, 0, buffers[key], 1)
+                return pypocketfft.c2r(arr, axes, last, False, 2, buffers[key], 1)
+
+            return transform
+
+        monkeypatch.setattr(TorusGrid, "to_spectral", into(True))
+        monkeypatch.setattr(TorusGrid, "to_physical", into(False))
+        assert growth(10) < np.empty(grid.spectral_shape).nbytes
 
 
 class TestProductBand:

@@ -292,6 +292,18 @@ class TestState:
         with pytest.raises(SnapshotError, match="triple has wrong field kinds"):
             read_state(str(tmp_path))
 
+    @pytest.mark.parametrize("other", ["v", "theta"])
+    def test_mixed_time_stamps_refused(self, grid8, rng, tmp_path, other):
+        # a field from another run on the same grid does not make one state
+        s = _state(grid8, rng, t=0.5)
+        write_state(s, str(tmp_path))
+        path = str(tmp_path / f"final_{other}.tefld")
+        write_snapshot(getattr(s, other), path, t=0.75)
+        with pytest.raises(SnapshotError) as info:
+            read_state(str(tmp_path))
+        assert str(info.value) == (f"{path}: time stamp t=0.75 differs from t=0.5 on "
+                                   f"{tmp_path / 'final_u.tefld'}")
+
     def test_grids_must_match(self, grid8, rng, tmp_path):
         s = _state(grid8, rng, t=0.0)
         write_state(s, str(tmp_path))
