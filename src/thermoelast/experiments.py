@@ -157,6 +157,8 @@ def _exp_oscillation(o: dict, out_dir: str) -> tuple[list[Check], list[str]]:
         nu = math.sqrt(spectral_l2_sq(s.grid, uh - longitudinal_part(s.grid, uh)[1]))
         nu_series.append((s.t, nu))
 
+    if not 0.0 < o["tail"] <= o["t_end"]:
+        raise ValueError(f"tail must be in (0, t_end={o['t_end']:g}], got {o['tail']:g}")
     ts = os.path.join(out_dir, "timeseries.csv")
     _, records = _run_recorded(build_config(o | {"scenario": "small-div-free"}), ts,
                                extra_sink=track_nu)
@@ -207,6 +209,10 @@ def _exp_bounds(o: dict, out_dir: str) -> tuple[list[Check], list[str]]:
 
 
 def _exp_oracle_xcheck(o: dict, out_dir: str) -> tuple[list[Check], list[str]]:
+    if o["sample_dt"] <= 0.0:
+        raise ValueError(f"sample_dt must be > 0, got {o['sample_dt']:g}")
+    if o["sample_dt"] > o["t_end"]:  # no sample past t=0 to compare
+        raise ValueError(f"sample_dt must be at most t_end={o['t_end']:g}, got {o['sample_dt']:g}")
     times = [round(i * o["sample_dt"], 12) for i in range(int(round(o["t_end"] / o["sample_dt"])) + 1)]
 
     def one(n_grid: int, dealias: bool):

@@ -17,6 +17,17 @@ takes float64 to complex128 and the inverse complex128 to float64; other
 inputs are converted first.  `scipy.fft.set_workers` and `set_backend`
 contexts do not apply to them.
 
+The binding is loaded from its file in SciPy's `fft/_pocketfft` directory,
+found through `importlib` without running `scipy/__init__.py` or
+`scipy/fft/__init__.py`: those pull in `scipy._lib._array_api` and
+`scipy.special`, which the grid never calls, and cost most of the import
+time and resident memory of `import thermoelast`.  It is registered under
+its dotted name, so a later `import scipy.fft` binds the same module, and
+a process that has imported `scipy.fft` first hands the grid SciPy's own.
+When the grid loads it first, `from scipy.fft._pocketfft import
+pypocketfft` still finds it, but the package `scipy.fft._pocketfft` gets
+no `pypocketfft` attribute.
+
 A TorusGrid builds each spectral array (wavevectors, |k|^2, k/|k|, masks),
 the scalars every Parseval sum reads (point count, cell volume), and the
 dimension and spectral shape every transform checks, on first use and keeps
@@ -30,13 +41,17 @@ exact to rounding.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from functools import cached_property
+from types import ModuleType
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.fft._pocketfft import pypocketfft
 
 __all__ = [
     "TWO_PI",
@@ -49,6 +64,29 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+
+
+def _load_pocketfft() -> ModuleType:
+    """SciPy's pocketfft binding, loaded from its file (see the module
+    docstring for why) and registered under its dotted name."""
+    name = "scipy.fft._pocketfft.pypocketfft"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy_spec = importlib.util.find_spec("scipy")  # locates, does not execute
+    if scipy_spec is None:
+        raise ImportError("scipy is not installed")
+    where = os.path.join(scipy_spec.submodule_search_locations[0], "fft", "_pocketfft")
+    found = importlib.machinery.PathFinder.find_spec("pypocketfft", [where])
+    if found is None:
+        raise ImportError(f"scipy's pocketfft binding is not in {where}")
+    spec = importlib.util.spec_from_file_location(name, found.origin)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+pypocketfft = _load_pocketfft()
 
 
 def _index_line(m: int, last: bool) -> np.ndarray:

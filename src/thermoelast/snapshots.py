@@ -24,6 +24,7 @@ atomic rename, so readers never observe partial files.
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -109,6 +110,8 @@ def _header_line(grid: TorusGrid, t: float, kind: str, comps: int) -> bytes:
 
 def write_snapshot(field: ScalarField | VectorField, path: str, t: float = 0.0) -> None:
     """Serialize one field; the time stamp rides in the header."""
+    if not math.isfinite(t):
+        raise ValueError(f"time stamp must be finite, got t={t}")
     if isinstance(field, ScalarField):
         kind, comps = "scalar", 1
         payload = np.ascontiguousarray(field.values, dtype="<f8")
@@ -137,6 +140,8 @@ def _parse_header(line: bytes, path: str) -> SnapshotHeader:
         comps = int(vals["comps"])
     except ValueError as exc:
         raise SnapshotError(f"{path}: bad header value ({exc})") from exc
+    if not math.isfinite(t):
+        raise SnapshotError(f"{path}: time stamp must be finite, got {vals['t']}")
     kind = vals["kind"]
     if kind not in ("scalar", "vector"):
         raise SnapshotError(f"{path}: kind must be scalar or vector, got {kind!r}")

@@ -286,6 +286,18 @@ class TestDiagnose:
         assert "non-finite theta at t=0.5\n" in err
         assert out == ""
 
+    def test_non_finite_time_stamp_is_refused(self, tmp_path, capsys):
+        # a triple stamped inf is no state at any time
+        for path in write_state(make_initial_data(ScenarioSpec("small-mixed", n=16)), str(tmp_path)):
+            with open(path, "rb") as fh:
+                data = fh.read()
+            with open(path, "wb") as fh:
+                fh.write(data.replace(b" t=0 ", b" t=inf ", 1))
+        assert main(["diagnose", str(tmp_path), "--mu", "1.0"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {tmp_path / 'final_u.tefld'}: time stamp must be finite, got inf\n"
+
 
 @pytest.fixture
 def oracle_cfg(tmp_path):
@@ -354,6 +366,14 @@ class TestExperiment:
                    "--out-dir", str(tmp_path / "x")])
         assert rc == 1
         assert "unknown override" in capsys.readouterr().err
+
+    def test_degenerate_sampling_exits_cleanly(self, tmp_path, capsys):
+        rc = main(["experiment", "oracle-xcheck", "--set", "sample_dt=0",
+                   "--out-dir", str(tmp_path / "x")])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: sample_dt must be > 0, got 0\n"
 
     def test_override_value_uses_config_grammar(self, tmp_path, capsys):
         rc = main(["experiment", "bounds", "--set", "t_end=abc",

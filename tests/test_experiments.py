@@ -125,6 +125,25 @@ class TestOverrides:
         with pytest.raises(ConfigError, match="^d must be 2 or 3, got 4$"):
             run_experiment("asymptotics", {"d": "4"}, out_dir=str(tmp_path))
 
+    @pytest.mark.parametrize("raw", ["0", "-0.1"])
+    def test_sample_dt_must_be_positive(self, raw, tmp_path):
+        with pytest.raises(ValueError, match=f"^sample_dt must be > 0, got {raw}$"):
+            run_experiment("oracle-xcheck", {"sample_dt": raw, "t_end": "0.01"},
+                           out_dir=str(tmp_path))
+        assert os.listdir(tmp_path) == []
+
+    def test_sample_dt_past_t_end_refused(self, tmp_path):
+        # the only sample would be t=0, where both runs equal the oracle
+        with pytest.raises(ValueError, match="^sample_dt must be at most t_end=0.01, got 0.1$"):
+            run_experiment("oracle-xcheck", {"t_end": "0.01"}, out_dir=str(tmp_path))
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("raw", ["-5", "0", "0.3"])
+    def test_tail_must_lie_inside_the_run(self, raw, tmp_path):
+        with pytest.raises(ValueError, match=rf"^tail must be in \(0, t_end=0.2\], got {raw}$"):
+            run_experiment("oscillation", dict(_RUN, tail=raw), out_dir=str(tmp_path))
+        assert os.listdir(tmp_path) == []
+
     def test_lame_scenario_in_bounds_runs_like_thermoelast_run(self, tmp_path):
         # bounds builds its runs with the config builder, so a lame-* name
         # gets the elastic operator exactly as a config file would

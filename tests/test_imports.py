@@ -1,11 +1,20 @@
 """Every name a package module imports is referenced in that module, and
-importing the package loads no SciPy beyond `scipy.fft`.
+importing the package runs no SciPy package code.
 
 The package's `__init__.py` imports names only to re-export them, so it is
 left out; elsewhere a name listed in `__all__` counts as referenced.
+
+The grid loads SciPy's pocketfft binding from its file, so `import
+thermoelast` leaves `scipy`, `scipy.fft` and `scipy.special` unloaded; a
+later `import scipy.fft` binds the same module object, and the grid
+transforms give the bytes of `rfftn`/`irfftn` in either import order.
+`scipy.integrate` loads only on the oracle's first integration.  Both are
+checked in fresh interpreters, because the test process has imported
+everything already.
 """
 
 import ast
+import importlib.machinery
 import json
 import os
 import subprocess
@@ -15,7 +24,9 @@ from pathlib import Path
 import pytest
 
 import thermoelast
+from thermoelast.grid import _load_pocketfft, pypocketfft
 
+BINDING = "scipy.fft._pocketfft.pypocketfft"
 MODULES = sorted(
     p for p in Path(thermoelast.__file__).parent.glob("*.py") if p.name != "__init__.py"
 )
@@ -49,23 +60,93 @@ def test_no_unused_imports(path):
     assert _unused_imports(ast.parse(path.read_text(), filename=str(path))) == []
 
 
-# Runs in a fresh interpreter: the test process has imported everything already.
+# argv[1] is "thermoelast-first" or "scipy-first".
+BINDING_PROBE = """
+import json, os, sys
+import numpy as np
+if sys.argv[1] == "scipy-first":
+    import scipy.fft
+import thermoelast
+from thermoelast.grid import TorusGrid, pypocketfft
+loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+rng = np.random.default_rng(7)
+cases = []
+for shape, lead in (((8, 6), ()), ((4, 6, 8), (2,))):
+    grid = TorusGrid(shape)
+    x = rng.standard_normal(lead + shape)
+    xh = grid.to_spectral(x)
+    cases.append((grid, x, xh, grid.to_physical(xh)))
+import scipy.fft
+from scipy.fft._pocketfft import basic, pypocketfft as theirs
+same_bytes = all(
+    xh.tobytes() == scipy.fft.rfftn(x, axes=grid._transform_axes).tobytes()
+    and y.tobytes() == scipy.fft.irfftn(
+        xh, s=grid.n_per_axis, axes=grid._transform_axes).tobytes()
+    for grid, x, xh, y in cases
+)
+print(json.dumps({"loaded": loaded, "same_bytes": same_bytes,
+                  "shared": theirs is pypocketfft and basic.pfft is pypocketfft,
+                  "scipy_dir": os.path.dirname(pypocketfft.__file__) == os.path.dirname(basic.__file__)}))
+"""
+
 LAZY_PROBE = """
 import contextlib, io, json, sys
-import numpy, scipy.fft
-before = {m for m in sys.modules if m.startswith("scipy")}
 import thermoelast
 from thermoelast.cli import main
 from thermoelast.oracle import build_galerkin, integrate_galerkin
-loaded = sorted({m for m in sys.modules if m.startswith("scipy")} - before)
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(["run", sys.argv[1]])
 after_run = "scipy.integrate" in sys.modules
 s = thermoelast.make_initial_data(thermoelast.ScenarioSpec("band-limited", n=16, epsilon=0.1))
 integrate_galerkin(build_galerkin(s, thermoelast.ModelParams(mu=1.0), n=2), 0.01)
-print(json.dumps({"loaded": loaded, "code": code, "after_run": after_run,
+print(json.dumps({"code": code, "after_run": after_run,
                   "after_oracle": "scipy.integrate" in sys.modules}))
 """
+
+
+def _probe(code: str, arg: str) -> dict:
+    src = str(Path(thermoelast.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code, arg],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+ORDERS = ["thermoelast-first", "scipy-first"]
+
+
+@pytest.fixture(scope="module")
+def binding_probes():
+    return {order: _probe(BINDING_PROBE, order) for order in ORDERS}
+
+
+class TestPocketfftBinding:
+    def test_import_runs_no_scipy_package(self, binding_probes):
+        assert binding_probes["thermoelast-first"]["loaded"] == [BINDING]
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_one_module_from_scipys_file(self, binding_probes, order):
+        assert binding_probes[order]["shared"]
+        assert binding_probes[order]["scipy_dir"]
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_transforms_are_the_public_call(self, binding_probes, order):
+        assert binding_probes[order]["same_bytes"]
+
+    def test_loaded_binding_is_reused(self):
+        assert _load_pocketfft() is sys.modules[BINDING] is pypocketfft
+
+    def test_missing_binding_names_the_directory(self, monkeypatch):
+        import scipy
+
+        monkeypatch.delitem(sys.modules, BINDING)
+        monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
+                            classmethod(lambda cls, name, path=None, target=None: None))
+        where = os.path.join(os.path.dirname(scipy.__file__), "fft", "_pocketfft")
+        with pytest.raises(ImportError) as info:
+            _load_pocketfft()
+        assert str(info.value) == f"scipy's pocketfft binding is not in {where}"
 
 
 @pytest.fixture(scope="module")
@@ -73,18 +154,10 @@ def lazy_probe(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("lazy")
     cfg = tmp / "run.cfg"
     cfg.write_text(f"scenario = small-mixed\ndt = 0.01\nt_end = 0.02\nout_dir = {tmp / 'out'}\n")
-    src = str(Path(thermoelast.__file__).parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", LAZY_PROBE, str(cfg)],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=True,
-    )
-    return json.loads(proc.stdout.splitlines()[-1])
+    return _probe(LAZY_PROBE, str(cfg))
 
 
 class TestLazyIntegrator:
-    def test_import_loads_no_scipy_beyond_fft(self, lazy_probe):
-        assert lazy_probe["loaded"] == []
-
     def test_run_leaves_integrator_unloaded(self, lazy_probe):
         assert lazy_probe["code"] == 0
         assert not lazy_probe["after_run"]

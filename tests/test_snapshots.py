@@ -75,6 +75,12 @@ class TestFieldRoundTrip:
         g = read_snapshot(path, grid=grid)
         assert np.array_equal(g.components, f.components)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_stamp_refused(self, grid8, tmp_path, t):
+        with pytest.raises(ValueError, match=f"time stamp must be finite, got t={t}"):
+            write_snapshot(ScalarField(grid8, np.zeros(grid8.shape)), str(tmp_path / "f.tefld"), t=t)
+        assert os.listdir(tmp_path) == []
+
     def test_rejects_other_types(self, tmp_path):
         with pytest.raises(TypeError, match="expected ScalarField or VectorField"):
             write_snapshot(np.zeros((8, 8)), str(tmp_path / "x.tefld"))
@@ -158,6 +164,17 @@ class TestMalformedFiles:
         )
         with pytest.raises(SnapshotError, match="cannot have comps=2"):
             read_header(path)
+
+    @pytest.mark.parametrize("stamp", ["nan", "inf", "-inf"])
+    def test_non_finite_time_stamp(self, tmp_path, stamp):
+        path = _write_raw(
+            tmp_path, "x",
+            MAGIC + f" d=2 n=8,8 len=1,1 t={stamp} kind=scalar comps=1\n".encode() + b"\0" * 512,
+        )
+        for read in (read_header, read_snapshot):
+            with pytest.raises(SnapshotError) as info:
+                read(path)
+            assert str(info.value) == f"{path}: time stamp must be finite, got {stamp}"
 
     def test_invalid_grid_in_header(self, tmp_path):
         path = _write_raw(
@@ -303,6 +320,18 @@ class TestState:
             read_state(str(tmp_path))
         assert str(info.value) == (f"{path}: time stamp t=0.75 differs from t=0.5 on "
                                    f"{tmp_path / 'final_u.tefld'}")
+
+    @pytest.mark.parametrize("stamp", [b"nan", b"inf"])
+    def test_non_finite_stamped_triple_refused(self, grid8, rng, tmp_path, stamp):
+        # one stamp on all three files: refused as non-finite, not as differing
+        for path in write_state(_state(grid8, rng, t=0.5), str(tmp_path)):
+            with open(path, "rb") as fh:
+                data = fh.read()
+            _write_raw(tmp_path, os.path.basename(path), data.replace(b" t=0.5 ", b" t=" + stamp + b" ", 1))
+        with pytest.raises(SnapshotError) as info:
+            read_state(str(tmp_path))
+        assert str(info.value) == (f"{tmp_path / 'final_u.tefld'}: time stamp must be finite, "
+                                   f"got {stamp.decode()}")
 
     def test_grids_must_match(self, grid8, rng, tmp_path):
         s = _state(grid8, rng, t=0.0)
