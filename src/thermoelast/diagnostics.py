@@ -23,6 +23,12 @@ Every quadratic quantity of u and v is read by Parseval from their
 coefficients, the curl-free parts from `operators.longitudinal_part`; a
 record takes u, v, log theta and theta forward in one stacked transform and
 inverts only grad theta.
+The Parseval sums are reduced in blocks (`grid.parseval_sums`): u and v
+stacked as one pair, its power |c|^2 built once and multiplied by a stack of
+per-mode weights (`_Weights`, hermitian_weight folded in), then summed over
+each group's trailing axes in one call.  Each column's formula combines sums
+already reduced, in the order of the per-column form, so the public
+functions and the recorder share one copy and every column keeps its bits.
 Pointwise nonlinearities (log, sqrt, quotients) are evaluated in physical
 space; where their result is differentiated spectrally it is dealiased by the
 2/3 rule first.
@@ -33,12 +39,13 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import operators
 from .dynamics import ModelParams, SimState, _signed_step
-from .grid import ScalarField, TorusGrid, quadrature, spectral_l2_sq
+from .grid import ScalarField, TorusGrid, parseval_sums, quadrature
 
 __all__ = [
     "DiagnosticsRecord",
@@ -84,7 +91,7 @@ RECORD_FIELDS = tuple(f.name for f in dataclasses.fields(DiagnosticsRecord))
 
 def _check_positive(theta: ScalarField, what: str) -> float:
     """min(theta); raises ValueError naming `what` unless it is positive."""
-    tmin = float(np.min(theta.values))
+    tmin = float(theta.values.min())
     if tmin <= 0.0:
         raise ValueError(f"{what} requires positive temperature, min is {tmin:.6g}")
     return tmin
@@ -97,26 +104,88 @@ def _log_theta(theta: ScalarField, what: str) -> tuple[np.ndarray, float]:
     return np.log(theta.values), tmin
 
 
-def _entropy_production(grid: TorusGrid, log_spec: np.ndarray) -> float:
+class _Weights:
+    """The per-mode weights of a record's Parseval sums on one grid, each
+    with hermitian_weight folded in (exact: it is 1 or 2) and stacked so
+    that one multiply and one reduction serve a block of sums.
+
+    `wave[r]` weights a stacked pair (x, y) of coefficients for the wave
+    energy 1/2 ||y||^2 + 1/2 int x . A x: row 0 as is (|k|^2 on x for the
+    elastic term), row 1 times |k|^2 (the Fisher functional); `scalar[r]`
+    weights k . x the same way.  `chi` weights the curl-free pair for
+    ||chi||_H1^2 and ||chi_t||^2, and `production` weights log theta by
+    |k|^2 with the 2/3 rule folded in: a mode the rule drops has power 0
+    either way."""
+
+    def __init__(self, grid: TorusGrid):
+        self.grid = grid
+
+    @cached_property
+    def _herm(self) -> np.ndarray:
+        return np.broadcast_to(self.grid.hermitian_weight, self.grid.spectral_shape)
+
+    @cached_property
+    def wave(self) -> np.ndarray:
+        k_sq, h = self.grid.k_sq, self._herm
+        h_k_sq = h * k_sq
+        return np.array([[h_k_sq, h], [h * (k_sq * k_sq), h_k_sq]])[:, :, None]
+
+    @property
+    def scalar(self) -> np.ndarray:
+        return self.wave[:, 1, 0]  # the y column: (h, h |k|^2)
+
+    @cached_property
+    def chi(self) -> np.ndarray:
+        return np.stack([self._herm * (1.0 + self.grid.k_sq), self._herm])[:, None]
+
+    @cached_property
+    def production(self) -> np.ndarray:
+        return self._herm * self.grid.k_sq * self.grid.dealias_mask
+
+
+# rows of _Weights.wave: a single row multiplies in place, both share a product
+_ENERGY, _FISHER, _BOTH = 0, 1, slice(None)
+
+
+def _wave_energies(w: _Weights, p: ModelParams, pair: np.ndarray, rows: int | slice) -> list[float]:
+    """1/2 ||y||^2 + 1/2 int x . A x of the stacked pair (x, y) of spectral
+    vectors, (2, d, *spectral_shape), under the weight rows `rows` (_ENERGY,
+    _FISHER or _BOTH): one block reduction, and one more for k . x when the
+    operator has two speeds.  A single row multiplies the powers in place."""
+    grid, speeds = w.grid, p.wave_speeds_sq
+    weight = w.wave[rows]
+    sums = parseval_sums(grid, pair, weight, lead=weight.ndim - grid.d - 1).reshape(-1, 2).tolist()
+    if speeds[0] != speeds[1]:
+        weight = w.scalar[rows]
+        k_sums = parseval_sums(grid, operators.k_dot(grid, pair[0]), weight, lead=weight.ndim - grid.d)
+        k_sums = k_sums.reshape(-1).tolist()
+    else:
+        k_sums = [0.0] * len(sums)
+    return [0.5 * s_y + 0.5 * operators._elastic_form_of_sums(speeds, s_x, s_kx)
+            for (s_x, s_y), s_kx in zip(sums, k_sums)]
+
+
+def _total_energy(wave_energy: float, s: SimState) -> float:
+    return wave_energy + quadrature(s.grid, s.theta.values)
+
+
+def _entropy_production(w: _Weights, log_spec: np.ndarray) -> float:
     """int |grad log theta|^2 from the coefficients of log theta, dealiased."""
-    return spectral_l2_sq(grid, log_spec * grid.dealias_mask, grid.k_sq)
+    return float(parseval_sums(w.grid, log_spec, w.production))
 
 
-def _wave_energy(
-    grid: TorusGrid, p: ModelParams, uh: np.ndarray, vh: np.ndarray, weight: np.ndarray | None = None
-) -> float:
-    """1/2 ||v||^2 + 1/2 int u . A u from the coefficients of u and v, each
-    mode times weight if given (|k|^2 in the Fisher functional)."""
-    return 0.5 * spectral_l2_sq(grid, vh, weight) + 0.5 * operators.elastic_form(grid, uh, p.wave_speeds_sq, weight)
-
-
-def _total_energy(s: SimState, p: ModelParams, uh: np.ndarray, vh: np.ndarray) -> float:
-    return _wave_energy(s.grid, p, uh, vh) + quadrature(s.grid, s.theta.values)
+def _spectra(s: SimState, *more: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(pair, rest): the coefficients of (u, v) stacked as a (2, d, ...)
+    pair and of the (1, *shape) scalar fields in `more`, from one forward
+    transform."""
+    grid, d = s.grid, s.grid.d
+    spec = grid.to_spectral(np.concatenate((s.u.components, s.v.components) + more))
+    return spec[:2 * d].reshape((2, d) + grid.spectral_shape), spec[2 * d:]
 
 
 def total_energy(s: SimState, p: ModelParams) -> float:
     """Kinetic + elastic + thermal energy; an exact invariant of the flow."""
-    return _total_energy(s, p, s.u.spectral(), s.v.spectral())
+    return _total_energy(_wave_energies(_Weights(s.grid), p, _spectra(s)[0], _ENERGY)[0], s)
 
 
 def entropy(s: SimState) -> float:
@@ -127,7 +196,7 @@ def entropy(s: SimState) -> float:
 def entropy_production(s: SimState) -> float:
     """int |grad log theta|^2, the instantaneous entropy production rate."""
     log_theta = _log_theta(s.theta, "entropy production")[0]
-    return _entropy_production(s.grid, s.grid.to_spectral(log_theta))
+    return _entropy_production(_Weights(s.grid), s.grid.to_spectral(log_theta))
 
 
 def dissipation_residual(records: list[DiagnosticsRecord]) -> float:
@@ -153,18 +222,19 @@ def _fisher_ratio(theta: ScalarField, th: np.ndarray) -> np.ndarray:
     """|grad theta|^2 / theta on the grid from theta and its coefficients
     th; the caller has checked that theta is positive."""
     grad = theta.grid.to_physical(operators._grad_spec(theta.grid, th))
-    return np.sum(grad**2, axis=0) / theta.values
+    return np.square(grad, out=grad).sum(axis=0) / theta.values
 
 
-def _fisher_functional(s: SimState, p: ModelParams, uh: np.ndarray, vh: np.ndarray, th: np.ndarray) -> float:
+def _fisher_functional(wave_energy: float, s: SimState, th: np.ndarray) -> float:
     """The |k|^2-weighted wave energy plus half the Fisher information."""
-    return _wave_energy(s.grid, p, uh, vh, s.grid.k_sq) + 0.5 * quadrature(s.grid, _fisher_ratio(s.theta, th))
+    return wave_energy + 0.5 * quadrature(s.grid, _fisher_ratio(s.theta, th))
 
 
 def fisher_functional(s: SimState, p: ModelParams) -> float:
     """F = 1/2 (int |grad v|^2 + second-order elastic term + int |grad theta|^2/theta)."""
     _check_positive(s.theta, "Fisher functional")
-    return _fisher_functional(s, p, s.u.spectral(), s.v.spectral(), s.theta.spectral())
+    pair, (th,) = _spectra(s, s.theta.values[None])
+    return _fisher_functional(_wave_energies(_Weights(s.grid), p, pair, _FISHER)[0], s, th)
 
 
 def _hessian_sq(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
@@ -212,10 +282,9 @@ def fisher_identity_residual(s: SimState, p: ModelParams, dt_micro: float = 1e-5
     return abs(lhs - rhs) / (1.0 + abs(rhs))
 
 
-def _theta_infinity(s0: SimState, p: ModelParams, uh: np.ndarray, vh: np.ndarray) -> float:
-    grid = s0.grid
-    chi_u, chi_v = (operators.longitudinal_part(grid, xh)[1] for xh in (uh, vh))
-    return _total_energy(s0, p, chi_u, chi_v) / grid.measure
+def _theta_infinity(w: _Weights, p: ModelParams, chi: np.ndarray, s0: SimState) -> float:
+    """The temperature limit from the curl-free pair chi of s0."""
+    return _total_energy(_wave_energies(w, p, chi, _ENERGY)[0], s0) / s0.grid.measure
 
 
 def theta_infinity_prediction(s0: SimState, p: ModelParams) -> float:
@@ -227,26 +296,33 @@ def theta_infinity_prediction(s0: SimState, p: ModelParams) -> float:
     (1/2 int |curl-free v0|^2 + curl-free elastic energy of u0 + int theta0)
     divided by the box measure.
     """
-    return _theta_infinity(s0, p, s0.u.spectral(), s0.v.spectral())
+    chi = operators.longitudinal_part(s0.grid, _spectra(s0)[0])[1]
+    return _theta_infinity(_Weights(s0.grid), p, chi, s0)
 
 
-def _split_columns(s: SimState, p: ModelParams, uh: np.ndarray, vh: np.ndarray, theta_inf: float) -> dict:
-    """||chi||_H1 and ||chi_t|| of the curl-free parts, the wave energy of the
-    divergence-free remainders, and ||theta - theta_inf|| (on the grid values)."""
-    grid = s.grid
-    chi_u, chi_v = (operators.longitudinal_part(grid, xh)[1] for xh in (uh, vh))
+def _split_columns(w: _Weights, p: ModelParams, pair: np.ndarray, chi: np.ndarray, s: SimState,
+                   theta_inf: float) -> dict:
+    """||chi||_H1 and ||chi_t|| of the curl-free pair chi of the pair (u, v),
+    the wave energy of the divergence-free remainders, and
+    ||theta - theta_inf|| (on the grid values).  The remainders are formed
+    in chi's array, so a large grid holds one pair of them at a time."""
+    chi_h1_sq, chi_t_sq = parseval_sums(w.grid, chi, w.chi, lead=1).tolist()
+    nu = np.subtract(pair, chi, out=chi)
+    dist = s.theta.values - theta_inf
     return {
-        "chi_h1": math.sqrt(spectral_l2_sq(grid, chi_u, 1.0 + grid.k_sq)),
-        "chi_t_l2": math.sqrt(spectral_l2_sq(grid, chi_v)),
-        "nu_energy": _wave_energy(grid, p, uh - chi_u, vh - chi_v),
-        "theta_l2_dist": math.sqrt(quadrature(grid, (s.theta.values - theta_inf) ** 2)),
+        "chi_h1": math.sqrt(chi_h1_sq),
+        "chi_t_l2": math.sqrt(chi_t_sq),
+        "nu_energy": _wave_energies(w, p, nu, _ENERGY)[0],
+        "theta_l2_dist": math.sqrt(quadrature(s.grid, np.square(dist, out=dist))),
     }
 
 
 def decomposition_report(s: SimState, s0: SimState, p: ModelParams) -> dict[str, float]:
     """Orthogonal-splitting norms of s, with the theta limit predicted from s0."""
     theta_inf = theta_infinity_prediction(s0, p)
-    return {**_split_columns(s, p, s.u.spectral(), s.v.spectral(), theta_inf), "theta_infinity": theta_inf}
+    pair = _spectra(s)[0]
+    chi = operators.longitudinal_part(s.grid, pair)[1]
+    return {**_split_columns(_Weights(s.grid), p, pair, chi, s, theta_inf), "theta_infinity": theta_inf}
 
 
 def galerkin_initial_smallness(s: SimState, p: ModelParams) -> float:
@@ -263,17 +339,27 @@ class TrajectoryRecorder:
     """Accumulates DiagnosticsRecords from the states a run emits.
 
     The first state received becomes the reference for the dissipation
-    baseline and the predicted temperature limit.  Each record checks
-    theta > 0 and takes log theta once, forward-transforms u, v, log theta
-    and (full battery) theta in one stacked call (byte-identical to one call
-    per field, at a fraction of the dispatch cost) and hands the
-    coefficients to the same kernels the public functions use, so its
-    columns equal theirs bit for bit.  A full record's one other transform
-    takes grad theta back for the Fisher term.  The production integral
-    is accumulated by the trapezoid rule on the record cadence.  The
-    fisher_identity_residual column is always NaN: the residual costs two
-    extra micro-steps of the full dynamics, so it is computed on demand by
-    `fisher_identity_residual` (as `thermoelast diagnose DIR` does).
+    baseline and the predicted temperature limit, and fixes the grid: the
+    weights of the Parseval sums are built for it, so a state on another
+    grid raises ValueError.  Each record checks theta > 0 and takes log
+    theta once, forward-transforms u, v, log theta and (full battery) theta
+    in one stacked call (byte-identical to one call per field, at a fraction
+    of the dispatch cost) and hands the coefficients to the same kernels
+    the public functions use, so its columns equal theirs bit for bit.
+
+    The Parseval sums are reduced in blocks, each power |c|^2 built once
+    and each block one multiply and one reduction: the (u, v) pair under
+    the energy and (full battery) Fisher weights, and log theta under
+    |k|^2; a full record adds the curl-free pair chi of (u, v), split in one
+    stacked call, under its norm weights and the divergence-free remainder
+    pair under the energy weights; the Lame operator adds k . u and
+    k . nu_u.  A full record's one other transform takes grad theta back
+    for the Fisher term.  The
+    production integral is accumulated by the trapezoid rule on the record
+    cadence.  The fisher_identity_residual column is always NaN: the
+    residual costs two extra micro-steps of the full dynamics, so it is
+    computed on demand by `fisher_identity_residual` (as `thermoelast
+    diagnose DIR` does).
 
     The trapezoid error in the production integral scales with the record
     cadence squared, so ledger audits want record_every=1; at that cadence
@@ -289,25 +375,30 @@ class TrajectoryRecorder:
         self.p = p
         self.battery = battery
         self.records: list[DiagnosticsRecord] = []
+        self._weights: _Weights | None = None
         self._theta_inf = math.nan
         self._diss_base = math.nan
         self._prev_t = math.nan
         self._prev_prod = math.nan
         self._prod_integral = 0.0
 
+    def _weights_on(self, grid: TorusGrid) -> _Weights:
+        w = self._weights
+        if w is None:
+            w = self._weights = _Weights(grid)
+        elif grid is not w.grid and grid != w.grid:
+            raise ValueError(f"recorder holds states on {w.grid}, got a state on {grid}")
+        return w
+
     def __call__(self, s: SimState) -> None:
-        p, grid, d = self.p, s.grid, s.grid.d
+        p, grid, full = self.p, s.grid, self.battery == "full"
+        w = self._weights_on(grid)
         log_theta, theta_min = _log_theta(s.theta, "entropy")
-        fields = (s.u.components, s.v.components, log_theta[None])
-        if self.battery == "full":
-            fields += (s.theta.values[None],)
-        spec = grid.to_spectral(np.concatenate(fields))
-        uh, vh = spec[:d], spec[d:2 * d]
-        if not self.records:
-            self._theta_inf = _theta_infinity(s, p, uh, vh)
-        e = _total_energy(s, p, uh, vh)
+        pair, scalars = _spectra(s, log_theta[None], s.theta.values[None]) if full else _spectra(s, log_theta[None])
+        waves = _wave_energies(w, p, pair, _BOTH if full else _ENERGY)
+        e = _total_energy(waves[0], s)
         ent = quadrature(grid, log_theta)
-        prod = _entropy_production(grid, spec[2 * d])
+        prod = _entropy_production(w, scalars[0])
         if not math.isnan(self._prev_t):
             self._prod_integral += 0.5 * (prod + self._prev_prod) * (s.t - self._prev_t)
         self._prev_t = s.t
@@ -316,9 +407,12 @@ class TrajectoryRecorder:
         if math.isnan(self._diss_base):
             self._diss_base = lhs
         diss = abs(lhs - self._diss_base) / abs(self._diss_base) if self._diss_base else math.nan
-        if self.battery == "full":
-            fisher = _fisher_functional(s, p, uh, vh, spec[2 * d + 1])
-            split = _split_columns(s, p, uh, vh, self._theta_inf)
+        if full:
+            chi = operators.longitudinal_part(grid, pair)[1]
+            if not self.records:
+                self._theta_inf = _theta_infinity(w, p, chi, s)
+            fisher = _fisher_functional(waves[1], s, scalars[1])
+            split = _split_columns(w, p, pair, chi, s, self._theta_inf)
         else:
             fisher = math.nan
             split = dict.fromkeys(("chi_h1", "chi_t_l2", "nu_energy", "theta_l2_dist"), math.nan)
@@ -333,7 +427,7 @@ class TrajectoryRecorder:
                 fisher_functional=fisher,
                 fisher_identity_residual=math.nan,
                 theta_min=theta_min,
-                theta_max=float(np.max(s.theta.values)),
+                theta_max=float(s.theta.values.max()),
                 **split,
             )
         )

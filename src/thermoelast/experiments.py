@@ -29,7 +29,7 @@ from functools import partial
 
 from .config import RunConfig, build_config, convert_value
 from .diagnostics import DiagnosticsRecord, TrajectoryRecorder, galerkin_initial_smallness
-from .dynamics import SimState, run
+from .dynamics import SimState, _lattice_steps, run
 from .grid import spectral_l2_sq
 from .operators import longitudinal_part
 from .oracle import crosscheck
@@ -213,7 +213,8 @@ def _exp_oracle_xcheck(o: dict, out_dir: str) -> tuple[list[Check], list[str]]:
         raise ValueError(f"sample_dt must be > 0, got {o['sample_dt']:g}")
     if o["sample_dt"] > o["t_end"]:  # no sample past t=0 to compare
         raise ValueError(f"sample_dt must be at most t_end={o['t_end']:g}, got {o['sample_dt']:g}")
-    times = [round(i * o["sample_dt"], 12) for i in range(int(round(o["t_end"] / o["sample_dt"])) + 1)]
+    n_samples = _lattice_steps(o["t_end"], o["sample_dt"], "sample_dt")
+    times = [round(i * o["sample_dt"], 12) for i in range(n_samples + 1)]
 
     def one(n_grid: int, dealias: bool):
         # the matching run integrates the same truncated system (crosscheck

@@ -28,7 +28,7 @@ When the grid loads it first, `from scipy.fft._pocketfft import
 pypocketfft` still finds it, but the package `scipy.fft._pocketfft` gets
 no `pypocketfft` attribute.
 
-A TorusGrid builds each spectral array (wavevectors, |k|^2, k/|k|, masks),
+A TorusGrid builds each spectral array (wavevectors, i k, |k|^2, k/|k|, masks),
 the scalars every Parseval sum reads (point count, cell volume), and the
 dimension and spectral shape every transform checks, on first use and keeps
 them.  Every mask is a cube in mode-index space with a per-axis bound:
@@ -60,6 +60,7 @@ __all__ = [
     "VectorField",
     "quadrature",
     "spectral_l2_sq",
+    "parseval_sums",
     "field_norms",
 ]
 
@@ -196,6 +197,12 @@ class TorusGrid:
         inv = np.zeros_like(self.k_sq)
         np.divide(1.0, self.k_sq, out=inv, where=self.k_sq > 0)
         return inv
+
+    @cached_property
+    def gradient_symbol(self) -> tuple[np.ndarray, ...]:
+        """Broadcastable components of i k, the gradient's multiplier: 1j
+        times each of `wavevectors`, as small as they are."""
+        return tuple(1j * k for k in self.wavevectors)
 
     @cached_property
     def unit_wavevectors(self) -> np.ndarray:
@@ -346,21 +353,36 @@ def quadrature(grid: TorusGrid, values: np.ndarray) -> float:
     Exact for band-limited integrands; spectrally accurate for smooth ones.
     Leading (component) axes, if any, are summed as well.
     """
-    return float(np.sum(values)) * grid.cell_volume
+    return float(values.sum()) * grid.cell_volume
+
+
+def parseval_sums(grid: TorusGrid, spec: np.ndarray, weight: np.ndarray, lead: int = 0) -> np.ndarray:
+    """Squared L2 norms by Parseval of a block of half-spectrum coefficients.
+
+    The power |c|^2 of spec is built once and multiplied by weight, which
+    includes `hermitian_weight` and broadcasts against it (in place when it
+    adds no axis); the product is summed over every axis after its first
+    `lead`, so each of the product.shape[:lead] groups is reduced over its
+    trailing contiguous axes in one call, the same bits as a flat sum of
+    that group alone.  The sums are scaled as sum * cell_volume / n_total,
+    in that order."""
+    power = np.square(spec.real)
+    power += np.square(spec.imag)
+    if weight.ndim > power.ndim:
+        block = power * weight
+    else:
+        block = np.multiply(power, weight, out=power)
+    sums = np.add.reduce(block.reshape(block.shape[:lead] + (-1,)), axis=-1)
+    return sums * grid.cell_volume / grid.n_total
 
 
 def spectral_l2_sq(grid: TorusGrid, spec: np.ndarray, weight: np.ndarray | None = None) -> float:
     """Squared L2 norm from half-spectrum coefficients (Parseval), optionally
-    weighted per mode; leading component axes are summed.
-
-    The power |c|^2 * hermitian_weight * weight is built in one array, in
-    that order of operations, and reduced once."""
-    power = np.square(spec.real)
-    power += np.square(spec.imag)
-    power *= grid.hermitian_weight
-    if weight is not None:
-        power *= weight
-    return float(power.sum()) * grid.cell_volume / grid.n_total
+    weighted per mode; leading component axes are summed.  The one-group
+    case of `parseval_sums`: hermitian_weight is 1 or 2, so folding it into
+    the weight first keeps |c|^2 * hermitian_weight * weight bit for bit."""
+    herm = grid.hermitian_weight
+    return float(parseval_sums(grid, spec, herm if weight is None else herm * weight))
 
 
 def field_norms(f: ScalarField | VectorField) -> dict[str, float]:

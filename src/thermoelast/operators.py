@@ -11,7 +11,9 @@ part k^ (k^ . u^), k^ = k/|k|.  The speeds are (1, 1) for -laplacian and
 (zeta, 2*zeta + lam) for Lame (`lame_speeds_sq`).  `elastic_symbol` applies A
 to spectral coefficients and `elastic_form` evaluates int u . A u from them
 by Parseval, optionally with a per-mode weight; both take spectral
-coefficients, not fields.
+coefficients, not fields.  `_elastic_form_of_sums` is the form's one
+combination of its two Parseval sums, shared with the diagnostics, which
+reduce those sums in blocks.
 
 `longitudinal_part` is the package's one projection onto k: the stepper,
 the diagnostics and `helmholtz_project` (a divergence-free part keeping the
@@ -59,8 +61,12 @@ __all__ = [
 
 
 def _grad_spec(grid: TorusGrid, fh: np.ndarray) -> np.ndarray:
-    """Spectral gradient of a spectral scalar: stacked (d, ...) array."""
-    return np.stack([1j * k * fh for k in grid.wavevectors])
+    """Spectral gradient of a spectral scalar: stacked (d, ...) array, each
+    component one multiply into it."""
+    out = np.empty((grid.d,) + fh.shape, dtype=np.complex128)
+    for ik, part in zip(grid.gradient_symbol, out):
+        np.multiply(ik, fh, out=part)
+    return out
 
 
 def gradient(f: ScalarField) -> VectorField:
@@ -150,18 +156,24 @@ def lame_speeds_sq(zeta: float, lam: float) -> tuple[float, float]:
 
 
 def k_dot(grid: TorusGrid, vh: np.ndarray) -> np.ndarray:
-    """k . v^ per mode for a stacked spectral vector."""
+    """k . v^ per mode for a stacked spectral vector, accumulated in order
+    into the first product."""
     k = grid.wavevectors
-    return sum(k[i] * vh[i] for i in range(grid.d))
+    out = k[0] * vh[0]
+    for i in range(1, grid.d):
+        out += k[i] * vh[i]
+    return out
 
 
 def longitudinal_part(grid: TorusGrid, vh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(a, k^ a) with a = k^ . v^, k^ = k/|k|: the amplitude of a spectral
     vector along the wavevector and its curl-free part, both zero on the
-    zero mode."""
+    zero mode.  vh may stack vectors on leading axes, (..., d, *spectral
+    shape); each is split as if alone."""
     unit_k = grid.unit_wavevectors
-    a = np.sum(unit_k * vh, axis=0)
-    return a, unit_k * a
+    axis = -grid.d - 1
+    a = (unit_k * vh).sum(axis=axis, keepdims=True)
+    return a.squeeze(axis), unit_k * a
 
 
 @dataclass
@@ -205,10 +217,18 @@ def elastic_form(
 ) -> float:
     """int u . A u by Parseval from the coefficients u^: the sum over modes of
     a_t |k|^2 |u^|^2 + (a_l - a_t) |k . u^|^2, each mode times weight if given."""
+    s_u = spectral_l2_sq(grid, uh, grid.k_sq if weight is None else grid.k_sq * weight)
+    s_ku = spectral_l2_sq(grid, k_dot(grid, uh), weight) if speeds_sq[0] != speeds_sq[1] else 0.0
+    return _elastic_form_of_sums(speeds_sq, s_u, s_ku)
+
+
+def _elastic_form_of_sums(speeds_sq: tuple[float, float], s_u: float, s_ku: float) -> float:
+    """`elastic_form` from its two Parseval sums, s_u of |k|^2 |u^|^2 and s_ku
+    of |k . u^|^2 (each weighted alike); s_ku is not read when a_l == a_t."""
     a_t, a_l = speeds_sq
-    form = a_t * spectral_l2_sq(grid, uh, grid.k_sq if weight is None else grid.k_sq * weight)
+    form = a_t * s_u
     if a_l != a_t:
-        form += (a_l - a_t) * spectral_l2_sq(grid, k_dot(grid, uh), weight)
+        form += (a_l - a_t) * s_ku
     return form
 
 

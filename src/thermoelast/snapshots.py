@@ -227,8 +227,15 @@ def read_state(directory: str) -> SimState:
 
 
 def write_table(path: str, header: Sequence[str], rows: Iterable[Sequence[float]]) -> None:
-    """CSV: the header row, then each row's values at 17 significant digits."""
-    lines = [",".join(header)] + [",".join(_g17(x) for x in row) for row in rows]
+    """CSV: the header row, then each row's values at 17 significant digits.
+    A row whose length differs from the header's raises ValueError naming
+    its line (the header is line 1) before anything is written."""
+    width = len(header)
+    lines = [",".join(header)]
+    for i, row in enumerate(rows, start=2):
+        if len(row) != width:
+            raise ValueError(f"{path}: row {i} has {len(row)} fields, expected {width}")
+        lines.append(",".join(_g17(x) for x in row))
     atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 

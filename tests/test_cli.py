@@ -375,6 +375,15 @@ class TestExperiment:
         assert out == ""
         assert err == "error: sample_dt must be > 0, got 0\n"
 
+    def test_t_end_between_samples_exits_cleanly(self, tmp_path, capsys):
+        rc = main(["experiment", "oracle-xcheck", "--set", "t_end=0.15", "--set", "sample_dt=0.1",
+                   "--set", "dt=0.002", "--out-dir", str(tmp_path / "x")])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: t_end=0.15 is not an integer multiple of sample_dt=0.1\n"
+        assert "Traceback" not in err
+
     def test_override_value_uses_config_grammar(self, tmp_path, capsys):
         rc = main(["experiment", "bounds", "--set", "t_end=abc",
                    "--out-dir", str(tmp_path / "x")])

@@ -32,11 +32,20 @@ from thermoelast import (
     total_energy,
 )
 from thermoelast.diagnostics import (
+    _BOTH,
+    _ENERGY,
+    _FISHER,
     DiagnosticsRecord,
+    _entropy_production,
+    _split_columns,
+    _wave_energies,
+    _Weights,
     hessian_inequality_constant,
     sqrt_hessian_integral,
     weighted_log_hessian_integral,
 )
+from thermoelast.grid import spectral_l2_sq
+from thermoelast.operators import elastic_form, longitudinal_part
 from thermoelast.scenarios import ScenarioSpec
 
 MEASURE_2D = (2.0 * math.pi) ** 2
@@ -334,8 +343,11 @@ class TestDecompositionReport:
         want_dist = math.sqrt(measure * ((theta_inf - 1.0) ** 2 + SPLIT_G**2 / 2.0))
         assert got["theta_l2_dist"] == pytest.approx(want_dist, rel=1e-12)
 
-    @pytest.mark.parametrize("p", SPLIT_OPERATORS)
-    def test_recorder_row_is_the_public_functions(self, p):
+    @pytest.mark.parametrize("d, p", [
+        pytest.param(d, param.values[0], id=param.id + ("" if d == 2 else "-3d"))
+        for d in (2, 3) for param in SPLIT_OPERATORS
+    ])
+    def test_recorder_row_is_the_public_functions(self, d, p):
         # the recorder and the public functions share one kernel per column,
         # so a row after the first equals them bit for bit
         states = []
@@ -345,7 +357,7 @@ class TestDecompositionReport:
             states.append(s.copy())
             rec(s)
 
-        s0 = make_initial_data(ScenarioSpec("random", n=16, seed=7))
+        s0 = make_initial_data(ScenarioSpec("random", d=d, n=16 if d == 2 else 8, seed=7))
         run(s0, p, StepperConfig(dt=1e-3, t_end=0.004, record_every=2), sink=sink)
         first, s = states[0], states[1]
         row = rec.records[1]
@@ -359,6 +371,71 @@ class TestDecompositionReport:
         report = decomposition_report(s, first, p)
         for key in ("chi_h1", "chi_t_l2", "nu_energy", "theta_l2_dist"):
             assert getattr(row, key) == report[key], key
+
+
+@pytest.mark.parametrize("n", [(128, 128), (16, 16, 16)])
+@pytest.mark.parametrize("p", SPLIT_OPERATORS)
+def test_block_sums_are_the_per_column_sums(n, p, rng):
+    # each block reduction gives every column the bits of its own
+    # spectral_l2_sq / elastic_form call, the per-column form of the kernel
+    grid = TorusGrid(n)
+    w = _Weights(grid)
+    spec = grid.to_spectral(rng.standard_normal((2 * grid.d + 1,) + grid.shape))
+    uh, vh, log_spec = spec[:grid.d], spec[grid.d:2 * grid.d], spec[2 * grid.d]
+    pair = spec[:2 * grid.d].reshape((2, grid.d) + grid.spectral_shape)
+    speeds, k_sq = p.wave_speeds_sq, grid.k_sq
+    energy = 0.5 * spectral_l2_sq(grid, vh) + 0.5 * elastic_form(grid, uh, speeds)
+    fisher = 0.5 * spectral_l2_sq(grid, vh, k_sq) + 0.5 * elastic_form(grid, uh, speeds, k_sq)
+    assert _wave_energies(w, p, pair, _BOTH) == [energy, fisher]
+    assert _wave_energies(w, p, pair, _ENERGY) == [energy]
+    assert _wave_energies(w, p, pair, _FISHER) == [fisher]
+    assert _entropy_production(w, log_spec) == spectral_l2_sq(grid, log_spec * grid.dealias_mask, k_sq)
+    chi = longitudinal_part(grid, pair)[1]
+    chi_u, chi_v = (longitudinal_part(grid, xh)[1] for xh in (uh, vh))
+    assert np.array_equal(chi, np.stack([chi_u, chi_v]))
+    report = _split_columns(w, p, pair, chi.copy(), _state(grid), 1.0)
+    assert report["chi_h1"] == math.sqrt(spectral_l2_sq(grid, chi_u, 1.0 + k_sq))
+    assert report["chi_t_l2"] == math.sqrt(spectral_l2_sq(grid, chi_v))
+    assert report["nu_energy"] == (0.5 * spectral_l2_sq(grid, vh - chi_v)
+                                   + 0.5 * elastic_form(grid, uh - chi_u, speeds))
+
+
+# One 3D N=48 record of random data under each operator, frozen as float.hex
+# from the per-column reduction the block kernel replaced (NumPy 2.4 and
+# SciPy 1.17's pocketfft): the ledger battery's columns are the full one's.
+RECORD_48 = {
+    "laplacian": {
+        "energy": "0x1.f9e4cd8673236p+7", "entropy": "-0x1.2882d21fbe995p-4",
+        "entropy_production": "0x1.7576d6e546674p+1", "fisher_functional": "0x1.e8e2eb50b022ap+6",
+        "theta_min": "0x1.d495df57e0555p-1", "theta_max": "0x1.199999999999ap+0",
+        "chi_h1": "0x1.c8b51374ecaa7p+0", "chi_t_l2": "0x1.9db60b723ccafp-2",
+        "nu_energy": "0x1.a664d345b5976p+1", "theta_l2_dist": "0x1.931da99a7d175p-2",
+    },
+    "lame": {
+        "energy": "0x1.00eae0569435ap+8", "entropy": "-0x1.2882d21fbe995p-4",
+        "entropy_production": "0x1.7576d6e546674p+1", "fisher_functional": "0x1.ba506dc6b8fa5p+7",
+        "theta_min": "0x1.d495df57e0555p-1", "theta_max": "0x1.199999999999ap+0",
+        "chi_h1": "0x1.c8b51374ecaa7p+0", "chi_t_l2": "0x1.9db60b723ccafp-2",
+        "nu_energy": "0x1.0f61f88e71e8fp+2", "theta_l2_dist": "0x1.ec299d61a0052p-2",
+    },
+}
+LEDGER_COLUMNS = ("energy", "entropy", "entropy_production", "theta_min", "theta_max")
+
+
+@pytest.fixture(scope="module")
+def state_48():
+    return make_initial_data(ScenarioSpec("random", d=3, n=48, seed=3, epsilon=0.1))
+
+
+@pytest.mark.parametrize("battery", ["full", "ledger"])
+@pytest.mark.parametrize("p", SPLIT_OPERATORS)
+def test_record_48_is_frozen(state_48, p, battery):
+    rec = TrajectoryRecorder(p, battery=battery)
+    rec(state_48)
+    row = vars(rec.records[0])
+    want = RECORD_48[p.operator]
+    columns = want if battery == "full" else LEDGER_COLUMNS
+    assert {key: row[key].hex() for key in columns} == {key: want[key] for key in columns}
 
 
 class TestDissipationResidual:
@@ -463,6 +540,20 @@ class TestTrajectoryRecorder:
             assert math.isnan(light.nu_energy)
         # the ledger audit itself works on ledger records
         assert dissipation_residual(rec.records) == dissipation_residual(recorded.records)
+
+    def test_grid_is_fixed_by_the_first_state(self):
+        # the Parseval weights are built for the first state's grid; a state
+        # on another grid is refused, not folded into the same balance
+        p = ModelParams(mu=1.0)
+        rec = TrajectoryRecorder(p)
+        small = make_initial_data(ScenarioSpec("small-mixed", n=16, epsilon=0.1))
+        rec(small)
+        big = make_initial_data(ScenarioSpec("small-mixed", n=32, epsilon=0.1))
+        with pytest.raises(ValueError, match=r"n_per_axis=\(16, 16\).*n_per_axis=\(32, 32\)"):
+            rec(big)
+        assert len(rec.records) == 1
+        rec(make_initial_data(ScenarioSpec("small-mixed", n=16, epsilon=0.1, seed=1)))  # an equal grid
+        assert len(rec.records) == 2
 
     def test_battery_validation(self):
         p = ModelParams(mu=1.0)

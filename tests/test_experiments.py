@@ -138,6 +138,15 @@ class TestOverrides:
             run_experiment("oracle-xcheck", {"t_end": "0.01"}, out_dir=str(tmp_path))
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("t_end", ["0.15", "0.19"])
+    def test_t_end_off_the_sample_lattice_refused(self, t_end, tmp_path):
+        # on the dt lattice but between samples: 0.15 would drop its last
+        # interval, 0.19 would ask for a sample at 0.2, past the run
+        with pytest.raises(ValueError, match=rf"^t_end={t_end} is not an integer multiple of sample_dt=0.1$"):
+            run_experiment("oracle-xcheck", {"t_end": t_end, "sample_dt": "0.1", "dt": "0.002"},
+                           out_dir=str(tmp_path))
+        assert os.listdir(tmp_path) == []
+
     @pytest.mark.parametrize("raw", ["-5", "0", "0.3"])
     def test_tail_must_lie_inside_the_run(self, raw, tmp_path):
         with pytest.raises(ValueError, match=rf"^tail must be in \(0, t_end=0.2\], got {raw}$"):

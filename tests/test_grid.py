@@ -8,7 +8,7 @@ import scipy.fft
 
 from thermoelast import ScalarField, TorusGrid, VectorField, field_norms, quadrature
 from thermoelast.cli import main
-from thermoelast.grid import TWO_PI, spectral_l2_sq
+from thermoelast.grid import TWO_PI, parseval_sums, spectral_l2_sq
 
 from conftest import random_scalar
 
@@ -249,6 +249,25 @@ class TestQuadratureAndNorms:
             power = power * w
         want = float(np.sum(power)) * grid.cell_volume / grid.n_total
         assert spectral_l2_sq(grid, spec, w) == want
+
+    @pytest.mark.parametrize("n", [(128, 128), (16, 16, 16)])
+    @pytest.mark.parametrize("vector", [False, True])
+    def test_block_sums_are_spectral_l2_sq(self, n, vector, rng):
+        # each group of a block, scalar or d-vector, reduced over its
+        # trailing axes is its own spectral_l2_sq bit for bit: one weight
+        # per group (multiplied in place) and every weight on every group
+        # (a broadcast product); at 128^2 a group spans over 8192 elements
+        grid = TorusGrid(n)
+        k_sq, herm = grid.k_sq, grid.hermitian_weight
+        weights = [None, k_sq, k_sq * k_sq, 1.0 + k_sq]
+        comps = (grid.d,) if vector else ()
+        stacked = np.stack([np.broadcast_to(herm if w is None else herm * w, grid.spectral_shape)
+                            for w in weights]).reshape((len(weights),) + (1,) * len(comps) + grid.spectral_shape)
+        spec = grid.to_spectral(rng.standard_normal((len(weights),) + comps + grid.shape))
+        assert parseval_sums(grid, spec, stacked, lead=1).tolist() == [
+            spectral_l2_sq(grid, group, w) for group, w in zip(spec, weights)]
+        assert parseval_sums(grid, spec, stacked[:, None], lead=2).tolist() == [
+            [spectral_l2_sq(grid, group, w) for group in spec] for w in weights]
 
     def test_norms_of_sine(self, grid2d):
         f = ScalarField.from_function(grid2d, lambda x, y: np.sin(x))

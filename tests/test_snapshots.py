@@ -358,6 +358,16 @@ class TestTable:
             assert all(x == y or (math.isnan(x) and math.isnan(y)) for x, y in zip(got, want))
             assert [math.copysign(1.0, x) for x in got] == [math.copysign(1.0, y) for y in want]
 
+    @pytest.mark.parametrize("rows, line, width", [
+        ([(1.0,), (1.0, 2.0, 3.0)], 2, 1),
+        ([(1.0, 2.0), (1.0, 2.0, 3.0)], 3, 3),
+    ])
+    def test_ragged_row_refused_before_writing(self, rows, line, width, tmp_path):
+        path = str(tmp_path / "t.csv")
+        with pytest.raises(ValueError, match=rf"^{re.escape(path)}: row {line} has {width} fields, expected 2$"):
+            write_table(path, ("t", "x"), rows)
+        assert os.listdir(tmp_path) == []
+
     def test_timeseries_is_the_record_table(self, tmp_path):
         recs = [_record(float(i)) for i in range(3)]
         write_timeseries(recs, str(tmp_path / "ts.csv"))
