@@ -21,7 +21,8 @@ import numpy as np
 from . import diagnostics as diag
 from .config import ConfigError, load_config, serialize_config
 from .dynamics import ModelParams, NonFinite, PositivityLoss, SimState
-from .experiments import EXPERIMENT_NAMES, _run_recorded, experiment_defaults, run_experiment
+from .experiments import (EXPERIMENT_NAMES, _check_tolerance, _run_recorded, experiment_defaults,
+                          run_experiment)
 from .grid import ScalarField, VectorField, field_norms, quadrature
 from .oracle import crosscheck
 from .operators import curl, divergence, helmholtz_project
@@ -100,10 +101,10 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
         header = f"state at t={s.t:g} on n={s.grid.n_per_axis}"
         rec = diag.TrajectoryRecorder(p)
         rec(s)
-        rec.records[0].fisher_identity_residual = diag.fisher_identity_residual(s, p, args.dt_micro)
         rows = [(name, getattr(rec.records[0], name)) for name in (
-            "energy", "entropy", "entropy_production", "fisher_functional",
-            "fisher_identity_residual", "theta_min", "theta_max")]
+            "energy", "entropy", "entropy_production", "fisher_functional")]
+        rows.append(("fisher_identity_residual", diag.fisher_identity_residual(s, p, args.dt_micro)))
+        rows += [(name, getattr(rec.records[0], name)) for name in ("theta_min", "theta_max")]
     else:
         f = read_snapshot(args.snapshot)
         t = read_header(args.snapshot).t
@@ -137,6 +138,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare_oracle(args: argparse.Namespace) -> int:
+    _check_tolerance(args.tolerance)
     cfg = load_config(args.config)
     n_steps = cfg.stepper.n_steps()
     if n_steps < 1:

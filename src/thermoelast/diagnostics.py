@@ -77,7 +77,6 @@ class DiagnosticsRecord:
     production_integral: float
     dissipation_residual: float
     fisher_functional: float
-    fisher_identity_residual: float
     theta_min: float
     theta_max: float
     chi_h1: float
@@ -356,10 +355,8 @@ class TrajectoryRecorder:
     k . nu_u.  A full record's one other transform takes grad theta back
     for the Fisher term.  The
     production integral is accumulated by the trapezoid rule on the record
-    cadence.  The fisher_identity_residual column is always NaN: the
-    residual costs two extra micro-steps of the full dynamics, so it is
-    computed on demand by `fisher_identity_residual` (as `thermoelast
-    diagnose DIR` does).
+    cadence.  F's identity residual costs two micro-steps of the dynamics
+    and is left to `fisher_identity_residual`.
 
     The trapezoid error in the production integral scales with the record
     cadence squared, so ledger audits want record_every=1; at that cadence
@@ -425,7 +422,6 @@ class TrajectoryRecorder:
                 production_integral=self._prod_integral,
                 dissipation_residual=diss,
                 fisher_functional=fisher,
-                fisher_identity_residual=math.nan,
                 theta_min=theta_min,
                 theta_max=float(s.theta.values.max()),
                 **split,

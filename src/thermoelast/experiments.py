@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 # Empirical smallness gate for the decay functional: data whose smallness
-# functional sits at or below this never shows a rising functional in the
+# functional sits strictly below this never shows a rising functional in the
 # sweep; used as the default admission threshold.
 DECAY_GATE = 1e-2
 
@@ -96,6 +96,21 @@ def _run_recorded(cfg: RunConfig, csv_path: str, s0: SimState | None = None, ext
     return final, rec.records
 
 
+def _list_option(o: dict, key: str) -> list[str]:
+    """The comma-separated items of option `key`; ValueError if it lists none."""
+    items = [tok.strip() for tok in str(o[key]).split(",") if tok.strip()]
+    if not items:
+        raise ValueError(f"{key} must list at least one item")
+    return items
+
+
+def _check_tolerance(tol: float) -> float:
+    """tol, or ValueError unless it is a finite number > 0."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance must be a finite number > 0, got {tol:g}")
+    return tol
+
+
 def _rel(x: float, ref: float) -> float:
     return x / ref if ref else float("inf")
 
@@ -110,10 +125,9 @@ def _fisher_rise(records, smallness: float) -> tuple[bool, bool, float]:
 
 
 def _exp_attractor(o: dict, out_dir: str) -> tuple[list[Check], list[str]]:
-    eps_values = [convert_value("epsilons", tok.strip(), 0.0)
-                  for tok in str(o["epsilons"]).split(",") if tok.strip()]
-    if not eps_values:
-        raise ValueError("epsilons must list at least one amplitude")
+    eps_values = [convert_value("epsilons", tok, 0.0) for tok in _list_option(o, "epsilons")]
+    if min(eps_values) <= 0.0:  # epsilon = 0 would mean the scenario's default amplitude
+        raise ValueError(f"epsilons must be > 0, got {min(eps_values):g}")
     checks: list[Check] = []
     artifacts: list[str] = []
     for i, eps in enumerate(eps_values):
@@ -197,10 +211,9 @@ def _bounds_check(records, label: str) -> Check:
 
 
 def _exp_bounds(o: dict, out_dir: str) -> tuple[list[Check], list[str]]:
-    names = [tok.strip() for tok in str(o["scenarios"]).split(",") if tok.strip()]
     checks: list[Check] = []
     artifacts: list[str] = []
-    for name in names:
+    for name in _list_option(o, "scenarios"):
         path = os.path.join(out_dir, f"timeseries-{name}.csv")
         _, records = _run_recorded(build_config(o | {"scenario": name}), path)
         checks.append(_bounds_check(records, name))
@@ -213,6 +226,7 @@ def _exp_oracle_xcheck(o: dict, out_dir: str) -> tuple[list[Check], list[str]]:
         raise ValueError(f"sample_dt must be > 0, got {o['sample_dt']:g}")
     if o["sample_dt"] > o["t_end"]:  # no sample past t=0 to compare
         raise ValueError(f"sample_dt must be at most t_end={o['t_end']:g}, got {o['sample_dt']:g}")
+    tol = _check_tolerance(o["tolerance"])
     n_samples = _lattice_steps(o["t_end"], o["sample_dt"], "sample_dt")
     times = [round(i * o["sample_dt"], 12) for i in range(n_samples + 1)]
 
@@ -226,7 +240,6 @@ def _exp_oracle_xcheck(o: dict, out_dir: str) -> tuple[list[Check], list[str]]:
 
     main = one(o["n"], True)
     control = one(o["control_n"], False)
-    tol = o["tolerance"]
 
     checks = [
         Check("oracle-match", main.sup_distance <= tol,

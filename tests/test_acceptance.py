@@ -57,7 +57,7 @@ from thermoelast.experiments import DECAY_GATE, _bounds_check, _fisher_rise
 from thermoelast.grid import field_norms, spectral_l2_sq
 from thermoelast.scenarios import ScenarioSpec
 
-from conftest import random_scalar, random_vector
+from conftest import LEDGER_NAN_COLUMNS, random_scalar, random_vector
 
 
 @pytest.fixture
@@ -398,9 +398,10 @@ def test_criterion_15_artifact_round_trips(verdict, tmp_path):
             if fa.read() != fb.read():
                 failures += 1
 
-        # time series: one random row, NaN identity field included
+        # time series: one random row, every other one shaped like a ledger record
         vals = {name: float(rng.standard_normal()) for name in RECORD_FIELDS}
-        vals["fisher_identity_residual"] = math.nan
+        if i % 2:
+            vals.update(dict.fromkeys(LEDGER_NAN_COLUMNS, math.nan))
         rec = DiagnosticsRecord(**vals)
         c1 = str(tmp_path / "a.csv")
         c2 = str(tmp_path / "b.csv")

@@ -169,7 +169,6 @@ class TestDiagnose:
         for name in ("energy", "entropy", "entropy_production", "fisher_functional",
                      "theta_min", "theta_max"):
             assert printed[name] == "%.12e" % getattr(last, name), name
-        assert math.isnan(last.fisher_identity_residual)
         assert math.isfinite(float(printed["fisher_identity_residual"]))
 
     def test_identity_row_is_the_public_function(self, run_cfg, capsys):
@@ -332,6 +331,15 @@ class TestCompareOracle:
         assert "sup distance" in text
         assert "verdict: PASS" in text
 
+    @pytest.mark.parametrize("tolerance", ["inf", "nan", "-1", "0"])
+    def test_tolerance_that_cannot_decide_is_refused(self, oracle_cfg, capsys, tolerance):
+        # inf passes any distance, nan and <= 0 fail every one: refused before the run
+        assert main(["compare-oracle", oracle_cfg, "--tolerance", tolerance]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: tolerance must be a finite number > 0, got {float(tolerance):g}\n"
+        assert "Traceback" not in err
+
     def test_zero_length_run_rejected(self, tmp_path, capsys):
         path = _write(tmp_path / "idle.cfg", "scenario = band-limited\nn = 16\nt_end = 0\n")
         assert main(["compare-oracle", path]) == 1
@@ -383,6 +391,21 @@ class TestExperiment:
         assert out == ""
         assert err == "error: t_end=0.15 is not an integer multiple of sample_dt=0.1\n"
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("args, message", [
+        (["bounds", "--set", "scenarios=,"], "scenarios must list at least one item"),
+        (["attractor", "--set", "epsilons="], "epsilons must list at least one item"),
+        (["attractor", "--set", "epsilons=0", "--set", "t_end=0.1"], "epsilons must be > 0, got 0"),
+        (["oracle-xcheck", "--set", "tolerance=-1"], "tolerance must be a finite number > 0, got -1"),
+    ])
+    def test_option_that_cannot_decide_exits_cleanly(self, tmp_path, capsys, args, message):
+        rc = main(["experiment", *args, "--out-dir", str(tmp_path / "x")])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message}\n"
+        assert "Traceback" not in err
+        assert not os.path.exists(tmp_path / "x")
 
     def test_override_value_uses_config_grammar(self, tmp_path, capsys):
         rc = main(["experiment", "bounds", "--set", "t_end=abc",

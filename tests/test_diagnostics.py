@@ -48,6 +48,8 @@ from thermoelast.grid import spectral_l2_sq
 from thermoelast.operators import elastic_form, longitudinal_part
 from thermoelast.scenarios import ScenarioSpec
 
+from conftest import LEDGER_NAN_COLUMNS
+
 MEASURE_2D = (2.0 * math.pi) ** 2
 
 
@@ -449,7 +451,6 @@ class TestDissipationResidual:
                 production_integral=1.0 * i,
                 dissipation_residual=math.nan,
                 fisher_functional=0.0,
-                fisher_identity_residual=math.nan,
                 theta_min=1.0,
                 theta_max=1.0,
                 chi_h1=0.0,
@@ -466,7 +467,7 @@ class TestDissipationResidual:
             DiagnosticsRecord(
                 t=float(i), energy=10.0 - 0.1 * i, entropy=1.0, entropy_production=0.0,
                 production_integral=0.0, dissipation_residual=math.nan, fisher_functional=0.0,
-                fisher_identity_residual=math.nan, theta_min=1.0, theta_max=1.0,
+                theta_min=1.0, theta_max=1.0,
                 chi_h1=0.0, chi_t_l2=0.0, nu_energy=0.0, theta_l2_dist=0.0,
             )
             for i in range(3)
@@ -503,9 +504,6 @@ class TestTrajectoryRecorder:
         # theta distance to the predicted limit is finite and bounded
         assert all(np.isfinite(r.theta_l2_dist) for r in recs)
 
-    def test_identity_off_by_default(self, recorded):
-        assert all(math.isnan(r.fisher_identity_residual) for r in recorded.records)
-
     def test_energy_books(self, recorded):
         recs = recorded.records
         res = dissipation_residual(recs)
@@ -535,9 +533,7 @@ class TestTrajectoryRecorder:
             assert light.production_integral == full.production_integral
             assert light.theta_min == full.theta_min
             assert light.theta_max == full.theta_max
-            assert math.isnan(light.fisher_functional)
-            assert math.isnan(light.chi_h1)
-            assert math.isnan(light.nu_energy)
+            assert all(math.isnan(getattr(light, name)) for name in LEDGER_NAN_COLUMNS)
         # the ledger audit itself works on ledger records
         assert dissipation_residual(rec.records) == dissipation_residual(recorded.records)
 

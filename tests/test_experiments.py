@@ -147,6 +147,27 @@ class TestOverrides:
                            out_dir=str(tmp_path))
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("name, key", [("attractor", "epsilons"), ("bounds", "scenarios")])
+    @pytest.mark.parametrize("raw", ["", ",", " , "])
+    def test_empty_list_refused(self, name, key, raw, tmp_path):
+        # an empty list would run nothing and pass
+        with pytest.raises(ValueError, match=f"^{key} must list at least one item$"):
+            run_experiment(name, {key: raw}, out_dir=str(tmp_path))
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("raw, bad", [("0", "0"), ("2e-3,0", "0"), ("-1e-3,2e-3", "-0.001")])
+    def test_amplitudes_must_be_positive(self, raw, bad, tmp_path):
+        # epsilon = 0 means the scenario default, which would run under the label 0
+        with pytest.raises(ValueError, match=f"^epsilons must be > 0, got {bad}$"):
+            run_experiment("attractor", dict(_RUN, epsilons=raw), out_dir=str(tmp_path))
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("raw", ["0", "-1"])
+    def test_tolerance_must_be_positive(self, raw, tmp_path):
+        with pytest.raises(ValueError, match=f"^tolerance must be a finite number > 0, got {raw}$"):
+            run_experiment("oracle-xcheck", {"tolerance": raw}, out_dir=str(tmp_path))
+        assert os.listdir(tmp_path) == []
+
     @pytest.mark.parametrize("raw", ["-5", "0", "0.3"])
     def test_tail_must_lie_inside_the_run(self, raw, tmp_path):
         with pytest.raises(ValueError, match=rf"^tail must be in \(0, t_end=0.2\], got {raw}$"):

@@ -24,6 +24,8 @@ from thermoelast import (
 )
 from thermoelast.snapshots import MAGIC, atomic_write_bytes, read_state, write_state, write_table
 
+from conftest import LEDGER_NAN_COLUMNS
+
 
 @pytest.fixture
 def grid8():
@@ -204,7 +206,8 @@ class TestMalformedFiles:
 
 def _record(i: float) -> DiagnosticsRecord:
     vals = {name: i + 0.01 * j for j, name in enumerate(RECORD_FIELDS)}
-    vals["fisher_identity_residual"] = math.nan
+    if i == 1.0:  # a ledger record
+        vals.update(dict.fromkeys(LEDGER_NAN_COLUMNS, math.nan))
     if i == 2.0:
         vals["dissipation_residual"] = math.inf
     return DiagnosticsRecord(**vals)
@@ -231,11 +234,23 @@ class TestTimeseries:
         path = str(tmp_path / "empty.csv")
         write_timeseries([], path)
         with open(path, "r", encoding="ascii") as fh:
-            assert fh.read() == ",".join(RECORD_FIELDS) + "\n"
+            assert fh.read() == ("t,energy,entropy,entropy_production,production_integral,"
+                                 "dissipation_residual,fisher_functional,theta_min,theta_max,"
+                                 "chi_h1,chi_t_l2,nu_energy,theta_l2_dist\n")
         assert read_timeseries(path) == []
 
     def test_unexpected_header(self, tmp_path):
         path = _write_raw(tmp_path, "bad.csv", b"a,b,c\n1,2,3\n")
+        with pytest.raises(ValueError, match="unexpected header"):
+            read_timeseries(path)
+
+    def test_identity_residual_column_refused(self, tmp_path):
+        # the 14-column layout of files written while records held the identity residual
+        header = ("t,energy,entropy,entropy_production,production_integral,dissipation_residual,"
+                  "fisher_functional,fisher_identity_residual,theta_min,theta_max,"
+                  "chi_h1,chi_t_l2,nu_energy,theta_l2_dist")
+        text = header + "\n" + ",".join(["1"] * 14) + "\n"
+        path = _write_raw(tmp_path, "old.csv", text.encode("ascii"))
         with pytest.raises(ValueError, match="unexpected header"):
             read_timeseries(path)
 
