@@ -20,11 +20,13 @@ value whenever a state is built.
 States are held in physical space at the API boundary, entering the
 stepper through `_SpectralStepper.load` and leaving through `.state`; `run`
 keeps them spectral in between, as one stacked array z = (a_u, a_v, theta^)
-that each step advances in place, and builds physical fields on the record
-cadence, in two inverse transforms: u stacked with theta, then v.  The
-products of a step and the spectra of a build are written into one work
-block the stepper owns; every emitted state is built in fresh arrays, so
-none shares memory with the stepper or with another state.  `step` is one
+that the stepper owns and each step advances in place, and builds physical
+fields on the record cadence, in two inverse transforms: u stacked with
+theta, then v.  The products of a step and the spectra of a build are
+written into one work block the stepper owns, and every view of z and of
+the block that a step touches is made once, with the stepper; every emitted
+state is built in fresh arrays, so none shares memory with the stepper or
+with another state.  `step` is one
 step of `run`.  Products in the coupling are formed pointwise in physical
 space and dealiased by the 2/3 rule (unless disabled).  The evolved state is
 confined to the Nyquist-free subspace in either mode: the Nyquist modes have
@@ -37,6 +39,8 @@ positivity from the temperature spectrum by its l1 bound, and makes the
 inverse transform to take min(theta) only when that bound cannot clear the
 floor.  A state is checked finite once, where it enters: `load` raises
 NonFinite(t0, field) for a non-finite u, v or theta before any transform.
+After each step `run` tests z in one reduction, and only when that is not
+finite does it test field by field to name the field.
 """
 
 from __future__ import annotations
@@ -188,21 +192,25 @@ def _lattice_steps(t_end: float, step: float, name: str) -> int:
 
 class _SpectralStepper:
     """One Strang step of z = (a_u, a_v, theta^), stacked in one spectral
-    array and advanced in place, with the one way into the spectral variables
-    (`load`) and out of them (`state`).  dt may be signed (used by
-    centred-difference diagnostics); forward runs use dt > 0.
+    array that the stepper owns and advances in place, with the one way into
+    the spectral variables (`load`) and out of them (`state`).  dt may be
+    signed (used by centred-difference diagnostics); forward runs use dt > 0.
 
     Every product of a step and every spectrum a state build composes is
     written into one work block of 2d+1 spectral arrays owned by the stepper:
     a build needs all of them, the wave half-step's products, the coupling's
-    increments and its inverse transform's input four.  A step allocates
-    only what its transforms return."""
+    increments and its inverse transform's input four.  Every view of z and
+    of the block that a step reads or writes is made once, here, and every
+    ufunc takes its output positionally: on the small grids of the oracle
+    cross-check, making a view or parsing a keyword costs about what the
+    arithmetic does.  A step allocates only what its transforms return."""
 
     def __init__(self, grid: TorusGrid, p: ModelParams, dt: float, dealias: bool = True,
                  product_band: int = 0):
         p.validate_for_dimension(grid.d)
         self.grid = grid
         self.dt = float(dt)
+        self._half_dt = 0.5 * self.dt
         if product_band:
             # alias-free collocation products on the cube need m >= 3*band + 1
             short = min(grid.n_per_axis)
@@ -231,9 +239,15 @@ class _SpectralStepper:
         # the longitudinal half-step as a block [[c, s], [m, c]] acting on (a_u, a_v)
         c, s, m = self._rotation(a_l, 0.5 * self.dt)
         self.long_half = np.array([[c, s], [m, c]], dtype=np.complex128)
+        self.z = np.empty((3,) + grid.spectral_shape, dtype=np.complex128)
+        # theta^, the wave pair (a_u, a_v) and the coupled pair (a_v, theta^)
+        self._theta, self._waves, self._coupled = self.z[2], self.z[:2], self.z[1:]
         self.work = np.empty((2 * grid.d + 1,) + grid.spectral_shape, dtype=np.complex128)
+        # the wave products (c a_u, m a_u) and (s a_v, c a_v) as two columns
         self._wave_products = self.work[:4].reshape(self.long_half.shape)
+        self._wave_columns = self._wave_products[:, 0], self._wave_products[:, 1]
         self._pair, self._increment = self.work[:2], self.work[2:4]
+        self._pair_rows, self._increment_rows = tuple(self._pair), tuple(self._increment)
 
     def _rotation(self, speed_sq: float, t: float) -> tuple[np.ndarray, ...]:
         """Per-mode (cos wt, sin(wt)/w, -w^2 sin(wt)/w), w = sqrt(speed_sq) |k|,
@@ -243,22 +257,20 @@ class _SpectralStepper:
         s[(0,) * self.grid.d] = t
         return np.cos(phase), s, -speed_sq * self.grid.k_sq * s
 
-    def _wave_half(self, z: np.ndarray) -> None:
+    def _wave_half(self) -> None:
         # (a_u, a_v) <- (c a_u + s a_v, m a_u + c a_v)
-        products = self._wave_products
-        np.multiply(self.long_half, z[:2], out=products)
-        np.add(products[:, 0], products[:, 1], out=z[:2])
+        np.multiply(self.long_half, self._waves, self._wave_products)
+        np.add(*self._wave_columns, self._waves)
 
-    def load(self, s: SimState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(z, nu_u, nu_v) of s on the evolution subspace: z stacks the
-        curl-free amplitudes a_u, a_v and the temperature spectrum, nu_u and
-        nu_v are the solenoidal remainders; raises NonFinite(s.t, field)
-        before any transform if s is not finite."""
+    def load(self, s: SimState) -> tuple[np.ndarray, np.ndarray]:
+        """Fill z with s on the evolution subspace: the curl-free amplitudes
+        a_u, a_v and the temperature spectrum; return (nu_u, nu_v), the
+        solenoidal remainders.  Raises NonFinite(s.t, field) before any
+        transform if s is not finite."""
         _check_finite(s.t, s.u.components, s.v.components, s.theta.values)
         mask = self.state_mask
-        z = np.empty((3,) + self.grid.spectral_shape, dtype=np.complex128)
         nu = []
-        for a, w in zip(z, (s.u, s.v)):
+        for a, w in zip(self.z, (s.u, s.v)):
             # each spectrum becomes its remainder in place, so one vector
             # field's temporaries are alive at a time
             wh = w.spectral()
@@ -266,11 +278,10 @@ class _SpectralStepper:
             a[...], chi = longitudinal_part(self.grid, wh)
             wh -= chi
             nu.append(wh)
-        np.multiply(s.theta.spectral(), mask, out=z[2])
-        return z, nu[0], nu[1]
+        np.multiply(s.theta.spectral(), mask, out=self._theta)
+        return nu[0], nu[1]
 
-    def state(self, t: float, z: np.ndarray, nu_u: np.ndarray, nu_v: np.ndarray,
-              n_steps: int) -> SimState:
+    def state(self, t: float, nu_u: np.ndarray, nu_v: np.ndarray, n_steps: int) -> SimState:
         """The state at time t from z = (a_u, a_v, theta^) and nu rotated
         n_steps * dt at the transverse speed, in two inverse transforms: u
         with theta in one (d+1)-field call, then v.  The spectra are composed
@@ -280,7 +291,7 @@ class _SpectralStepper:
         each call costs more in dispatch than in arithmetic on small grids.
         v gets its own call so that its spectrum can take the block's first d
         arrays: one (2d+1)-field call would need a block of 3d+1."""
-        grid = self.grid
+        grid, z = self.grid, self.z
         c, s, m = self._rotation(self.a_t, n_steps * self.dt)
         d = grid.d
         k = grid.unit_wavevectors
@@ -297,35 +308,39 @@ class _SpectralStepper:
         return SimState(t, VectorField(grid, u_theta[:d]), VectorField(grid, v),
                         ScalarField(grid, u_theta[d]))
 
-    def _coupling_rhs(self, pair: np.ndarray, out: np.ndarray) -> None:
-        """The coupling's tendency at pair = (a_v, theta^), written to out;
-        pair is overwritten with the inverse transform's input."""
+    def _coupling_rhs(self) -> None:
+        """The coupling's tendency at the pair (a_v, theta^), written to the
+        increment; the pair is overwritten with the inverse transform's
+        input."""
         grid = self.grid
+        av, th = self._pair_rows
+        dav, dth = self._increment_rows
         # along k^, -mu grad(theta) is -mu i|k| theta^ and div v is i|k| a_v
-        np.multiply(self.neg_mu_ik_abs, pair[1], out=out[0])
-        np.multiply(self.ik_abs, pair[0], out=pair[0])
-        div_v, theta = grid.to_physical(pair)
-        np.multiply(theta, div_v, out=div_v)
-        np.multiply(grid.to_spectral(div_v), self.neg_mu_mask, out=out[1])
+        np.multiply(self.neg_mu_ik_abs, th, dav)
+        np.multiply(self.ik_abs, av, av)
+        div_v, theta = grid.to_physical(self._pair)
+        np.multiply(theta, div_v, div_v)
+        np.multiply(grid.to_spectral(div_v), self.neg_mu_mask, dth)
 
-    def _couple(self, y: np.ndarray) -> None:
+    def _couple(self) -> None:
         # explicit midpoint rule on y = (a_v, theta^), in place
-        dt, pair, k = self.dt, self._pair, self._increment
+        y, pair, k = self._coupled, self._pair, self._increment
         np.copyto(pair, y)
-        self._coupling_rhs(pair, k)
-        np.multiply(0.5 * dt, k, out=pair)
-        np.add(y, pair, out=pair)
-        self._coupling_rhs(pair, k)
-        np.multiply(dt, k, out=k)
-        np.add(y, k, out=y)
+        self._coupling_rhs()
+        np.multiply(self._half_dt, k, pair)
+        np.add(y, pair, pair)
+        self._coupling_rhs()
+        np.multiply(self.dt, k, k)
+        np.add(y, k, y)
 
-    def step(self, z: np.ndarray) -> None:
+    def step(self) -> None:
         """Advance z = (a_u, a_v, theta^) by one Strang step, in place."""
-        np.multiply(self.heat_half, z[2], out=z[2])
-        self._wave_half(z)
-        self._couple(z[1:])
-        self._wave_half(z)
-        np.multiply(self.heat_half, z[2], out=z[2])
+        theta = self._theta
+        np.multiply(self.heat_half, theta, theta)
+        self._wave_half()
+        self._couple()
+        self._wave_half()
+        np.multiply(self.heat_half, theta, theta)
 
 
 def evaluate_rhs(s: SimState, p: ModelParams, dealias: bool = True) -> tuple[VectorField, VectorField, ScalarField]:
@@ -360,11 +375,11 @@ def _signed_step(s: SimState, p: ModelParams, dt: float) -> SimState:
     Intended for centred-difference diagnostics with |dt| small.
     """
     stepper = _SpectralStepper(s.grid, p, dt)
-    z, nu_u, nu_v = stepper.load(s)
-    stepper.step(z)
+    nu_u, nu_v = stepper.load(s)
+    stepper.step()
     t = s.t + dt
-    _check_finite(t, *z)
-    return stepper.state(t, z, nu_u, nu_v, 1)
+    _check_finite(t, *stepper.z)
+    return stepper.state(t, nu_u, nu_v, 1)
 
 
 def _enforce_floor(t: float, theta: np.ndarray, floor: float) -> None:
@@ -386,16 +401,20 @@ def _floor_certificate(grid: TorusGrid, floor: float) -> Callable[[np.ndarray], 
     The margin covers the sup-norm rounding of the inverse transform (the
     2-norm FFT bound of Higham, Accuracy and Stability of Numerical
     Algorithms, sec. 24.1, times sqrt(N)) and the rounding of the sum.
-    The test writes |theta^| into one buffer of its own.
+    The test writes |theta^| into one buffer of its own, read through a
+    flat view made once.
     """
     n = grid.n_total
     weight = np.broadcast_to(grid.hermitian_weight, grid.spectral_shape).ravel()
     margin = (8.0 * math.log2(n) * math.sqrt(n) + n) * np.finfo(np.float64).eps
     magnitude = np.empty(grid.spectral_shape)
+    flat_magnitude = magnitude.reshape(-1)
+    mean = (0,) * grid.d
 
     def clears(th: np.ndarray) -> bool:
-        l1 = float(np.abs(th, out=magnitude).ravel() @ weight)
-        return (2.0 * th.flat[0].real - l1 - margin * l1) / n > floor
+        np.abs(th, magnitude)
+        l1 = float(flat_magnitude @ weight)
+        return (2.0 * th[mean].real - l1 - margin * l1) / n > floor
 
     return clears
 
@@ -430,14 +449,27 @@ def run(
     final state, each its own: no other emitted state, no later step and not
     the returned state share its arrays.  Identical inputs produce identical
     outputs bit for bit.
+
+    After a step that leaves a NaN or an infinity in a_u, a_v or theta^,
+    NonFinite(t, field) names the first of them as "u", "v" or "theta".
+    One sum over z finds that there is one; only then is z searched field
+    by field.
     """
     grid = s0.grid
     stepper = _SpectralStepper(grid, p, cfg.dt, cfg.dealias, cfg.product_band)
     n_steps = cfg.n_steps()
-    z, nu_u, nu_v = stepper.load(s0)
+    nu_u, nu_v = stepper.load(s0)
+    z = stepper.z
     _dt_advisory(stepper, s0, z[1], p)
     _enforce_floor(s0.t, s0.theta.values, cfg.positivity_floor)
     certified = _floor_certificate(grid, cfg.positivity_floor)
+    theta_hat = z[2]
+    # the real and imaginary parts of z in one flat run, for the finiteness
+    # guard: a NaN or an infinity in z makes their sum of squares
+    # non-finite, and a finite sum that overflows only sends the step to the
+    # field-by-field test.  np.vdot reports no floating-point error, where
+    # np.add.reduce would warn of an overflow and of inf - inf
+    flat = z.view(np.float64).reshape(-1)
     t0 = s0.t
 
     if sink is not None:
@@ -445,27 +477,27 @@ def run(
     if n_steps == 0:
         return s0.copy()
     for i in range(1, n_steps + 1):
-        stepper.step(z)
+        stepper.step()
         t = t0 + i * cfg.dt
         # nu never enters a step, so the finite load keeps it finite
-        if not np.isfinite(z.view(np.float64)).all():
+        if not math.isfinite(np.vdot(flat, flat)):
             _check_finite(t, *z)
         if i == n_steps or (sink is not None and i % cfg.record_every == 0):
             # nu is rotated from its initial value, so a state does not
             # depend on which earlier states were built
-            state = stepper.state(t, z, nu_u, nu_v, i)
+            state = stepper.state(t, nu_u, nu_v, i)
             _enforce_floor(t, state.theta.values, cfg.positivity_floor)
             if i < n_steps:
                 sink(state)
                 # run keeps no emitted state: one the sink lets go is freed
                 # before the next build
                 state = None
-        elif not certified(z[2]):
+        elif not certified(theta_hat):
             # a certified spectrum cannot raise, and no state reads its
             # values, so only an uncertified one is transformed
-            _enforce_floor(t, grid.to_physical(z[2]), cfg.positivity_floor)
+            _enforce_floor(t, grid.to_physical(theta_hat), cfg.positivity_floor)
     # the stepper's arrays are freed before the sink's copy of the final state is made
-    del stepper, certified, z, nu_u, nu_v
+    del stepper, certified, z, theta_hat, flat, nu_u, nu_v
     if sink is not None:
         sink(state.copy())
     return state

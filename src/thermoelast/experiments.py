@@ -26,6 +26,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from functools import partial
+from typing import Any, Callable
 
 from .config import RunConfig, build_config, convert_value
 from .diagnostics import DiagnosticsRecord, TrajectoryRecorder, galerkin_initial_smallness
@@ -96,11 +97,16 @@ def _run_recorded(cfg: RunConfig, csv_path: str, s0: SimState | None = None, ext
     return final, rec.records
 
 
-def _list_option(o: dict, key: str) -> list[str]:
-    """The comma-separated items of option `key`; ValueError if it lists none."""
-    items = [tok.strip() for tok in str(o[key]).split(",") if tok.strip()]
+def _list_option(o: dict, key: str, convert: Callable[[str], Any] = str) -> list:
+    """The comma-separated items of option `key`, each passed through
+    `convert`; ValueError if it lists none, or an item equal to an earlier
+    one, which would be run twice."""
+    items = [convert(tok.strip()) for tok in str(o[key]).split(",") if tok.strip()]
     if not items:
         raise ValueError(f"{key} must list at least one item")
+    for i, item in enumerate(items):
+        if item in items[:i]:
+            raise ValueError(f"{key} lists {item} twice")
     return items
 
 
@@ -125,7 +131,7 @@ def _fisher_rise(records, smallness: float) -> tuple[bool, bool, float]:
 
 
 def _exp_attractor(o: dict, out_dir: str) -> tuple[list[Check], list[str]]:
-    eps_values = [convert_value("epsilons", tok, 0.0) for tok in _list_option(o, "epsilons")]
+    eps_values = _list_option(o, "epsilons", lambda tok: convert_value("epsilons", tok, 0.0))
     if min(eps_values) <= 0.0:  # epsilon = 0 would mean the scenario's default amplitude
         raise ValueError(f"epsilons must be > 0, got {min(eps_values):g}")
     checks: list[Check] = []

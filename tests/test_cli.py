@@ -397,6 +397,10 @@ class TestExperiment:
         (["attractor", "--set", "epsilons="], "epsilons must list at least one item"),
         (["attractor", "--set", "epsilons=0", "--set", "t_end=0.1"], "epsilons must be > 0, got 0"),
         (["oracle-xcheck", "--set", "tolerance=-1"], "tolerance must be a finite number > 0, got -1"),
+        (["bounds", "--set", "scenarios=random,random", "--set", "t_end=0.02", "--set", "n=16"],
+         "scenarios lists random twice"),
+        (["attractor", "--set", "epsilons=2e-3,0.002", "--set", "t_end=0.02", "--set", "n=16"],
+         "epsilons lists 0.002 twice"),
     ])
     def test_option_that_cannot_decide_exits_cleanly(self, tmp_path, capsys, args, message):
         rc = main(["experiment", *args, "--out-dir", str(tmp_path / "x")])

@@ -445,26 +445,54 @@ class TestFailureModes:
         assert err.value.t == pytest.approx(t_fail, rel=1e-12)
         assert err.value.theta_min < 0.0
 
-    @pytest.mark.parametrize("what", ["u", "v", "theta"])
-    def test_non_finite_mid_run(self, monkeypatch, what):
-        # a NaN put into z = (a_u, a_v, theta^) by the third step is
-        # reported after that step, under the name of the field it belongs to
+    @staticmethod
+    def _poisoned_run(at_step: int, entries: dict) -> SimState:
+        """A 10-step run of small-mixed from t = 0.25 whose step number
+        at_step then writes {(field index, flat index): value} into z =
+        (a_u, a_v, theta^)."""
         real_step = dynamics._SpectralStepper.step
-        index = ("u", "v", "theta").index(what)
         calls = [0]
 
-        def poisoned(self, z):
-            real_step(self, z)
+        def poisoned(self):
+            real_step(self)
             calls[0] += 1
-            if calls[0] == 3:
-                z[index].flat[5] = np.nan
+            if calls[0] == at_step:
+                for (index, entry), value in entries.items():
+                    self.z[index].flat[entry] = value
 
-        monkeypatch.setattr(dynamics._SpectralStepper, "step", poisoned)
         s0 = make_initial_data(ScenarioSpec("small-mixed", epsilon=0.2))
         s0.t = 0.25
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dynamics._SpectralStepper, "step", poisoned)
+            return run(s0, ModelParams(mu=1.0), StepperConfig(dt=0.01, t_end=0.1))
+
+    @pytest.mark.parametrize("what", ["u", "v", "theta"])
+    def test_non_finite_mid_run(self, what):
+        # a NaN or an infinity put into z = (a_u, a_v, theta^) by the third
+        # step is reported after that step, under the name of the field it
+        # belongs to
+        index = ("u", "v", "theta").index(what)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(NonFinite) as err:
+                self._poisoned_run(3, {(index, 5): bad})
+            assert (err.value.t, err.value.what) == (0.25 + 3 * 0.01, what), bad
+
+    @pytest.mark.parametrize("plus, minus", [(0, 1), (1, 0), (0, 2), (2, 1)])
+    def test_opposite_infinities_mid_run(self, plus, minus):
+        # +inf in one field and -inf in another, whose plain sum is NaN: the
+        # report names the first of them in the order u, v, theta
         with pytest.raises(NonFinite) as err:
-            run(s0, ModelParams(mu=1.0), StepperConfig(dt=0.01, t_end=0.1))
-        assert (err.value.t, err.value.what) == (0.25 + 3 * 0.01, what)
+            self._poisoned_run(3, {(plus, 5): np.inf, (minus, 7): -np.inf})
+        assert (err.value.t, err.value.what) == (0.25 + 3 * 0.01,
+                                                 ("u", "v", "theta")[min(plus, minus)])
+
+    def test_finite_overflow_is_not_non_finite(self):
+        # two finite entries of 1.5e308 in a_u after the last step overflow
+        # any sum over z; the state is finite, so the run carries on and
+        # returns it, with no warning
+        final = self._poisoned_run(10, {(0, 5): 1.5e308, (0, 6): 1.5e308})
+        assert final.t == pytest.approx(0.35, rel=1e-12)
+        assert np.isfinite(final.theta.values).all()
 
     def test_nan_in_initial_displacement(self):
         # a NaN in u is reported at the initial time, not after the first step
@@ -707,11 +735,11 @@ class TestTransformBudget:
         s0 = make_initial_data(ScenarioSpec("random", d=d, n=16, seed=7))
         grid, n_steps = s0.grid, 5
         stepper = dynamics._SpectralStepper(grid, ModelParams(mu=1.0, operator=operator), 1e-3)
-        z, nu_u, nu_v = stepper.load(s0)
-        got = stepper.state(0.005, z, nu_u, nu_v, n_steps)
+        nu_u, nu_v = stepper.load(s0)
+        got = stepper.state(0.005, nu_u, nu_v, n_steps)
         c, s, m = stepper._rotation(stepper.a_t, n_steps * stepper.dt)
         k = grid.unit_wavevectors
-        au, av, th = z
+        au, av, th = stepper.z
         want = (grid.to_physical(c * nu_u + s * nu_v + k * au),
                 grid.to_physical(m * nu_u + c * nu_v + k * av),
                 grid.to_physical(th))
@@ -817,30 +845,30 @@ class TestStackedStep:
         s0 = make_initial_data(ScenarioSpec("random", d=d, n=16, seed=7))
         stepper = dynamics._SpectralStepper(s0.grid, ModelParams(mu=1.0, operator=operator), dt,
                                             dealias, band)
-        z, _, _ = stepper.load(s0)
-        fields = tuple(a.copy() for a in z)
+        stepper.load(s0)
+        fields = tuple(a.copy() for a in stepper.z)
         for _ in range(20):
-            stepper.step(z)
+            stepper.step()
             fields = _per_field_step(stepper, *fields)
-            for got, want in zip(z, fields):
+            for got, want in zip(stepper.z, fields):
                 assert got.tobytes() == want.tobytes()
 
     def test_step_allocates_nothing_but_transform_outputs(self, monkeypatch):
         s0 = make_initial_data(ScenarioSpec("random", d=3, n=16, seed=7))
         grid = s0.grid
         stepper = dynamics._SpectralStepper(grid, ModelParams(mu=1.0, operator="lame"), 1e-3)
-        z, _, _ = stepper.load(s0)
+        stepper.load(s0)
         spectrum = np.empty(grid.spectral_shape, dtype=np.complex128).nbytes
         outputs = 2 * grid.n_total * 8 + spectrum
         axes, last = tuple(range(-grid.d, 0)), grid.n_per_axis[-1]
 
         def growth(steps: int) -> int:
-            stepper.step(z)  # warm-up
+            stepper.step()  # warm-up
             tracemalloc.start()
             try:
                 before, _ = tracemalloc.get_traced_memory()
                 for _ in range(steps):
-                    stepper.step(z)
+                    stepper.step()
                 return tracemalloc.get_traced_memory()[1] - before
             finally:
                 tracemalloc.stop()

@@ -155,6 +155,19 @@ class TestOverrides:
             run_experiment(name, {key: raw}, out_dir=str(tmp_path))
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("name, key, raw, repeated", [
+        ("bounds", "scenarios", "random,random", "random"),
+        ("bounds", "scenarios", "small-mixed, random ,random", "random"),
+        ("attractor", "epsilons", "2e-3,5e-3,2e-3", "0.002"),
+        ("attractor", "epsilons", "2e-3,0.002", "0.002"),
+    ])
+    def test_repeated_item_refused(self, name, key, raw, repeated, tmp_path):
+        # an item listed twice would be run twice, its artifact written over
+        # and its check reported twice; amplitudes repeat by value
+        with pytest.raises(ValueError, match=f"^{key} lists {repeated} twice$"):
+            run_experiment(name, dict(_RUN, **{key: raw}), out_dir=str(tmp_path))
+        assert os.listdir(tmp_path) == []
+
     @pytest.mark.parametrize("raw, bad", [("0", "0"), ("2e-3,0", "0"), ("-1e-3,2e-3", "-0.001")])
     def test_amplitudes_must_be_positive(self, raw, bad, tmp_path):
         # epsilon = 0 means the scenario default, which would run under the label 0
