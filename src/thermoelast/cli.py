@@ -163,8 +163,10 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     for item in args.set or []:
         if "=" not in item:
             raise ValueError(f"--set expects key=value, got {item!r}")
-        key, value = item.split("=", 1)
-        overrides[key.strip()] = value.strip()
+        key, value = (part.strip() for part in item.split("=", 1))
+        if key in overrides:
+            raise ValueError(f"duplicate override {key!r}")
+        overrides[key] = value
     report = run_experiment(args.name, overrides, out_dir=args.out_dir)
     print(f"experiment {report.name} ({report.elapsed:.1f}s)")
     for line in report.lines():
@@ -192,7 +194,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dec.set_defaults(fn=_cmd_decompose)
 
     p_diag = sub.add_parser("diagnose", help="report invariants of a saved state")
-    p_diag.add_argument("snapshot", help="TEFLD1 snapshot, or a directory holding a u/v/theta triple")
+    p_diag.add_argument("snapshot", help="TEFLD1 snapshot, or a run directory of final_*.tefld")
     p_diag.add_argument("--mu", type=float, required=True, help="coupling strength")
     p_diag.add_argument("--operator", choices=("laplacian", "lame"), default="laplacian")
     p_diag.add_argument("--zeta", type=float, default=1.0)

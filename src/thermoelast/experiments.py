@@ -7,7 +7,9 @@ output directory.  Overrides arrive as strings (from `--set key=value`) and
 follow the config grammar: each is converted to the type of the default it
 replaces, and the run keys among them build the run as a config file would
 (`operator` resolves against the scenario name unless an experiment sets
-it).
+it).  An experiment accepts only the keys its runs read: `seed` only in
+`bounds`, whose `random` scenario draws from it, and `zeta` and
+`lame_lambda` only in `lame-asymptotics`.
 
     attractor         amplitude sweep: the decay functional never rises for
                       data under the empirical smallness gate
@@ -264,21 +266,21 @@ def _exp_oracle_xcheck(o: dict, out_dir: str) -> tuple[list[Check], list[str]]:
 
 
 _ASYMPTOTICS_DEFAULTS = {
-    "epsilon": 0.0, "d": 2, "n": 0, "seed": 0, "mu": 1.0, "zeta": 1.0, "lame_lambda": 0.5,
-    "dt": 2e-3, "t_end": 100.0, "record_every": 50,
+    "epsilon": 0.0, "d": 2, "n": 0, "mu": 1.0, "dt": 2e-3, "t_end": 100.0, "record_every": 50,
 }
 
 _EXPERIMENTS = {
     "attractor": (
         _exp_attractor,
-        {"epsilons": "2e-3,5e-3,1e-2", "d": 2, "n": 0, "seed": 0,
+        {"epsilons": "2e-3,5e-3,1e-2", "d": 2, "n": 0,
          "mu": 1.0, "dt": 2e-3, "t_end": 20.0, "record_every": 10},
     ),
     "asymptotics": (partial(_asymptotics, "small-mixed"), _ASYMPTOTICS_DEFAULTS),
-    "lame-asymptotics": (partial(_asymptotics, "lame-small-mixed"), _ASYMPTOTICS_DEFAULTS),
+    "lame-asymptotics": (partial(_asymptotics, "lame-small-mixed"),
+                         _ASYMPTOTICS_DEFAULTS | {"zeta": 1.0, "lame_lambda": 0.5}),
     "oscillation": (
         _exp_oscillation,
-        {"epsilon": 0.0, "d": 2, "n": 0, "seed": 0, "mu": 1.0,
+        {"epsilon": 0.0, "d": 2, "n": 0, "mu": 1.0,
          "dt": 2e-3, "t_end": 50.0, "record_every": 5, "tail": 10.0},
     ),
     "bounds": (

@@ -11,8 +11,7 @@ float64 values, row-major within a component, components stored whole one
 after another.  read(write(f)) reproduces f bit for bit.
 
 A run's state is the snapshot triple final_{u,v,theta}.tefld in one
-directory, each stamped with the state's time; `read_state` also accepts the
-bare names {u,v,theta}.tefld.
+directory, each stamped with the state's time.
 
 Tables go to CSV (`write_table`): a header row, one row per item, every value
 at 17 significant digits, LF line endings; a time series has one column per
@@ -190,28 +189,24 @@ def read_snapshot(path: str, grid: TorusGrid | None = None) -> ScalarField | Vec
     return VectorField(target, flat.reshape((header.comps,) + target.shape))
 
 
-_STATE_LAYOUTS = ("final_{}.tefld", "{}.tefld")
+_STATE_FILES = ("final_u.tefld", "final_v.tefld", "final_theta.tefld")
 
 
 def write_state(s: SimState, directory: str) -> list[str]:
     """Write the final_{u,v,theta}.tefld triple stamped with s.t; returns the paths."""
-    paths = []
-    for name, f in (("u", s.u), ("v", s.v), ("theta", s.theta)):
-        paths.append(os.path.join(directory, _STATE_LAYOUTS[0].format(name)))
-        write_snapshot(f, paths[-1], t=s.t)
+    paths = [os.path.join(directory, name) for name in _STATE_FILES]
+    for path, f in zip(paths, (s.u, s.v, s.theta)):
+        write_snapshot(f, path, t=s.t)
     return paths
 
 
 def read_state(directory: str) -> SimState:
-    """The u/v/theta triple under directory, at the time stamped on all three;
-    a triple whose stamps differ is not one state and raises SnapshotError."""
-    for layout in _STATE_LAYOUTS:
-        paths = [os.path.join(directory, layout.format(k)) for k in ("u", "v", "theta")]
-        if all(os.path.exists(p) for p in paths):
-            break
-    else:
+    """The final_{u,v,theta} triple under directory, at the time stamped on all
+    three; a triple whose stamps differ is not one state and raises SnapshotError."""
+    paths = [os.path.join(directory, name) for name in _STATE_FILES]
+    if not all(os.path.exists(p) for p in paths):
         raise SnapshotError(f"{directory}: no u/v/theta snapshot triple "
-                            "(expected final_u.tefld, final_v.tefld, final_theta.tefld)")
+                            f"(expected {', '.join(_STATE_FILES)})")
     u = read_snapshot(paths[0])
     v, theta = (read_snapshot(p, grid=u.grid) for p in paths[1:])
     if not isinstance(u, VectorField) or not isinstance(v, VectorField) \

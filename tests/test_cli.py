@@ -375,6 +375,17 @@ class TestExperiment:
         assert rc == 1
         assert "unknown override" in capsys.readouterr().err
 
+    def test_repeated_override_key_refused(self, tmp_path, capsys):
+        # config text refuses a repeated key; the last --set must not win silently
+        rc = main(["experiment", "bounds", "--set", "n=16", "--set", "n=8",
+                   "--set", "t_end=0.02", "--set", "scenarios=random",
+                   "--out-dir", str(tmp_path / "x")])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: duplicate override 'n'\n"
+        assert not os.path.exists(tmp_path / "x")
+
     def test_degenerate_sampling_exits_cleanly(self, tmp_path, capsys):
         rc = main(["experiment", "oracle-xcheck", "--set", "sample_dt=0",
                    "--out-dir", str(tmp_path / "x")])

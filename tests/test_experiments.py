@@ -91,13 +91,13 @@ def test_tables_read_back_to_the_written_floats(name, csv, header, monkeypatch, 
 
 
 def test_defaults_key_sets():
-    common = {"d", "n", "seed", "mu", "dt", "t_end", "record_every"}
+    common = {"d", "n", "mu", "dt", "t_end", "record_every"}
     want = {
         "attractor": common | {"epsilons"},
-        "asymptotics": common | {"epsilon", "zeta", "lame_lambda"},
+        "asymptotics": common | {"epsilon"},
         "lame-asymptotics": common | {"epsilon", "zeta", "lame_lambda"},
         "oscillation": common | {"epsilon", "tail"},
-        "bounds": common | {"epsilon", "scenarios"},
+        "bounds": common | {"epsilon", "seed", "scenarios"},
         "oracle-xcheck": {"epsilon", "n", "control_n", "modes", "mu", "operator", "d",
                           "dt", "t_end", "sample_dt", "tolerance"},
     }
@@ -120,6 +120,17 @@ class TestOverrides:
     def test_unknown_key(self, tmp_path):
         with pytest.raises(ValueError, match="unknown override 'theta_baseline'"):
             run_experiment("bounds", {"theta_baseline": "2"}, out_dir=str(tmp_path))
+
+    @pytest.mark.parametrize("name, key", [
+        ("attractor", "seed"), ("asymptotics", "seed"), ("lame-asymptotics", "seed"),
+        ("oscillation", "seed"), ("asymptotics", "zeta"), ("asymptotics", "lame_lambda"),
+    ])
+    def test_key_the_run_never_reads_refused(self, name, key, tmp_path):
+        # none of these scenarios draws random numbers, and asymptotics always
+        # runs the Laplacian: the value would change no artifact
+        with pytest.raises(ValueError, match=f"^unknown override '{key}'; this experiment accepts "):
+            run_experiment(name, dict(_RUN, **{key: "1"}), out_dir=str(tmp_path))
+        assert os.listdir(tmp_path) == []
 
     def test_invalid_value_keeps_its_dataclass_message(self, tmp_path):
         with pytest.raises(ConfigError, match="^d must be 2 or 3, got 4$"):

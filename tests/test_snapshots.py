@@ -290,6 +290,11 @@ def _same_bits(a: SimState, b: SimState) -> bool:
     )
 
 
+def _write_bare(s: SimState, directory) -> None:
+    for name, f in (("u", s.u), ("v", s.v), ("theta", s.theta)):
+        write_snapshot(f, str(directory / f"{name}.tefld"), t=s.t)
+
+
 class TestState:
     def test_round_trip_bit_exact(self, grid8, rng, tmp_path):
         s = _state(grid8, rng, t=0.30000000000000004)
@@ -298,18 +303,21 @@ class TestState:
         assert all(read_header(p).t == s.t for p in paths)
         assert _same_bits(read_state(str(tmp_path / "run")), s)
 
-    def test_bare_layout_accepted(self, grid8, rng, tmp_path):
-        s = _state(grid8, rng, t=1.25)
-        for name, f in (("u", s.u), ("v", s.v), ("theta", s.theta)):
-            write_snapshot(f, str(tmp_path / f"{name}.tefld"), t=s.t)
-        assert _same_bits(read_state(str(tmp_path)), s)
+    def test_bare_names_refused(self, grid8, rng, tmp_path):
+        # write_state names its files final_*; {u,v,theta}.tefld is not a state
+        _write_bare(_state(grid8, rng, t=1.25), tmp_path)
+        with pytest.raises(SnapshotError) as info:
+            read_state(str(tmp_path))
+        assert str(info.value) == (f"{tmp_path}: no u/v/theta snapshot triple "
+                                   "(expected final_u.tefld, final_v.tefld, final_theta.tefld)")
 
-    def test_final_layout_wins_over_bare(self, grid8, rng, tmp_path):
-        final, bare = _state(grid8, rng, t=1.0), _state(grid8, rng, t=2.0)
-        write_state(final, str(tmp_path))
-        for name, f in (("u", bare.u), ("v", bare.v), ("theta", bare.theta)):
-            write_snapshot(f, str(tmp_path / f"{name}.tefld"), t=bare.t)
-        assert _same_bits(read_state(str(tmp_path)), final)
+    def test_incomplete_final_triple_not_filled_from_bare_names(self, grid8, rng, tmp_path):
+        # a bare triple from another time must not stand in for a broken final_* one
+        write_state(_state(grid8, rng, t=1.0), str(tmp_path))
+        _write_bare(_state(grid8, rng, t=2.0), tmp_path)
+        os.unlink(tmp_path / "final_theta.tefld")
+        with pytest.raises(SnapshotError, match="no u/v/theta snapshot triple"):
+            read_state(str(tmp_path))
 
     def test_incomplete_triple(self, grid8, rng, tmp_path):
         paths = write_state(_state(grid8, rng, t=0.0), str(tmp_path))
