@@ -2,7 +2,7 @@
 
     thermoelast run <config>               integrate and write artifacts
     thermoelast decompose <snapshot>       Helmholtz-split a vector snapshot
-    thermoelast diagnose <snapshot> --mu M report invariants of a saved state
+    thermoelast diagnose <path>            report invariants of a saved state
     thermoelast compare-oracle <config>    pseudo-spectral run vs exact truncation
     thermoelast experiment <name>          named verification experiment
 
@@ -19,34 +19,22 @@ import sys
 import numpy as np
 
 from . import diagnostics as diag
-from .config import ConfigError, load_config, serialize_config
-from .dynamics import ModelParams, NonFinite, PositivityLoss, SimState
-from .experiments import (EXPERIMENT_NAMES, _check_tolerance, _run_recorded, experiment_defaults,
+from .config import ConfigError, load_config
+from .dynamics import NonFinite, PositivityLoss, SimState
+from .experiments import (EXPERIMENT_NAMES, _check_tolerance, _run_saved, experiment_defaults,
                           run_experiment)
 from .grid import ScalarField, VectorField, field_norms, quadrature
 from .oracle import crosscheck
 from .operators import curl, divergence, helmholtz_project
 from .scenarios import make_initial_data
-from .snapshots import (
-    SnapshotError,
-    atomic_write_text,
-    read_header,
-    read_snapshot,
-    read_state,
-    write_snapshot,
-    write_state,
-)
+from .snapshots import SnapshotError, read_header, read_snapshot, read_state, write_snapshot
 
 __all__ = ["main"]
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    ts = os.path.join(cfg.out_dir, "timeseries.csv")
-    final, records = _run_recorded(cfg, ts)
-    config_path = os.path.join(cfg.out_dir, "run-config.txt")
-    paths = [ts, *write_state(final, cfg.out_dir), config_path]
-    atomic_write_text(config_path, serialize_config(cfg))
+    final, records, paths = _run_saved(cfg, cfg.out_dir)
 
     first, last = records[0], records[-1]
     drift = max(abs(r.energy - first.energy) for r in records) / abs(first.energy)
@@ -93,10 +81,10 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:
-    p = ModelParams(mu=args.mu, operator=args.operator, zeta=args.zeta, lame_lambda=args.lame_lambda)
     rows: list[tuple[str, float]]
     if os.path.isdir(args.snapshot):
         s = read_state(args.snapshot)
+        p = load_config(os.path.join(args.snapshot, "run-config.txt")).params
         p.validate_for_dimension(s.grid.d)
         header = f"state at t={s.t:g} on n={s.grid.n_per_axis}"
         rec = diag.TrajectoryRecorder(p)
@@ -194,11 +182,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dec.set_defaults(fn=_cmd_decompose)
 
     p_diag = sub.add_parser("diagnose", help="report invariants of a saved state")
-    p_diag.add_argument("snapshot", help="TEFLD1 snapshot, or a run directory of final_*.tefld")
-    p_diag.add_argument("--mu", type=float, required=True, help="coupling strength")
-    p_diag.add_argument("--operator", choices=("laplacian", "lame"), default="laplacian")
-    p_diag.add_argument("--zeta", type=float, default=1.0)
-    p_diag.add_argument("--lame-lambda", type=float, default=0.5)
+    p_diag.add_argument("snapshot", help="TEFLD1 snapshot, or a run directory of final_*.tefld "
+                                         "and the run-config.txt it was run with")
     p_diag.add_argument("--dt-micro", type=float, default=1e-5,
                         help="step for the identity-residual probe")
     p_diag.set_defaults(fn=_cmd_diagnose)

@@ -340,11 +340,12 @@ class TrajectoryRecorder:
     The first state received becomes the reference for the dissipation
     baseline and the predicted temperature limit, and fixes the grid: the
     weights of the Parseval sums are built for it, so a state on another
-    grid raises ValueError.  Each record checks theta > 0 and takes log
+    grid raises ValueError, as does one not after the last (its production
+    would integrate backwards).  Each record checks theta > 0 and takes log
     theta once, forward-transforms u, v, log theta and (full battery) theta
     in one stacked call (byte-identical to one call per field, at a fraction
-    of the dispatch cost) and hands the coefficients to the same kernels
-    the public functions use, so its columns equal theirs bit for bit.
+    of the dispatch cost) and hands the coefficients to the same kernels the
+    public functions use, so its columns equal theirs bit for bit.
 
     The Parseval sums are reduced in blocks, each power |c|^2 built once
     and each block one multiply and one reduction: the (u, v) pair under
@@ -390,6 +391,8 @@ class TrajectoryRecorder:
     def __call__(self, s: SimState) -> None:
         p, grid, full = self.p, s.grid, self.battery == "full"
         w = self._weights_on(grid)
+        if s.t <= self._prev_t:
+            raise ValueError(f"recorder's last state is at t={self._prev_t}, got a state at t={s.t}")
         log_theta, theta_min = _log_theta(s.theta, "entropy")
         pair, scalars = _spectra(s, log_theta[None], s.theta.values[None]) if full else _spectra(s, log_theta[None])
         waves = _wave_energies(w, p, pair, _BOTH if full else _ENERGY)

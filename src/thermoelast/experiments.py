@@ -3,13 +3,15 @@
 Each experiment instantiates one of the structural claims the solver is
 supposed to honor, runs the dynamics, evaluates explicit thresholds, and
 writes its artifacts (time series, snapshots, a plain-text report) into an
-output directory.  Overrides arrive as strings (from `--set key=value`) and
-follow the config grammar: each is converted to the type of the default it
-replaces, and the run keys among them build the run as a config file would
-(`operator` resolves against the scenario name unless an experiment sets
-it).  An experiment accepts only the keys its runs read: `seed` only in
-`bounds`, whose `random` scenario draws from it, and `zeta` and
-`lame_lambda` only in `lame-asymptotics`.
+output directory.  The asymptotics runs save a directory `diagnose` reads
+as `thermoelast run` does (`_run_saved`), `run-config.txt` included.
+Overrides arrive as strings (from `--set key=value`) and follow the config
+grammar: each is converted to the type of the default it replaces, and the
+run keys among them build the run as a config file would (`operator`
+resolves against the scenario name unless an experiment sets it).  An
+experiment accepts only the keys its runs read: `seed` only in `bounds`,
+whose `random` scenario draws from it, and `zeta` and `lame_lambda` only
+in `lame-asymptotics`.
 
     attractor         amplitude sweep: the decay functional never rises for
                       data under the empirical smallness gate
@@ -26,11 +28,11 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Any, Callable
 
-from .config import RunConfig, build_config, convert_value
+from .config import RunConfig, build_config, convert_value, serialize_config
 from .diagnostics import DiagnosticsRecord, TrajectoryRecorder, galerkin_initial_smallness
 from .dynamics import SimState, _lattice_steps, run
 from .grid import spectral_l2_sq
@@ -99,6 +101,16 @@ def _run_recorded(cfg: RunConfig, csv_path: str, s0: SimState | None = None, ext
     return final, rec.records
 
 
+def _run_saved(cfg: RunConfig, out_dir: str) -> tuple[SimState, list[DiagnosticsRecord], list[str]]:
+    """Run cfg into out_dir: the final state, the records, and the paths of the
+    time series, state triple and run-config.txt (out_dir its own) it wrote."""
+    ts, config_path = os.path.join(out_dir, "timeseries.csv"), os.path.join(out_dir, "run-config.txt")
+    final, records = _run_recorded(cfg, ts)
+    paths = [ts, *write_state(final, out_dir), config_path]
+    atomic_write_text(config_path, serialize_config(replace(cfg, out_dir=out_dir)))
+    return final, records, paths
+
+
 def _list_option(o: dict, key: str, convert: Callable[[str], Any] = str) -> list:
     """The comma-separated items of option `key`, each passed through
     `convert`; ValueError if it lists none, or an item equal to an earlier
@@ -155,8 +167,7 @@ def _exp_attractor(o: dict, out_dir: str) -> tuple[list[Check], list[str]]:
 
 
 def _asymptotics(scenario: str, o: dict, out_dir: str) -> tuple[list[Check], list[str]]:
-    ts = os.path.join(out_dir, "timeseries.csv")
-    final, records = _run_recorded(build_config(o | {"scenario": scenario}), ts)
+    _, records, paths = _run_saved(build_config(o | {"scenario": scenario}), out_dir)
     first, last = records[0], records[-1]
     chi_ratio = _rel(last.chi_h1, first.chi_h1)
     th_ratio = _rel(last.theta_l2_dist, first.theta_l2_dist)
@@ -168,7 +179,7 @@ def _asymptotics(scenario: str, o: dict, out_dir: str) -> tuple[list[Check], lis
               f"(ratio {th_ratio:.3e}, need <= 1e-2)"),
         _bounds_check(records, scenario),
     ]
-    return checks, [ts, *write_state(final, out_dir)]
+    return checks, paths
 
 
 def _exp_oscillation(o: dict, out_dir: str) -> tuple[list[Check], list[str]]:

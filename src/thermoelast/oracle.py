@@ -139,9 +139,7 @@ def reconstruct_vector(cubes: np.ndarray, n: int, grid: TorusGrid) -> VectorFiel
 
 
 def _oversample_grid(n: int, lengths: tuple[float, ...]) -> TorusGrid:
-    m = OVERSAMPLE * (2 * n + 1)
-    if m % 2:
-        m += 1
+    m = OVERSAMPLE * (2 * n + 1)  # even, as OVERSAMPLE is
     return TorusGrid((m,) * len(lengths), lengths)
 
 
@@ -315,9 +313,9 @@ def spectral_states_at(
 ) -> list[SimState]:
     """Run the pseudo-spectral stepper, capturing states at the given times.
 
-    Every requested time must sit on the step lattice t0 + i*dt, at most
-    t_end past t0.  The run records every g-th step only, g the gcd of the
-    wanted step indices short of the last step, which it always emits.
+    Every requested time must sit on its own step of the lattice t0 + i*dt,
+    at most t_end past t0.  The run records every g-th step only, g the gcd
+    of the wanted step indices short of the last step, which it always emits.
     """
     n_steps = cfg.n_steps()
     wanted: dict[int, float] = {}
@@ -327,6 +325,8 @@ def spectral_states_at(
             raise ValueError(f"sample time {t} is not on the step lattice (dt={cfg.dt})")
         if i > n_steps:
             raise ValueError(f"sample time {t} is past t_end={cfg.t_end} (from t0={s0.t})")
+        if i in wanted:
+            raise ValueError(f"sample time {t} is listed twice (step {i}, t={wanted[i]})")
         wanted[i] = t
     captured: dict[int, SimState] = {}
 

@@ -4,6 +4,7 @@ and error reporting."""
 import math
 import os
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -132,7 +133,7 @@ class TestDiagnose:
         s = make_initial_data(ScenarioSpec("small-mixed", n=16, epsilon=0.2))
         snap = str(tmp_path / "theta.tefld")
         write_snapshot(s.theta, snap, t=1.5)
-        assert main(["diagnose", snap, "--mu", "1.0"]) == 0
+        assert main(["diagnose", snap]) == 0
         text = capsys.readouterr().out
         assert "temperature field at t=1.5" in text
         assert "entropy" in text
@@ -142,7 +143,7 @@ class TestDiagnose:
         s = make_initial_data(ScenarioSpec("small-mixed", n=16, epsilon=0.2))
         snap = str(tmp_path / "u.tefld")
         write_snapshot(s.u, snap)
-        assert main(["diagnose", snap, "--mu", "1.0"]) == 0
+        assert main(["diagnose", snap]) == 0
         text = capsys.readouterr().out
         assert "div_free_l2" in text
 
@@ -150,7 +151,7 @@ class TestDiagnose:
         cfg_path, out = run_cfg
         assert main(["run", cfg_path]) == 0
         capsys.readouterr()
-        assert main(["diagnose", out, "--mu", "1.0"]) == 0
+        assert main(["diagnose", out]) == 0
         text = capsys.readouterr().out
         assert "state at t=0.02" in text
         assert "fisher_functional" in text
@@ -162,7 +163,7 @@ class TestDiagnose:
         cfg_path, out = run_cfg
         assert main(["run", cfg_path]) == 0
         capsys.readouterr()
-        assert main(["diagnose", out, "--mu", "1.0"]) == 0
+        assert main(["diagnose", out]) == 0
         rows = [line.split(" = ") for line in capsys.readouterr().out.splitlines() if " = " in line]
         printed = {name.strip(): value for name, value in rows}
         last = read_timeseries(os.path.join(out, "timeseries.csv"))[-1]
@@ -171,11 +172,45 @@ class TestDiagnose:
             assert printed[name] == "%.12e" % getattr(last, name), name
         assert math.isfinite(float(printed["fisher_identity_residual"]))
 
+    def test_lame_directory_is_read_with_its_own_model(self, tmp_path, capsys):
+        # the model comes from the directory's run-config.txt, so a Lame run
+        # prints its own last row, not the Laplacian values of the same state
+        out = tmp_path / "lame"
+        cfg_path = _write(tmp_path / "lame.cfg", "scenario = lame-small-mixed\nn = 16\n"
+                          f"epsilon = 0.2\ndt = 0.01\nt_end = 0.1\nout_dir = {out}\n")
+        assert main(["run", cfg_path]) == 0
+        capsys.readouterr()
+        assert main(["diagnose", str(out)]) == 0
+        rows = [line.split(" = ") for line in capsys.readouterr().out.splitlines() if " = " in line]
+        printed = {name.strip(): value for name, value in rows}
+        last = read_timeseries(str(out / "timeseries.csv"))[-1]
+        for name in ("energy", "entropy", "entropy_production", "fisher_functional",
+                     "theta_min", "theta_max"):
+            assert printed[name] == "%.12e" % getattr(last, name), name
+
+    def test_directory_without_config_is_refused(self, tmp_path, capsys):
+        write_state(make_initial_data(ScenarioSpec("small-mixed", n=16)), str(tmp_path))
+        assert main(["diagnose", str(tmp_path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(tmp_path / "run-config.txt") in err
+
+    def test_model_flag_is_a_usage_error(self, run_cfg, capsys):
+        # no second source of the model: the retired flags are unknown options
+        cfg_path, out = run_cfg
+        assert main(["run", cfg_path]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["diagnose", out, "--mu", "1.0"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_identity_row_is_the_public_function(self, run_cfg, capsys):
         cfg_path, out = run_cfg
         assert main(["run", cfg_path]) == 0
         capsys.readouterr()
-        assert main(["diagnose", out, "--mu", "1.0", "--dt-micro", "1e-4"]) == 0
+        assert main(["diagnose", out, "--dt-micro", "1e-4"]) == 0
         rows = [line.split(" = ") for line in capsys.readouterr().out.splitlines() if " = " in line]
         printed = {name.strip(): value for name, value in rows}
         want = fisher_identity_residual(read_state(out), ModelParams(mu=1.0), 1e-4)
@@ -188,25 +223,29 @@ class TestDiagnose:
         capsys.readouterr()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["diagnose", out, "--mu", "1.0", "--dt-micro", dt_micro]) == 1
+            assert main(["diagnose", out, "--dt-micro", dt_micro]) == 1
         out_text, err = capsys.readouterr()
         assert err == f"error: dt_micro must be > 0 and finite, got {dt_micro}\n"
         assert out_text == ""
 
     @pytest.mark.parametrize(
-        "flags, message",
-        [(["--mu", "inf"], "mu must be finite, got inf"),
-         (["--mu", "1.0", "--operator", "lame", "--lame-lambda", "nan"],
-          "lame_lambda must be finite, got nan")],
+        "key, raw, message",
+        [("mu", "inf", "line 8: mu expects a finite number, got 'inf'"),
+         ("lame_lambda", "nan", "line 11: lame_lambda expects a finite number, got 'nan'")],
+        ids=["mu", "lame_lambda"],
     )
-    def test_non_finite_parameter_is_refused(self, run_cfg, capsys, flags, message):
-        # the parameters are refused before any state is read or stepped
+    def test_non_finite_parameter_is_refused(self, run_cfg, capsys, key, raw, message):
+        # the run's own config is refused on its line before the state is stepped
         cfg_path, out = run_cfg
         assert main(["run", cfg_path]) == 0
         capsys.readouterr()
+        config = Path(out) / "run-config.txt"
+        lines = config.read_text(encoding="utf-8").splitlines(keepends=True)
+        _write(config, "".join(f"{key} = {raw}\n" if line.startswith(f"{key} = ") else line
+                               for line in lines))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["diagnose", out] + flags) == 1
+            assert main(["diagnose", out]) == 1
         out_text, err = capsys.readouterr()
         assert err == f"error: {message}\n"
         assert out_text == ""
@@ -218,7 +257,7 @@ class TestDiagnose:
         capsys.readouterr()
         v_path = os.path.join(out, "final_v.tefld")
         write_snapshot(read_snapshot(v_path), v_path, t=0.04)
-        assert main(["diagnose", out, "--mu", "1.0"]) == 1
+        assert main(["diagnose", out]) == 1
         out_text, err = capsys.readouterr()
         assert err.startswith(f"error: {v_path}: time stamp t=0.04 differs from t=0.02")
         assert err.endswith(f"on {os.path.join(out, 'final_u.tefld')}\n")
@@ -231,7 +270,7 @@ class TestDiagnose:
         theta_snap, u_snap = str(tmp_path / "theta.tefld"), str(tmp_path / "u.tefld")
         write_snapshot(s.theta, theta_snap, t=1.5)
         write_snapshot(s.u, u_snap, t=0.5)
-        assert main(["diagnose", theta_snap, "--mu", "1.0"]) == 0
+        assert main(["diagnose", theta_snap]) == 0
         assert capsys.readouterr().out == (
             "temperature field at t=1.5 on n=(16, 16)\n"
             "  entropy            = -9.198369589020e-01\n"
@@ -241,7 +280,7 @@ class TestDiagnose:
             "  mean               = 1.000000000000e+00\n"
             "verdict: PASS\n"
         )
-        assert main(["diagnose", u_snap, "--mu", "1.0"]) == 0
+        assert main(["diagnose", u_snap]) == 0
         assert capsys.readouterr().out == (
             "vector field at t=0.5 on n=(16, 16)\n"
             "  l2           = 2.665729762895e+00\n"
@@ -262,7 +301,7 @@ class TestDiagnose:
 
     def test_directory_without_triple(self, tmp_path, capsys):
         os.makedirs(tmp_path / "empty", exist_ok=True)
-        assert main(["diagnose", str(tmp_path / "empty"), "--mu", "1.0"]) == 1
+        assert main(["diagnose", str(tmp_path / "empty")]) == 1
         assert "no u/v/theta snapshot triple" in capsys.readouterr().err
 
     def test_nan_state_fails_verdict(self, tmp_path, capsys):
@@ -271,7 +310,7 @@ class TestDiagnose:
         vals[3, 4] = math.nan
         snap = str(tmp_path / "theta.tefld")
         write_snapshot(ScalarField(grid, vals), snap)
-        assert main(["diagnose", snap, "--mu", "1.0"]) == 2
+        assert main(["diagnose", snap]) == 2
         assert "verdict: FAIL" in capsys.readouterr().out
 
     def test_non_finite_state_directory_is_refused(self, tmp_path, capsys):
@@ -280,7 +319,8 @@ class TestDiagnose:
         s.t = 0.5
         s.theta.values[3, 4] = math.nan
         write_state(s, str(tmp_path))
-        assert main(["diagnose", str(tmp_path), "--mu", "1.0"]) == 1
+        _write(tmp_path / "run-config.txt", "n = 16\n")
+        assert main(["diagnose", str(tmp_path)]) == 1
         out, err = capsys.readouterr()
         assert "non-finite theta at t=0.5\n" in err
         assert out == ""
@@ -292,7 +332,7 @@ class TestDiagnose:
                 data = fh.read()
             with open(path, "wb") as fh:
                 fh.write(data.replace(b" t=0 ", b" t=inf ", 1))
-        assert main(["diagnose", str(tmp_path), "--mu", "1.0"]) == 1
+        assert main(["diagnose", str(tmp_path)]) == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: {tmp_path / 'final_u.tefld'}: time stamp must be finite, got inf\n"

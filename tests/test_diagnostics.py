@@ -548,8 +548,25 @@ class TestTrajectoryRecorder:
         with pytest.raises(ValueError, match=r"n_per_axis=\(16, 16\).*n_per_axis=\(32, 32\)"):
             rec(big)
         assert len(rec.records) == 1
-        rec(make_initial_data(ScenarioSpec("small-mixed", n=16, epsilon=0.1, seed=1)))  # an equal grid
+        equal = make_initial_data(ScenarioSpec("small-mixed", n=16, epsilon=0.1, seed=1))
+        equal.t = 0.5  # after the first state, which the recorder also requires
+        rec(equal)  # an equal grid
         assert len(rec.records) == 2
+
+    @pytest.mark.parametrize("order", [(0.0, 0.005, 0.01, 0.0), (0.01, 0.0)])
+    def test_state_not_after_the_last_is_refused(self, order):
+        # the production integral runs forward in time: a repeated or earlier
+        # state is refused before it is transformed or recorded
+        s = make_initial_data(ScenarioSpec("small-mixed", n=16, epsilon=0.1))
+        rec = TrajectoryRecorder(ModelParams(mu=1.0), battery="ledger")
+        for t in order[:-1]:
+            s.t = t
+            rec(s)
+        s.t = order[-1]
+        with pytest.raises(ValueError,
+                           match=rf"last state is at t={order[-2]}, got a state at t={order[-1]}$"):
+            rec(s)
+        assert [r.t for r in rec.records] == list(order[:-1])
 
     def test_battery_validation(self):
         p = ModelParams(mu=1.0)

@@ -8,6 +8,7 @@ import pytest
 
 from thermoelast import ConfigError, parse_config, read_timeseries, write_timeseries
 from thermoelast import experiments
+from thermoelast.cli import main
 from thermoelast.diagnostics import TrajectoryRecorder
 from thermoelast.dynamics import run
 from thermoelast.experiments import (
@@ -42,8 +43,10 @@ CHECKS = {
 
 ARTIFACTS = {
     "attractor": ["timeseries-eps0.csv", "timeseries-eps1.csv"],
-    "asymptotics": ["timeseries.csv", "final_u.tefld", "final_v.tefld", "final_theta.tefld"],
-    "lame-asymptotics": ["timeseries.csv", "final_u.tefld", "final_v.tefld", "final_theta.tefld"],
+    "asymptotics": ["timeseries.csv", "final_u.tefld", "final_v.tefld", "final_theta.tefld",
+                    "run-config.txt"],
+    "lame-asymptotics": ["timeseries.csv", "final_u.tefld", "final_v.tefld", "final_theta.tefld",
+                         "run-config.txt"],
     "oscillation": ["timeseries.csv", "nu_l2.csv"],
     "bounds": ["timeseries-small-curl-free.csv", "timeseries-random.csv"],
     "oracle-xcheck": ["distances-match.csv", "distances-control.csv"],
@@ -63,6 +66,21 @@ def test_tiny_run_writes_checks_and_artifacts(name, tmp_path):
     assert all(os.path.getsize(path) > 0 for path in want)
     text = (tmp_path / "report.txt").read_text(encoding="utf-8")
     assert text == f"experiment: {name}\n" + "\n".join(report.lines()) + "\n"
+
+
+@pytest.mark.parametrize("name", ["asymptotics", "lame-asymptotics"])
+def test_asymptotics_directory_is_a_run_directory(name, tmp_path, capsys):
+    # the directory carries its own model: diagnose reads it with no flags,
+    # and `thermoelast run` on its run-config.txt rewrites the same bytes
+    run_experiment(name, TINY[name], out_dir=str(tmp_path))
+    saved = {f: (tmp_path / f).read_bytes() for f in ARTIFACTS[name] if f != "run-config.txt"}
+    assert main(["diagnose", str(tmp_path)]) == 0
+    rows = [line.split(" = ") for line in capsys.readouterr().out.splitlines() if " = " in line]
+    last = read_timeseries(str(tmp_path / "timeseries.csv"))[-1]
+    assert {name.strip(): value for name, value in rows}["energy"] == "%.12e" % last.energy
+    assert main(["run", str(tmp_path / "run-config.txt")]) == 0
+    for f, data in saved.items():
+        assert (tmp_path / f).read_bytes() == data, f
 
 
 @pytest.mark.parametrize("name, csv, header", [

@@ -205,9 +205,8 @@ class TestTransforms:
             cfg = tmp_path / f"run{d}.cfg"
             cfg.write_text(f"scenario = {scenario}\nd = {d}\nn = 8\ndt = 0.01\nt_end = 0.02\n"
                            f"out_dir = {out}\n", encoding="utf-8")
-            operator = ["--operator", "lame"] if scenario.startswith("lame") else []
             assert main(["run", str(cfg)]) == 0
-            assert main(["diagnose", str(out), "--mu", "1.0"] + operator) == 0
+            assert main(["diagnose", str(out)]) == 0
             assert main(["decompose", str(out / "final_u.tefld")]) == 0
 
     def test_roundoff_scale_imaginary_is_tolerated(self, grid2d_small):

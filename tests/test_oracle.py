@@ -265,6 +265,18 @@ class TestComparison:
         with pytest.raises(ValueError, match=r"sample time 0\.2 is past t_end"):
             spectral_states_at(s, ModelParams(mu=1.0), cfg, [0.0, 0.2])
 
+    def test_repeated_sample_time_rejected_before_stepping(self, monkeypatch):
+        # one state per requested time: a repeat would misalign the result
+        s = make_initial_data(ScenarioSpec("band-limited", n=16, epsilon=0.04))
+        cfg = StepperConfig(dt=2e-3, t_end=0.1)
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("stepped before validating the sample times")
+
+        monkeypatch.setattr(oracle, "run", no_run)
+        with pytest.raises(ValueError, match=r"sample time 0\.02 is listed twice"):
+            spectral_states_at(s, ModelParams(mu=1.0), cfg, [0.1, 0.02, 0.02, 0.0])
+
     def test_sparse_capture_matches_every_step_capture(self):
         # steps 0, 9, 12 and 30 (= t_end): the run records every 3rd step
         s0 = make_initial_data(ScenarioSpec("band-limited", n=16, epsilon=0.04))
