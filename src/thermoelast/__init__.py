@@ -24,10 +24,10 @@ from .dynamics import (
     NonFinite,
     PositivityLoss,
     SimState,
+    StepTooLarge,
     StepperConfig,
     evaluate_rhs,
     run,
-    step,
 )
 from .experiments import EXPERIMENT_NAMES, ExperimentReport, run_experiment
 from .grid import ScalarField, TorusGrid, VectorField, field_norms, quadrature
@@ -86,10 +86,10 @@ __all__ = [
     "NonFinite",
     "PositivityLoss",
     "SimState",
+    "StepTooLarge",
     "StepperConfig",
     "evaluate_rhs",
     "run",
-    "step",
     "EXPERIMENT_NAMES",
     "ExperimentReport",
     "run_experiment",

@@ -7,7 +7,7 @@
     thermoelast experiment <name>          named verification experiment
 
 Exit codes: 0 when the command's verdict passes (or it has none), 2 when a
-verdict fails, 1 on any error (bad config, unreadable file, lost positivity).
+verdict fails, 1 on any error (bad config or dt, unreadable file, lost positivity).
 """
 
 from __future__ import annotations
@@ -91,8 +91,11 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
         rec(s)
         rows = [(name, getattr(rec.records[0], name)) for name in (
             "energy", "entropy", "entropy_production", "fisher_functional")]
-        rows.append(("fisher_identity_residual", diag.fisher_identity_residual(s, p, args.dt_micro)))
+        dt_micro = 1e-5 if args.dt_micro is None else args.dt_micro
+        rows.append(("fisher_identity_residual", diag.fisher_identity_residual(s, p, dt_micro)))
         rows += [(name, getattr(rec.records[0], name)) for name in ("theta_min", "theta_max")]
+    elif args.dt_micro is not None:
+        raise ValueError("--dt-micro needs a run directory: a lone snapshot has no identity row")
     else:
         f = read_snapshot(args.snapshot)
         t = read_header(args.snapshot).t
@@ -184,8 +187,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_diag = sub.add_parser("diagnose", help="report invariants of a saved state")
     p_diag.add_argument("snapshot", help="TEFLD1 snapshot, or a run directory of final_*.tefld "
                                          "and the run-config.txt it was run with")
-    p_diag.add_argument("--dt-micro", type=float, default=1e-5,
-                        help="step for the identity-residual probe")
+    p_diag.add_argument("--dt-micro", type=float, default=None,
+                        help="identity-residual probe step, run directories only (default 1e-5)")
     p_diag.set_defaults(fn=_cmd_diagnose)
 
     p_cmp = sub.add_parser("compare-oracle",

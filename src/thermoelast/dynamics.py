@@ -26,8 +26,7 @@ theta, then v.  The products of a step and the spectra of a build are
 written into one work block the stepper owns, and every view of z and of
 the block that a step touches is made once, with the stepper; every emitted
 state is built in fresh arrays, so none shares memory with the stepper or
-with another state.  `step` is one
-step of `run`.  Products in the coupling are formed pointwise in physical
+with another state.  Products in the coupling are formed pointwise in physical
 space and dealiased by the 2/3 rule (unless disabled).  The evolved state is
 confined to the Nyquist-free subspace in either mode: the Nyquist modes have
 no conjugate partners, and odd derivatives there cannot keep a real field
@@ -41,13 +40,18 @@ floor.  A state is checked finite once, where it enters: `load` raises
 NonFinite(t0, field) for a non-finite u, v or theta before any transform.
 After each step `run` tests z in one reduction, and only when that is not
 finite does it test field by field to name the field.
+Once s0 is found finite and positive, `run` refuses a dt past the step's
+stability bound with StepTooLarge: linearised about the mean temperature
+theta_bar, a mode's (a_u, a_v, theta^) grows whenever y = mu sqrt(theta_bar)
+|k| dt > 2, |k| up to the largest on the product mask (von Neumann analysis;
+Strikwerda, Finite Difference Schemes and PDEs, ch. 2).  The bound is
+necessary, not sufficient: y* = 1.88 at mu = 10, theta_bar = 1, |k| = 14.1.
 """
 
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -62,12 +66,10 @@ __all__ = [
     "StepperConfig",
     "PositivityLoss",
     "NonFinite",
+    "StepTooLarge",
     "evaluate_rhs",
-    "step",
     "run",
 ]
-
-log = logging.getLogger(__name__)
 
 OPERATOR_KINDS = ("laplacian", "lame")
 
@@ -88,6 +90,15 @@ class NonFinite(RuntimeError):
         self.t = t
         self.what = what
         super().__init__(f"non-finite {what} at t={t:.6g}")
+
+
+class StepTooLarge(ValueError):
+    """dt is past the split step's stability bound 2 / (mu sqrt(theta_bar) |k|max)."""
+
+    def __init__(self, dt: float, bound: float, k_max: float):
+        self.dt, self.bound, self.k_max = dt, bound, k_max
+        super().__init__(f"dt={dt:.6g} is past the split step's stability bound {bound:.6g} "
+                         f"= 2 / (mu sqrt(mean theta) |k|max) at |k|max={k_max:.6g}")
 
 
 @dataclass(frozen=True)
@@ -232,6 +243,8 @@ class _SpectralStepper:
         # bits, and held complex they need no cast buffer
         self.heat_half = np.exp(-grid.k_sq * (0.5 * self.dt)).astype(np.complex128)
         self.k_abs, self.inv_k_abs = np.sqrt(grid.k_sq), np.sqrt(grid.inv_k_sq)
+        # the largest |k| the coupling reaches, for run's stability bound
+        self.k_max = float(np.max(self.k_abs[product_mask]))
         self.ik_abs = 1j * self.k_abs
         self.neg_mu_ik_abs = -p.mu * self.ik_abs
         self.neg_mu_mask = (-p.mu * product_mask).astype(np.complex128)
@@ -419,24 +432,6 @@ def _floor_certificate(grid: TorusGrid, floor: float) -> Callable[[np.ndarray], 
     return clears
 
 
-def step(s: SimState, p: ModelParams, cfg: StepperConfig) -> SimState:
-    """Advance one step of cfg.dt: `run` to t_end = cfg.dt."""
-    return run(s, p, replace(cfg, t_end=cfg.dt))
-
-
-def _dt_advisory(stepper: _SpectralStepper, s: SimState, av: np.ndarray, p: ModelParams) -> None:
-    # div v of the velocity the run evolves: i|k| a_v, as the coupling forms it
-    div_v = stepper.grid.to_physical(stepper.ik_abs * av)
-    scale = p.mu * float(np.max(np.abs(s.theta.values))) * float(np.max(np.abs(div_v)))
-    bound = 0.5 / (scale + 1.0)
-    if stepper.dt > bound:
-        log.warning(
-            "dt=%.3g exceeds the advisory coupling bound %.3g "
-            "(0.5 / (mu * max|theta| * max|div v| + 1)); accuracy may suffer",
-            stepper.dt, bound,
-        )
-
-
 def run(
     s0: SimState,
     p: ModelParams,
@@ -460,8 +455,10 @@ def run(
     n_steps = cfg.n_steps()
     nu_u, nu_v = stepper.load(s0)
     z = stepper.z
-    _dt_advisory(stepper, s0, z[1], p)
     _enforce_floor(s0.t, s0.theta.values, cfg.positivity_floor)
+    rate = p.mu * math.sqrt(z[2][(0,) * grid.d].real / grid.n_total) * stepper.k_max
+    if rate * cfg.dt > 2.0:
+        raise StepTooLarge(cfg.dt, 2.0 / rate, stepper.k_max)
     certified = _floor_certificate(grid, cfg.positivity_floor)
     theta_hat = z[2]
     # the real and imaginary parts of z in one flat run, for the finiteness

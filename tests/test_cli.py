@@ -88,6 +88,19 @@ class TestRun:
         assert out == ""
         assert not os.path.exists(tmp_path / "out")
 
+    def test_step_past_stability_bound_is_refused(self, tmp_path, capsys):
+        # 2D N=32 small-mixed at dt = 0.15, past the bound 0.1414: refused
+        # before the first step, so nothing is written
+        out = tmp_path / "out"
+        path = _write(tmp_path / "big.cfg", "scenario = small-mixed\nn = 32\ndt = 0.15\n"
+                                            f"t_end = 60\nout_dir = {out}\n")
+        assert main(["run", path]) == 1
+        text, err = capsys.readouterr()
+        assert text == ""
+        assert err.startswith("error: dt=0.15 is past the split step's stability bound 0.1414")
+        assert err.count("\n") == 1
+        assert not os.path.exists(out / "timeseries.csv")
+
     def test_unbuildable_scenario(self, tmp_path, capsys):
         path = _write(tmp_path / "bad.cfg", "scenario = small-curl-free\nepsilon = 2.0\n")
         assert main(["run", path]) == 1
@@ -226,6 +239,17 @@ class TestDiagnose:
             assert main(["diagnose", out, "--dt-micro", dt_micro]) == 1
         out_text, err = capsys.readouterr()
         assert err == f"error: dt_micro must be > 0 and finite, got {dt_micro}\n"
+        assert out_text == ""
+
+    @pytest.mark.parametrize("dt_micro", ["1e-4", "nan"])
+    def test_micro_step_on_a_lone_snapshot_is_refused(self, run_cfg, capsys, dt_micro):
+        # a lone snapshot has no identity row to read the micro-step
+        cfg_path, out = run_cfg
+        assert main(["run", cfg_path]) == 0
+        capsys.readouterr()
+        assert main(["diagnose", os.path.join(out, "final_u.tefld"), "--dt-micro", dt_micro]) == 1
+        out_text, err = capsys.readouterr()
+        assert err == "error: --dt-micro needs a run directory: a lone snapshot has no identity row\n"
         assert out_text == ""
 
     @pytest.mark.parametrize(

@@ -1,9 +1,8 @@
 """Stepper behavior: exact linear limits, conservation, positivity handling,
-determinism, and the Galerkin product-band mode.
+the stability bound, determinism, and the Galerkin product-band mode.
 """
 
 import dataclasses
-import logging
 import math
 import tracemalloc
 
@@ -18,6 +17,7 @@ from thermoelast import (
     PositivityLoss,
     ScalarField,
     SimState,
+    StepTooLarge,
     StepperConfig,
     TorusGrid,
     TrajectoryRecorder,
@@ -26,9 +26,8 @@ from thermoelast import (
     helmholtz_project,
     make_initial_data,
     run,
-    step,
 )
-from thermoelast import dynamics, operators
+from thermoelast import dynamics
 from thermoelast.dynamics import _floor_certificate
 from thermoelast.scenarios import ScenarioSpec
 
@@ -283,10 +282,10 @@ class TestPositivity:
 
     def test_single_step_entry_point(self, grid2d_small):
         s0 = _shear_state(grid2d_small)
-        cfg = StepperConfig(dt=0.05, positivity_floor=0.97)
+        cfg = StepperConfig(dt=0.05, t_end=0.05, positivity_floor=0.97)
         with pytest.raises(PositivityLoss):
-            step(s0, ModelParams(mu=1.0), cfg)
-        out = step(s0, ModelParams(mu=1.0), StepperConfig(dt=0.05))
+            run(s0, ModelParams(mu=1.0), cfg)
+        out = run(s0, ModelParams(mu=1.0), StepperConfig(dt=0.05, t_end=0.05))
         assert out.t == pytest.approx(0.05)
 
 
@@ -432,16 +431,14 @@ class TestFailureModes:
         [("large", "laplacian", 0.25, 2.5), ("lame-large", "lame", 0.1, 1.5)],
     )
     def test_blowup_mid_run_loses_positivity(self, scenario, operator, dt, t_fail):
-        # far past the advisory bound the explicit coupling blows up, and the
-        # temperature goes negative before any spectrum overflows
+        # large data under the stability bound (y = 1.77 and 0.71 at the mean
+        # temperature): the step is stable where linearised, yet the
+        # nonlinear coupling blows up, and the temperature goes negative
+        # before any spectrum overflows
         s0 = make_initial_data(ScenarioSpec(scenario, n=16, epsilon=3.0))
         cfg = StepperConfig(dt=dt, t_end=200 * dt)
-        logging.disable(logging.WARNING)
-        try:
-            with pytest.raises(PositivityLoss) as err:
-                run(s0, ModelParams(mu=1.0, operator=operator), cfg)
-        finally:
-            logging.disable(logging.NOTSET)
+        with pytest.raises(PositivityLoss) as err:
+            run(s0, ModelParams(mu=1.0, operator=operator), cfg)
         assert err.value.t == pytest.approx(t_fail, rel=1e-12)
         assert err.value.theta_min < 0.0
 
@@ -503,43 +500,40 @@ class TestFailureModes:
         assert (err.value.t, err.value.what) == (s0.t, "u")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_initial_temperature(self, bad, caplog):
+    def test_non_finite_initial_temperature(self, bad):
         # one non-finite entry in u, v or theta is reported at the initial
-        # time under its own name by every entry point, before the advisory
-        # and the positivity rule read the state; dt is far past the advisory
-        # bound of the finite state, so a late check would log a warning
+        # time under its own name by every entry point, before the stability
+        # bound and the positivity rule read the state; dt is far past the
+        # bound of the finite state, so a late check would refuse the step
         p, cfg = ModelParams(mu=1.0), StepperConfig(dt=10.0, t_end=20.0)
         entries = {
             "run": lambda s: run(s, p, cfg),
-            "step": lambda s: step(s, p, cfg),
             "_signed_step": lambda s: dynamics._signed_step(s, p, 1e-3),
         }
         for field in ("u", "v", "theta"):
             for entry, call in entries.items():
-                s0 = _poisoned_state(field, bad)
-                caplog.clear()
-                with caplog.at_level(logging.WARNING, logger="thermoelast.dynamics"):
-                    with pytest.raises(NonFinite) as err:
-                        call(s0)
+                with pytest.raises(NonFinite) as err:
+                    call(_poisoned_state(field, bad))
                 assert (err.value.t, err.value.what) == (0.25, field), entry
-                assert not caplog.records, (entry, field)
 
-    @pytest.mark.parametrize("bad", ["nan-theta", "theta-below-floor"])
-    def test_step_reports_bad_initial_state_like_run(self, bad):
-        # step is one step of run, so it fails at the initial time as run does
-        s0 = make_initial_data(ScenarioSpec("small-mixed", epsilon=0.2))
-        s0.t = 0.25
-        cfg = StepperConfig(dt=0.01, positivity_floor=0.5)
-        if bad == "nan-theta":
-            s0.theta.values[3, 5] = np.nan
-            with pytest.raises(NonFinite) as err:
-                step(s0, ModelParams(mu=1.0), cfg)
-            assert (err.value.t, err.value.what) == (0.25, "theta")
-        else:
-            s0.theta.values[3, 5] = 0.25
-            with pytest.raises(PositivityLoss) as err:
-                step(s0, ModelParams(mu=1.0), cfg)
-            assert (err.value.t, err.value.theta_min) == (0.25, 0.25)
+    def test_initial_checks_in_order(self):
+        # one initial state that fails all three initial checks is refused
+        # by the first of them, at the initial time and before the sink sees
+        # it: NonFinite, then PositivityLoss, then StepTooLarge
+        p, cfg = ModelParams(mu=1.0), StepperConfig(dt=0.15, t_end=0.3, positivity_floor=0.5)
+        s0, seen = _poisoned_state("theta", np.nan), []
+        with pytest.raises(NonFinite) as err:
+            run(s0, p, cfg, sink=seen.append)
+        assert (err.value.t, err.value.what) == (0.25, "theta")
+        s0.theta.values[3, 5] = 0.25
+        with pytest.raises(PositivityLoss) as err:
+            run(s0, p, cfg, sink=seen.append)
+        assert (err.value.t, err.value.theta_min) == (0.25, 0.25)
+        s0.theta.values[3, 5] = 1.0
+        with pytest.raises(StepTooLarge):
+            run(s0, p, cfg, sink=seen.append)
+        assert seen == []
+        assert run(s0, p, dataclasses.replace(cfg, dt=0.14, t_end=0.28)).t == pytest.approx(0.53)
 
     @pytest.mark.parametrize("field", ["u", "v", "theta"])
     def test_load_checks_before_any_transform(self, monkeypatch, field):
@@ -599,33 +593,105 @@ class TestSolenoidalPart:
         assert worst <= 1e-12 * scale
 
 
-class TestAdvisory:
-    def test_large_dt_warns(self, grid2d_small, caplog):
-        s0 = _shear_state(grid2d_small)
-        with caplog.at_level(logging.WARNING, logger="thermoelast.dynamics"):
-            run(s0, ModelParams(mu=1.0), StepperConfig(dt=0.5, t_end=0.5))
-        assert any("advisory coupling bound" in rec.getMessage() for rec in caplog.records)
+def _step_matrix(mu: float, theta_bar: float, c_sq: float, k: float, dt: float) -> np.ndarray:
+    """One split step linearised about a constant temperature theta_bar, on a
+    mode of wavenumber |k| = k, as a 3x3 matrix acting on (a_u, a_v, theta^):
+    heat half, wave half at speed sqrt(c_sq), explicit midpoint coupling,
+    wave half, heat half.  Written out from the equations on purpose, as an
+    independent reference for the stepper's stability bound."""
+    heat = np.diag([1.0, 1.0, math.exp(-0.5 * k * k * dt)])
+    w, h = math.sqrt(c_sq) * k, 0.5 * dt
+    wave = np.eye(3)
+    wave[:2, :2] = [[math.cos(w * h), math.sin(w * h) / w], [-w * math.sin(w * h), math.cos(w * h)]]
+    # d a_v = -mu i|k| theta^, d theta^ = -mu theta_bar i|k| a_v
+    f = np.zeros((3, 3), dtype=complex)
+    f[1, 2], f[2, 1] = -1j * mu * k, -1j * mu * theta_bar * k
+    couple = np.eye(3) + dt * f @ (np.eye(3) + 0.5 * dt * f)
+    return heat @ wave @ couple @ wave @ heat
 
-    def test_small_dt_silent(self, grid2d_small, caplog):
-        s0 = _shear_state(grid2d_small)
-        with caplog.at_level(logging.WARNING, logger="thermoelast.dynamics"):
-            run(s0, ModelParams(mu=1.0), StepperConfig(dt=0.01, t_end=0.05))
-        assert not [rec for rec in caplog.records if "advisory" in rec.getMessage()]
 
-    @pytest.mark.parametrize("name, d, operator", [("random", 2, "laplacian"),
-                                                   ("lame-random", 3, "lame")])
-    def test_bound_is_the_documented_formula(self, caplog, name, d, operator):
-        # 0.5 / (mu max|theta| max|div v| + 1) computed here from the physical
-        # state, div v by operators.divergence; a zero-length run still advises
-        s0 = make_initial_data(ScenarioSpec(name, d=d))
-        p = ModelParams(mu=1.3, operator=operator)
-        div_v = operators.divergence(s0.v).values
-        bound = 0.5 / (p.mu * np.max(np.abs(s0.theta.values)) * np.max(np.abs(div_v)) + 1.0)
-        for factor, warns in ((1.01, True), (0.99, False)):
-            caplog.clear()
-            with caplog.at_level(logging.WARNING, logger="thermoelast.dynamics"):
-                run(s0, p, StepperConfig(dt=factor * bound, t_end=0.0))
-            assert any("advisory" in rec.getMessage() for rec in caplog.records) is warns
+def _radius(mu: float, theta_bar: float, c_sq: float, k: float, y: float) -> float:
+    """Spectral radius of the step matrix at y = mu sqrt(theta_bar) k dt."""
+    dt = y / (mu * math.sqrt(theta_bar) * k)
+    return float(np.max(np.abs(np.linalg.eigvals(_step_matrix(mu, theta_bar, c_sq, k, dt)))))
+
+
+class TestStabilityBound:
+    """run refuses dt with mu sqrt(theta_bar) |k|max dt > 2 before the first step."""
+
+    def test_split_step_is_unstable_past_bound(self):
+        # every sampled y > 2 amplifies some vector, whatever mu, theta_bar,
+        # the longitudinal speed and |k|
+        for mu in (0.1, 1.0, 10.0, 30.0):
+            for theta_bar in (0.01, 1.0, 10.0):
+                for c_sq in (1.0, 2.5):
+                    for k in (1.0, 10 * math.sqrt(2), 200.0):
+                        for y in (2.001, 2.1, 3.0, 10.0):
+                            assert _radius(mu, theta_bar, c_sq, k, y) > 1.0, (mu, theta_bar,
+                                                                               c_sq, k, y)
+
+    def test_bound_is_sharp_on_the_test_grid_but_not_sufficient(self):
+        # at the corner of the 2D N=32 dealiased cube, mu = 1, theta_bar = 1,
+        # the step is stable just under the bound; at mu = 10 the limit is
+        # lower (y* = 1.879), so y <= 2 is necessary, not sufficient
+        k = 10 * math.sqrt(2)
+        assert _radius(1.0, 1.0, 1.0, k, 1.99) <= 1.0 + 1e-12
+        assert _radius(10.0, 1.0, 1.0, k, 1.87) <= 1.0 + 1e-12
+        assert _radius(10.0, 1.0, 1.0, k, 1.89) > 1.0
+
+    @pytest.mark.parametrize("dealias, band, corner", [(True, 0, 10), (False, 0, 15), (True, 4, 4)])
+    def test_k_max_is_the_product_mask_corner(self, dealias, band, corner):
+        # the 2/3 cube, the Nyquist-free cube and the product_band cube
+        stepper = dynamics._SpectralStepper(TorusGrid((32, 32)), ModelParams(mu=1.0), 0.01,
+                                            dealias, band)
+        assert stepper.k_max == pytest.approx(corner * math.sqrt(2), rel=1e-15)
+
+    def test_run_past_bound_is_refused_before_first_step(self, monkeypatch):
+        # 2D N=32 small-mixed, mu = 1: the bound is 2 / (sqrt(theta_bar) 10 sqrt 2)
+        calls = {"to_physical": 0, "to_spectral": 0, "step": 0}
+        for cls, name in ((TorusGrid, "to_physical"), (TorusGrid, "to_spectral"),
+                          (dynamics._SpectralStepper, "step")):
+            def counted(self, *args, name=name, real=getattr(cls, name)):
+                calls[name] += 1
+                return real(self, *args)
+
+            monkeypatch.setattr(cls, name, counted)
+        s0 = make_initial_data(ScenarioSpec("small-mixed", n=32))
+        theta_bar = float(np.mean(s0.theta.values))
+        seen = []
+        with pytest.raises(StepTooLarge) as err:
+            run(s0, ModelParams(mu=1.0), StepperConfig(dt=0.15, t_end=60.0), sink=seen.append)
+        assert (err.value.dt, seen) == (0.15, [])
+        assert err.value.k_max == pytest.approx(10 * math.sqrt(2), rel=1e-15)
+        assert err.value.bound == pytest.approx(2 / (math.sqrt(theta_bar) * 10 * math.sqrt(2)),
+                                                rel=1e-12)
+        # load's three forward transforms and nothing of a step
+        assert calls == {"to_physical": 0, "to_spectral": 3, "step": 0}
+        out = run(s0, ModelParams(mu=1.0), StepperConfig(dt=0.14, t_end=56.0, record_every=400),
+                  sink=seen.append)
+        assert calls["step"] == 400 and len(seen) == 2
+        assert out.t == pytest.approx(56.0, rel=1e-12)
+
+    def test_bound_reads_mean_theta(self):
+        # random data with epsilon = 0.2 at dt = 0.1372: y is 2.06 by max theta
+        # but 1.94 by mean theta, and the run finishes its 600 steps
+        s0 = make_initial_data(ScenarioSpec("random", n=32, epsilon=0.2))
+        y = [math.sqrt(f(s0.theta.values)) * 10 * math.sqrt(2) * 0.1372 for f in (np.max, np.mean)]
+        assert y[0] > 2.0 > y[1]
+        out = run(s0, ModelParams(mu=1.0), StepperConfig(dt=0.1372, t_end=600 * 0.1372))
+        assert out.t == pytest.approx(600 * 0.1372, rel=1e-12)
+        assert np.isfinite(out.theta.values).all()
+
+    def test_lame_3d_bound(self):
+        # 3D N=16 Lame: the 2/3 cube's corner is |k| = 5 sqrt 3
+        s0 = make_initial_data(ScenarioSpec("lame-small-mixed", d=3, n=16))
+        p = ModelParams(mu=1.0, operator="lame")
+        bound = 2 / (math.sqrt(float(np.mean(s0.theta.values))) * 5 * math.sqrt(3))
+        with pytest.raises(StepTooLarge) as err:
+            run(s0, p, StepperConfig(dt=1.03 * bound, t_end=10 * 1.03 * bound))
+        assert err.value.bound == pytest.approx(bound, rel=1e-12)
+        out = run(s0, p, StepperConfig(dt=0.97 * bound, t_end=10 * 0.97 * bound))
+        assert out.t == pytest.approx(10 * 0.97 * bound, rel=1e-12)
 
 
 class TestRunMechanics:
@@ -763,12 +829,11 @@ class TestTransformBudget:
         rec = TrajectoryRecorder(p, battery="ledger")
         run(s0, p, StepperConfig(dt=1e-3, t_end=n * 1e-3, record_every=1), sink=rec)
         assert len(rec.records) == n + 1
-        # fixed: load transforms u, v and theta forward, the dt advisory
-        # takes div v back, and the initial state's record is one forward
-        # call; per step: two coupling evaluations of one inverse and one
-        # forward call each, two inverse calls to build the state and one
-        # forward call to record it
-        assert calls == {"to_physical": 1 + n * (2 + 2), "to_spectral": 3 + 1 + n * (2 + 1)}
+        # fixed: load transforms u, v and theta forward, and the initial
+        # state's record is one forward call; per step: two coupling
+        # evaluations of one inverse and one forward call each, two inverse
+        # calls to build the state and one forward call to record it
+        assert calls == {"to_physical": n * (2 + 2), "to_spectral": 3 + 1 + n * (2 + 1)}
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_full_record_call_counts(self, monkeypatch, d):
