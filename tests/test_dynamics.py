@@ -516,6 +516,24 @@ class TestFailureModes:
                     call(_poisoned_state(field, bad))
                 assert (err.value.t, err.value.what) == (0.25, field), entry
 
+    @pytest.mark.parametrize("bad", ["nan-theta", "theta-below-floor"])
+    def test_step_reports_bad_initial_state_like_run(self, bad):
+        # a run of a single step fails at the initial time, as a longer run
+        # does, not after the step it takes
+        s0 = make_initial_data(ScenarioSpec("small-mixed", epsilon=0.2))
+        s0.t = 0.25
+        cfg = StepperConfig(dt=0.01, t_end=0.01, positivity_floor=0.5)
+        if bad == "nan-theta":
+            s0.theta.values[3, 5] = np.nan
+            with pytest.raises(NonFinite) as err:
+                run(s0, ModelParams(mu=1.0), cfg)
+            assert (err.value.t, err.value.what) == (0.25, "theta")
+        else:
+            s0.theta.values[3, 5] = 0.25
+            with pytest.raises(PositivityLoss) as err:
+                run(s0, ModelParams(mu=1.0), cfg)
+            assert (err.value.t, err.value.theta_min) == (0.25, 0.25)
+
     def test_initial_checks_in_order(self):
         # one initial state that fails all three initial checks is refused
         # by the first of them, at the initial time and before the sink sees
