@@ -137,13 +137,13 @@ def _cmd_compare_oracle(args: argparse.Namespace) -> int:
     stride = max(1, n_steps // 10)
     times = [i * cfg.stepper.dt for i in sorted({*range(0, n_steps + 1, stride), n_steps})]
     s0 = make_initial_data(cfg.scenario)
-    cmp = crosscheck(s0, cfg.params, cfg.stepper, args.modes, times)
+    cmp = crosscheck(s0, cfg.params, cfg.stepper, times)
 
     print(f"{'t':>10} {'|du|_L2':>13} {'|dv|_L2':>13} {'|dtheta|_L2':>13}")
     for t, du, dv, dth in cmp.rows():
         print(f"{t:10.4f} {du:13.4e} {dv:13.4e} {dth:13.4e}")
     print(f"sup distance {cmp.sup_distance:.6e} (tolerance {args.tolerance:g}, "
-          f"modes {args.modes}, n {s0.grid.n_per_axis[0]}, dealias {cfg.stepper.dealias})")
+          f"n {s0.grid.n_per_axis[0]})")
     ok = cmp.sup_distance <= args.tolerance
     print(f"verdict: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 2
@@ -194,7 +194,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare-oracle",
                            help="compare a run against the exact truncated system")
     p_cmp.add_argument("config", help="configuration for the pseudo-spectral run")
-    p_cmp.add_argument("--modes", type=int, default=3, help="oracle mode cube radius")
     p_cmp.add_argument("--tolerance", type=float, default=1e-5)
     p_cmp.set_defaults(fn=_cmd_compare_oracle)
 

@@ -44,7 +44,7 @@ from functools import cached_property
 import numpy as np
 
 from . import operators
-from .dynamics import ModelParams, SimState, _signed_step
+from .dynamics import ModelParams, NonFinite, SimState, _check_finite, _signed_step
 from .grid import ScalarField, TorusGrid, parseval_sums, quadrature
 
 __all__ = [
@@ -270,13 +270,20 @@ def fisher_identity_residual(s: SimState, p: ModelParams, dt_micro: float = 1e-5
     """
     if not 0.0 < dt_micro < math.inf:
         raise ValueError(f"dt_micro must be > 0 and finite, got {dt_micro}")
+    _check_finite(s.t, s.u.components, s.v.components, s.theta.values)  # not the probe's fault
     grid = s.grid
     hess_term = weighted_log_hessian_integral(s.theta)  # checks theta > 0
     div_v = operators.divergence(s.v)
     ratio = _fisher_ratio(s.theta, s.theta.spectral())
     rhs = -hess_term - 0.5 * p.mu * quadrature(grid, ratio * div_v.values)
-    fwd = fisher_functional(_signed_step(s, p, dt_micro), p)
-    bwd = fisher_functional(_signed_step(s, p, -dt_micro), p)
+    try:
+        # the backward half runs the heat flow backwards: at a large step it
+        # overflows, which the finiteness check reports
+        with np.errstate(all="ignore"):
+            fwd = fisher_functional(_signed_step(s, p, dt_micro), p)
+            bwd = fisher_functional(_signed_step(s, p, -dt_micro), p)
+    except (ValueError, NonFinite) as exc:
+        raise ValueError(f"dt_micro={dt_micro:g} is too large for the identity probe: {exc}") from exc
     lhs = (fwd - bwd) / (2.0 * dt_micro)
     return abs(lhs - rhs) / (1.0 + abs(rhs))
 

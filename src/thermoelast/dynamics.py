@@ -170,7 +170,7 @@ class StepperConfig:
     record_every: int = 1
     # > 0 restricts products to the mode cube |k|_inf <= product_band instead
     # of the 2/3 rule, making the run the exact Galerkin truncation of that
-    # cube (used when comparing against the truncated-system oracle)
+    # cube; no library path sets it (the oracle checks the 2/3-rule path)
     product_band: int = 0
 
     def __post_init__(self) -> None:

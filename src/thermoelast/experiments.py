@@ -37,7 +37,7 @@ from .diagnostics import DiagnosticsRecord, TrajectoryRecorder, galerkin_initial
 from .dynamics import SimState, _lattice_steps, run
 from .grid import spectral_l2_sq
 from .operators import longitudinal_part
-from .oracle import crosscheck
+from .oracle import compare_oracle, matched_oracle, spectral_states_at
 from .scenarios import make_initial_data
 from .snapshots import atomic_write_text, write_state, write_table, write_timeseries
 
@@ -249,16 +249,14 @@ def _exp_oracle_xcheck(o: dict, out_dir: str) -> tuple[list[Check], list[str]]:
     n_samples = _lattice_steps(o["t_end"], o["sample_dt"], "sample_dt")
     times = [round(i * o["sample_dt"], 12) for i in range(n_samples + 1)]
 
-    def one(n_grid: int, dealias: bool):
-        # the matching run integrates the same truncated system (crosscheck
-        # restricts its products to the oracle's mode cube); the control
-        # lets products alias freely on a grid too coarse to hold them
-        cfg = build_config(o | {"scenario": "band-limited", "n": n_grid, "dealias": dealias})
-        return crosscheck(make_initial_data(cfg.scenario), cfg.params, cfg.stepper,
-                          o["modes"], times)
-
-    main = one(o["n"], True)
-    control = one(o["control_n"], False)
+    cfg = build_config(o | {"scenario": "band-limited"})
+    s0 = make_initial_data(cfg.scenario)
+    traj = matched_oracle(s0, cfg.params, cfg.stepper)
+    main = compare_oracle(traj, spectral_states_at(s0, cfg.params, cfg.stepper, times))
+    # the control: products alias freely on a grid too coarse to hold them
+    ctl = build_config(o | {"scenario": "band-limited", "n": o["control_n"], "dealias": False})
+    control = compare_oracle(traj, spectral_states_at(make_initial_data(ctl.scenario), ctl.params,
+                                                      ctl.stepper, times))
 
     checks = [
         Check("oracle-match", main.sup_distance <= tol,
@@ -301,7 +299,7 @@ _EXPERIMENTS = {
     ),
     "oracle-xcheck": (
         _exp_oracle_xcheck,
-        {"epsilon": 4e-2, "n": 16, "control_n": 8, "modes": 3, "mu": 1.0,
+        {"epsilon": 4e-2, "n": 10, "control_n": 8, "mu": 1.0,
          "operator": "laplacian", "d": 2,
          "dt": 2e-4, "t_end": 1.0, "sample_dt": 0.1, "tolerance": 1e-5},
     ),

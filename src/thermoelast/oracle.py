@@ -17,8 +17,8 @@ of calling `operators.elastic_symbol`, which the stepper it is compared
 against uses.  `scipy.integrate` loads on the first `integrate_galerkin` call.
 
 `crosscheck` is the whole comparison: build, integrate, capture the stepper
-at the wanted times, measure.  It matches the stepper's products to the
-oracle's cube unless the config pins its own product treatment.
+at the wanted times, measure.  It checks the path every run takes: the truncated
+system on the 2/3 rule's cube of a grid where 3 divides no axis (`matched_oracle`).
 
 The initial temperature is regularised the way the underlying construction
 demands: after projection it is shifted by the constant
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from typing import Sequence
 
@@ -50,6 +50,7 @@ __all__ = [
     "convolve_truncated",
     "spectral_states_at",
     "compare_oracle",
+    "matched_oracle",
     "crosscheck",
 ]
 
@@ -372,13 +373,27 @@ def compare_oracle(traj: OracleTrajectory, states: Sequence[SimState]) -> Oracle
     return OracleComparison(times, du, dv, dth)
 
 
-def crosscheck(s0: SimState, p: ModelParams, cfg: StepperConfig, modes: int,
+def matched_oracle(s0: SimState, p: ModelParams, cfg: StepperConfig) -> OracleTrajectory:
+    """The oracle on the 2/3 rule's cube, modes = m // 3 on s0's m-point axes; ValueError
+    before it is built unless a run from s0 under cfg is that truncated system."""
+    # the default path: only the time and recording controls may differ
+    default = StepperConfig(cfg.dt, cfg.t_end, positivity_floor=cfg.positivity_floor,
+                            record_every=cfg.record_every)
+    off = [f"{f.name} = {getattr(cfg, f.name)}" for f in fields(cfg)
+           if getattr(cfg, f.name) != getattr(default, f.name)]
+    if off:
+        raise ValueError(f"the oracle checks the default stepper path: this run sets {', '.join(off)}")
+    sizes = s0.grid.n_per_axis
+    if len({m // 3 for m in sizes}) > 1:
+        raise ValueError(f"grid {sizes} has a different 2/3 cube per axis: m // 3 = "
+                         f"{tuple(m // 3 for m in sizes)}")
+    if any(m % 3 == 0 for m in sizes):
+        raise ValueError(f"grid {sizes}: 3 divides an axis, so the 2/3 mask aliases products into "
+                         f"its outer shell and the run is not the truncated system")
+    return integrate_galerkin(build_galerkin(s0, p, sizes[0] // 3), cfg.t_end, cfg.positivity_floor)
+
+
+def crosscheck(s0: SimState, p: ModelParams, cfg: StepperConfig,
                times: Sequence[float]) -> OracleComparison:
-    """The oracle on the [-modes, modes]^d cube against the stepper from s0,
-    both held to cfg's positivity floor.  Dealiased products with no pinned
-    band run at product_band = modes, so the distance is pure time-integration
-    error; other settings are kept."""
-    traj = integrate_galerkin(build_galerkin(s0, p, modes), cfg.t_end, cfg.positivity_floor)
-    if cfg.dealias and not cfg.product_band:
-        cfg = replace(cfg, product_band=modes)
-    return compare_oracle(traj, spectral_states_at(s0, p, cfg, times))
+    """`matched_oracle` against the stepper's states from s0 at the given times."""
+    return compare_oracle(matched_oracle(s0, p, cfg), spectral_states_at(s0, p, cfg, times))

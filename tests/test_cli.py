@@ -241,6 +241,26 @@ class TestDiagnose:
         assert err == f"error: dt_micro must be > 0 and finite, got {dt_micro}\n"
         assert out_text == ""
 
+    @pytest.mark.parametrize("dt_micro, cause", [
+        ("0.1", "Fisher functional requires positive temperature"),
+        ("10", "non-finite u at t=-9.9"),
+    ])
+    def test_micro_step_too_large_is_named(self, tmp_path, capsys, dt_micro, cause):
+        # the backward half runs the heat flow backwards: a large step breaks
+        # the probe, and the error says the micro-step did it
+        out = tmp_path / "run"
+        cfg_path = _write(tmp_path / "run.cfg", "scenario = small-mixed\nn = 32\ndt = 0.01\n"
+                          f"t_end = 0.1\nout_dir = {out}\n")
+        assert main(["run", cfg_path]) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["diagnose", str(out), "--dt-micro", dt_micro]) == 1
+        out_text, err = capsys.readouterr()
+        assert out_text == ""
+        assert err.startswith(f"error: dt_micro={dt_micro} is too large for the identity probe: {cause}")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("dt_micro", ["1e-4", "nan"])
     def test_micro_step_on_a_lone_snapshot_is_refused(self, run_cfg, capsys, dt_micro):
         # a lone snapshot has no identity row to read the micro-step
@@ -409,6 +429,26 @@ class TestCompareOracle:
         assert main(["compare-oracle", path]) == 1
         assert "needs t_end > 0" in capsys.readouterr().err
 
+    def test_modes_flag_is_a_usage_error(self, oracle_cfg, capsys):
+        # the oracle's cube is read off the grid: n // 3
+        with pytest.raises(SystemExit) as exc:
+            main(["compare-oracle", oracle_cfg, "--modes", "3"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("extra, message", [
+        ("n = 12\n", "3 divides an axis, so the 2/3 mask aliases products into its outer shell"),
+        ("n = 16\ndealias = false\n", "the oracle checks the default stepper path: this run sets dealias = False"),
+    ], ids=["n12", "no-dealias"])
+    def test_run_off_the_default_path_is_refused(self, tmp_path, capsys, extra, message):
+        path = _write(tmp_path / "off.cfg", "scenario = band-limited\nepsilon = 0.04\n"
+                      "dt = 0.002\nt_end = 0.2\n" + extra)
+        assert main(["compare-oracle", path]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
 
 class TestExperiment:
     def test_bounds_fast_run(self, tmp_path, capsys):
@@ -438,6 +478,16 @@ class TestExperiment:
                    "--out-dir", str(tmp_path / "x")])
         assert rc == 1
         assert "unknown override" in capsys.readouterr().err
+
+    def test_retired_modes_override_is_unknown(self, tmp_path, capsys):
+        # the oracle's cube is read off the grid: n // 3
+        rc = main(["experiment", "oracle-xcheck", "--set", "modes=3",
+                   "--out-dir", str(tmp_path / "x")])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: unknown override 'modes'") and err.count("\n") == 1
+        assert not os.path.exists(tmp_path / "x")
 
     def test_repeated_override_key_refused(self, tmp_path, capsys):
         # config text refuses a repeated key; the last --set must not win silently

@@ -6,6 +6,7 @@ to the code, not the constant.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from scipy.special import iv
 
 from thermoelast import (
     ModelParams,
+    NonFinite,
     ScalarField,
     SimState,
     StepperConfig,
@@ -287,6 +289,25 @@ class TestFisher:
         s = _state(grid2d_small, theta=ScalarField(grid2d_small, theta))
         with pytest.raises(ValueError, match="requires positive temperature, min is -0.5"):
             fn(s, ModelParams(mu=1.0))
+
+    def test_non_finite_state_is_not_blamed_on_the_micro_step(self):
+        s = make_initial_data(ScenarioSpec("small-mixed", n=16, epsilon=0.1))
+        s.t = 0.5
+        s.u.components[0, 3, 4] = math.nan
+        with pytest.raises(NonFinite, match=r"^non-finite u at t=0\.5$"):
+            fisher_identity_residual(s, ModelParams(mu=1.0))
+
+    def test_micro_step_that_breaks_the_probe_is_named(self):
+        # the backward half runs the heat flow backwards: at dt_micro = 1
+        # the stepped temperature goes negative, at 10 it overflows
+        s = make_initial_data(ScenarioSpec("small-mixed", n=32, epsilon=0.1))
+        p = ModelParams(mu=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for dt_micro, cause in ((1.0, "requires positive temperature"), (10.0, "non-finite u")):
+                with pytest.raises(ValueError, match=f"^dt_micro={dt_micro:g} is too large for the "
+                                                     f"identity probe: .*{cause}"):
+                    fisher_identity_residual(s, p, dt_micro)
 
     @pytest.mark.parametrize("dt_micro", [0.0, -1e-5, math.nan, math.inf])
     def test_identity_rejects_bad_micro_step(self, grid2d_small, dt_micro):

@@ -29,7 +29,7 @@ TINY = {
     "lame-asymptotics": dict(_RUN, zeta="1.5"),
     "oscillation": dict(_RUN, tail="0.1"),
     "bounds": dict(_RUN, scenarios="small-curl-free,random"),
-    "oracle-xcheck": {"n": "16", "t_end": "0.2", "sample_dt": "0.1"},
+    "oracle-xcheck": {"t_end": "0.2", "sample_dt": "0.1"},
 }
 
 CHECKS = {
@@ -116,7 +116,7 @@ def test_defaults_key_sets():
         "lame-asymptotics": common | {"epsilon", "zeta", "lame_lambda"},
         "oscillation": common | {"epsilon", "tail"},
         "bounds": common | {"epsilon", "seed", "scenarios"},
-        "oracle-xcheck": {"epsilon", "n", "control_n", "modes", "mu", "operator", "d",
+        "oracle-xcheck": {"epsilon", "n", "control_n", "mu", "operator", "d",
                           "dt", "t_end", "sample_dt", "tolerance"},
     }
     assert {name: set(experiment_defaults(name)) for name in EXPERIMENT_NAMES} == want
