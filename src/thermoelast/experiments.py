@@ -249,6 +249,12 @@ def _exp_oracle_xcheck(o: dict, out_dir: str) -> tuple[list[Check], list[str]]:
     n_samples = _lattice_steps(o["t_end"], o["sample_dt"], "sample_dt")
     times = [round(i * o["sample_dt"], 12) for i in range(n_samples + 1)]
 
+    # the aliased control reads the same trajectory, so its grid must hold the
+    # oracle's cube (modes = n // 3): refused before the oracle is integrated
+    modes = o["n"] // 3
+    if o["control_n"] < 2 * modes + 2:
+        raise ValueError(f"control_n={o['control_n']} cannot hold the oracle's cube at n={o['n']}: "
+                         f"truncation {modes} needs control_n >= {2 * modes + 2}")
     cfg = build_config(o | {"scenario": "band-limited"})
     s0 = make_initial_data(cfg.scenario)
     traj = matched_oracle(s0, cfg.params, cfg.stepper)

@@ -9,12 +9,13 @@ with each integer component in [-n, n] and evolves the coefficient ODE
 
 where the product is an exact truncated convolution computed directly in
 coefficient space - no grids, no aliasing, no splitting.  Time integration is
-an adaptive embedded Runge-Kutta 5(4) pair with tight tolerances.  This is a
-genuinely independent discretisation of the same dynamics, which makes it a
-meaningful oracle for the pseudo-spectral stepper at matched resolutions.
-For the same reason `galerkin_rhs` writes out its own elastic symbol instead
-of calling `operators.elastic_symbol`, which the stepper it is compared
-against uses.  `scipy.integrate` loads on the first `integrate_galerkin` call.
+the adaptive Dormand-Prince 5(4) pair with tight tolerances, written out here
+in NumPy (`_dormand_prince`): it takes the steps of SciPy's `RK45` and loads
+no SciPy package.  This is a genuinely independent discretisation of
+the same dynamics, which makes it a meaningful oracle for the pseudo-spectral
+stepper at matched resolutions.  For the same reason `galerkin_rhs` writes out
+its own elastic symbol instead of calling `operators.elastic_symbol`, which
+the stepper it is compared against uses.
 
 `crosscheck` is the whole comparison: build, integrate, capture the stepper
 at the wanted times, measure.  It checks the path every run takes: the truncated
@@ -35,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import ModelParams, PositivityLoss, SimState, StepperConfig, run
+from .dynamics import ModelParams, NonFinite, PositivityLoss, SimState, StepperConfig, run
 from .grid import ScalarField, TorusGrid, TWO_PI, VectorField, field_norms
 
 __all__ = [
@@ -197,7 +198,7 @@ def galerkin_rhs(sys: GalerkinSystem) -> tuple[np.ndarray, np.ndarray, np.ndarra
     """Coefficient tendencies (du, dv, dtheta) of the truncated system."""
     p = sys.p
     k = sys.wavevectors()
-    k_sq = sys.k_sq()
+    k_sq = sum(ki * ki for ki in k)  # `GalerkinSystem.k_sq`, without building k again
     d = sys.d
     if p.operator == "laplacian":
         au = k_sq * sys.u_hat
@@ -254,19 +255,148 @@ def _unpack(y: np.ndarray, sys: GalerkinSystem) -> tuple[np.ndarray, np.ndarray,
     return u, v, th
 
 
+# The Dormand-Prince 5(4) pair (Dormand & Prince, J. Comput. Appl. Math. 6,
+# 1980) with Shampine's quartic dense output (Math. Comp. 46, 1986), laid out
+# as SciPy's `RK45` lays it out so that the two take the same steps.
+_DP_C = np.array([0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1])
+_DP_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1 / 5, 0, 0, 0, 0],
+    [3 / 40, 9 / 40, 0, 0, 0],
+    [44 / 45, -56 / 15, 32 / 9, 0, 0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+])
+_DP_B = np.array([35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
+_DP_E = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40])
+_DP_P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
+_RTOL, _ATOL = 1e-10, 1e-12
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
+_ERROR_EXPONENT = -1 / 5  # the error estimate is 4th order
+_EPS = np.finfo(float).eps
+
+
+def _rms(x: np.ndarray) -> float:
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _initial_step(fun, t0: float, y0: np.ndarray, f0: np.ndarray, span: float) -> float:
+    """The starting step of Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.4."""
+    scale = _ATOL + np.abs(y0) * _RTOL
+    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, span)
+    d2 = _rms((fun(t0 + h0, y0 + h0 * f0) - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, span)
+
+
+def _rk_step(fun, t: float, y: np.ndarray, f: np.ndarray, h: float,
+             k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One step from (t, y) with y' = f there; the seven stages land in k's rows."""
+    k[0] = f
+    for s, (a, c) in enumerate(zip(_DP_A[1:], _DP_C[1:]), start=1):
+        k[s] = fun(t + c * h, y + np.dot(k[:s].T, a[:s]) * h)
+    y_new = y + h * np.dot(k[:-1].T, _DP_B)
+    k[-1] = f_new = fun(t + h, y_new)
+    return y_new, f_new
+
+
+def _interpolate(step: tuple, t: float) -> np.ndarray:
+    """The quartic dense output of one accepted step (t_old, h, y_old, q) at t."""
+    t_old, h, y_old, q = step
+    return h * np.dot(q, np.cumprod(np.tile((t - t_old) / h, 4))) + y_old
+
+
+def _dormand_prince(fun, t0: float, y0: np.ndarray, t_end: float, event):
+    """Integrate y' = fun(t, y) from t0 to t_end > t0 at rtol 1e-10, atol 1e-12.
+
+    Returns (dense output, None), or (None, t_hit) when event(t, y) goes from
+    >= 0 to <= 0 across an accepted step; t_hit is found by bisection on that
+    step's interpolant.  RuntimeError if the step falls below 10 ulp(t),
+    NonFinite if the tendency at t0 is not finite.
+    """
+    f = fun(t0, y0)
+    if not np.isfinite(f).all():  # the step size would be NaN, and no step would end
+        raise NonFinite(t0, "oracle tendency")
+    h_abs = _initial_step(fun, t0, y0, f, t_end - t0)
+    k = np.empty((len(_DP_C) + 1, y0.size))
+    t, y, g = t0, y0, event(t0, y0)
+    steps = []
+    while t < t_end:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        if h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise RuntimeError(f"oracle integration failed: required step size is less "
+                                   f"than spacing between numbers at t={t:.17g}")
+            t_new = min(t + h_abs, t_end)
+            h = t_new - t
+            h_abs = abs(h)
+            y_new, f_new = _rk_step(fun, t, y, f, h, k)
+            scale = _ATOL + np.maximum(np.abs(y), np.abs(y_new)) * _RTOL
+            error_norm = _rms(np.dot(k.T, _DP_E) * h / scale)
+            if error_norm < 1:
+                factor = _MAX_FACTOR if error_norm == 0 else min(
+                    _MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            rejected = True
+        steps.append((t, h, y, k.T.dot(_DP_P)))
+        g_new = event(t_new, y_new)
+        if g >= 0 and g_new <= 0:
+            lo, hi = t, t_new
+            while hi - lo > 4 * _EPS * max(1.0, abs(hi)):
+                mid = 0.5 * (lo + hi)
+                if event(mid, _interpolate(steps[-1], mid)) > 0:
+                    lo = mid
+                else:
+                    hi = mid
+            return None, hi
+        t, y, f, g = t_new, y_new, f_new, g_new
+    ts = np.array([step[0] for step in steps] + [t])
+
+    def dense(t: float) -> np.ndarray:
+        # at a step boundary, the step that ends there (SciPy's OdeSolution picks it too)
+        i = int(np.searchsorted(ts, t, side="left")) - 1
+        return _interpolate(steps[min(max(i, 0), len(steps) - 1)], t)
+
+    return dense, None
+
+
 def integrate_galerkin(
     sys: GalerkinSystem,
     t_end: float,
     positivity_floor: float = 1e-10,
 ) -> OracleTrajectory:
-    """Integrate the coefficient ODE to t_end with an adaptive RK 5(4) pair.
+    """Integrate the coefficient ODE to t_end with the Dormand-Prince 5(4) pair.
 
     Temperature positivity is monitored on the oversampled reconstruction at
-    every accepted step; a crossing terminates the solve and raises
-    PositivityLoss.
+    t0 and at every accepted step; a downward crossing of the floor
+    terminates the solve and raises PositivityLoss at the crossing time.
+    Non-finite coefficients, or tendencies at t0, raise NonFinite.
     """
     if t_end < sys.t:
         raise ValueError(f"t_end={t_end} precedes initial time {sys.t}")
+    y0 = _pack(sys.u_hat, sys.v_hat, sys.th_hat)
+    if not np.isfinite(y0).all():
+        raise NonFinite(sys.t, "oracle coefficients")
+    if t_end == sys.t:
+        return OracleTrajectory(system=sys, t_end=t_end, _sol=lambda t: y0)
     os_grid = _oversample_grid(sys.n, sys.lengths)
     n = sys.n
 
@@ -281,29 +411,10 @@ def integrate_galerkin(
         theta = reconstruct_scalar(th, n, os_grid)
         return float(np.min(theta.values)) - positivity_floor
 
-    theta_floor.terminal = True
-    theta_floor.direction = -1.0
-
-    # Imported here: scipy.integrate pulls in ~24 MB of SciPy that no other path needs.
-    from scipy.integrate import solve_ivp
-
-    y0 = _pack(sys.u_hat, sys.v_hat, sys.th_hat)
-    sol = solve_ivp(
-        rhs,
-        (sys.t, t_end),
-        y0,
-        method="RK45",
-        rtol=1e-10,
-        atol=1e-12,
-        dense_output=True,
-        events=[theta_floor],
-    )
-    if sol.status == 1 and len(sol.t_events[0]):
-        t_hit = float(sol.t_events[0][0])
+    sol, t_hit = _dormand_prince(rhs, float(sys.t), y0, float(t_end), theta_floor)
+    if t_hit is not None:
         raise PositivityLoss(t_hit, positivity_floor)
-    if not sol.success:
-        raise RuntimeError(f"oracle integration failed: {sol.message}")
-    return OracleTrajectory(system=sys, t_end=t_end, _sol=sol.sol)
+    return OracleTrajectory(system=sys, t_end=t_end, _sol=sol)
 
 
 def spectral_states_at(

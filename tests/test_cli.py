@@ -489,6 +489,17 @@ class TestExperiment:
         assert err.startswith("error: unknown override 'modes'") and err.count("\n") == 1
         assert not os.path.exists(tmp_path / "x")
 
+    def test_control_too_coarse_for_the_cube_exits_cleanly(self, tmp_path, capsys):
+        # refused before the oracle is integrated or the matched run stepped
+        rc = main(["experiment", "oracle-xcheck", "--set", "n=16",
+                   "--out-dir", str(tmp_path / "x")])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: control_n=8 cannot hold the oracle's cube at n=16: "
+                       "truncation 5 needs control_n >= 12\n")
+        assert not os.path.exists(tmp_path / "x")
+
     def test_repeated_override_key_refused(self, tmp_path, capsys):
         # config text refuses a repeated key; the last --set must not win silently
         rc = main(["experiment", "bounds", "--set", "n=16", "--set", "n=8",

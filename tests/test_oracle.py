@@ -3,12 +3,14 @@ reconstruction, tendencies, and the comparison harness."""
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from thermoelast import (
     ModelParams,
+    NonFinite,
     PositivityLoss,
     ScalarField,
     SimState,
@@ -184,6 +186,24 @@ class TestTendencies:
         np.testing.assert_allclose(dv, cube_of(ref_dv.components), atol=1e-13)
         np.testing.assert_allclose(dth, cube_of(ref_dth.values), atol=1e-13)
 
+    def test_builds_the_wavevectors_once(self, monkeypatch):
+        # with the coupling zeroed, the temperature tendency is -k_sq theta
+        s = make_initial_data(ScenarioSpec("band-limited", n=32, epsilon=0.2))
+        sys = build_galerkin(s, ModelParams(mu=1.0, operator="lame"), n=3)
+        want_k_sq = sys.k_sq()
+        calls = []
+        real = oracle.GalerkinSystem.wavevectors
+
+        def spy(self):
+            calls.append(1)
+            return real(self)
+
+        monkeypatch.setattr(oracle.GalerkinSystem, "wavevectors", spy)
+        monkeypatch.setattr(oracle, "convolve_truncated", lambda a, b, n: np.zeros_like(a))
+        _, _, dth = galerkin_rhs(sys)
+        assert calls == [1]
+        assert np.array_equal(dth, -want_k_sq * sys.th_hat)
+
 
 class TestIntegration:
     def test_pure_heat_mode_decay(self, grid2d_small):
@@ -208,20 +228,98 @@ class TestIntegration:
             integrate_galerkin(sys, -1.0)
 
     def test_positivity_event_terminates(self, grid2d_small):
-        # strong compression against a cold spot: theta at x1=0 relaxes
-        # toward 0.9/20 = 0.045, crossing the 0.05 floor on the way
-        x1 = grid2d_small.meshes()[0]
-        theta = ScalarField(
-            grid2d_small,
-            np.broadcast_to(1.0 - 0.9 * np.cos(x1), grid2d_small.shape).copy(),
-        )
-        v = VectorField.from_functions(
-            grid2d_small, [lambda *m: 20.0 * np.sin(m[0]), lambda *m: 0.0 * m[0]]
-        )
-        s = SimState(0.0, VectorField.zeros(grid2d_small), v, theta)
-        sys = build_galerkin(s, ModelParams(mu=1.0), n=3)
         with pytest.raises(PositivityLoss):
+            integrate_galerkin(_cold_spot(grid2d_small), 1.0, positivity_floor=0.05)
+
+
+def _cold_spot(grid: TorusGrid):
+    # strong compression against a cold spot: theta at x1=0 relaxes toward
+    # 0.9/20 = 0.045, crossing a 0.05 floor on the way
+    x1 = grid.meshes()[0]
+    theta = ScalarField(grid, np.broadcast_to(1.0 - 0.9 * np.cos(x1), grid.shape).copy())
+    v = VectorField.from_functions(grid, [lambda *m: 20.0 * np.sin(m[0]), lambda *m: 0.0 * m[0]])
+    s = SimState(0.0, VectorField.zeros(grid), v, theta)
+    return build_galerkin(s, ModelParams(mu=1.0), n=3)
+
+
+def _solve_ivp(sys, t_end, events=None):
+    """SciPy's RK45 on the oracle's coefficient ODE, at the oracle's tolerances."""
+    from scipy.integrate import solve_ivp
+
+    def rhs(t, y):
+        u, v, th = oracle._unpack(y, sys)
+        work = replace(sys, t=t, u_hat=u, v_hat=v, th_hat=th)
+        return oracle._pack(*galerkin_rhs(work))
+
+    y0 = oracle._pack(sys.u_hat, sys.v_hat, sys.th_hat)
+    return solve_ivp(rhs, (sys.t, t_end), y0, method="RK45", rtol=1e-10, atol=1e-12,
+                     dense_output=True, events=events)
+
+
+class TestDormandPrince:
+    """The oracle's own Dormand-Prince 5(4) pair takes SciPy's RK45 steps:
+    the same tableau, error norm, step control and dense output.  The match
+    is byte-exact on SciPy 1.17; the gate leaves room for SciPy to change
+    its step-size selection."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("operator", ["laplacian", "lame"])
+    def test_dense_output_matches_solve_ivp(self, d, operator):
+        s0 = make_initial_data(ScenarioSpec("band-limited", n=10, d=d, epsilon=0.04))
+        sys = build_galerkin(s0, ModelParams(mu=1.0, operator=operator), 10 // 3)
+        traj = integrate_galerkin(sys, 0.2)
+        ref = _solve_ivp(sys, 0.2).sol
+        for t in np.linspace(0.0, 0.2, 11):
+            got, want = traj._sol(t), ref(t)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), t
+
+    def test_event_time_matches_solve_ivp(self, grid2d_small):
+        sys = _cold_spot(grid2d_small)
+        os_grid = oracle._oversample_grid(sys.n, sys.lengths)
+
+        def theta_floor(t, y):
+            th = oracle._unpack(y, sys)[2]
+            return float(np.min(reconstruct_scalar(th, sys.n, os_grid).values)) - 0.05
+
+        theta_floor.terminal, theta_floor.direction = True, -1.0
+        ref = _solve_ivp(sys, 1.0, events=[theta_floor])
+        crossed = ref.sol.interpolants[-1]  # the step the event ended
+        with pytest.raises(PositivityLoss) as info:
             integrate_galerkin(sys, 1.0, positivity_floor=0.05)
+        assert info.value.t == pytest.approx(ref.t_events[0][0], rel=0, abs=1e-9)
+        assert crossed.t_old < info.value.t <= crossed.t
+
+    def test_zero_length_integration_is_the_initial_state(self, grid2d_small):
+        sys = _cold_spot(grid2d_small)
+        got = integrate_galerkin(sys, sys.t).coeffs_at(sys.t)
+        for name in ("u_hat", "v_hat", "th_hat"):
+            assert np.array_equal(getattr(got, name), getattr(sys, name))
+
+    @pytest.mark.parametrize("what", ["coefficients", "tendency"])
+    def test_non_finite_start_is_refused(self, monkeypatch, grid2d_small, what):
+        # a NaN tendency would make the first step NaN, and the step control loop forever
+        sys = _cold_spot(grid2d_small)
+        if what == "coefficients":
+            th = sys.th_hat.copy()
+            th[0, 0] = np.nan
+            sys = replace(sys, th_hat=th)
+        else:
+            monkeypatch.setattr(oracle, "galerkin_rhs",
+                                lambda s: (s.u_hat * np.nan, s.v_hat, s.th_hat))
+        with pytest.raises(NonFinite, match=f"^non-finite oracle {what} at t=0$"):
+            integrate_galerkin(sys, 1.0)
+
+    def test_step_below_the_float_spacing_fails(self, monkeypatch):
+        # theta_hat' = theta_hat^2 term by term: the unit mean mode blows up
+        # at t = 1, so the step shrinks to 10 ulp(t) short of t_end = 2
+        def blow_up(sys):
+            return np.zeros_like(sys.u_hat), np.zeros_like(sys.v_hat), sys.th_hat * sys.th_hat
+
+        monkeypatch.setattr(oracle, "galerkin_rhs", blow_up)
+        sys = build_galerkin(SimState.equilibrium(TorusGrid((8, 8))), ModelParams(mu=1.0), n=2)
+        with pytest.raises(RuntimeError, match="^oracle integration failed: .* at t=0.99999") as info:
+            integrate_galerkin(sys, 2.0)
+        assert not isinstance(info.value, PositivityLoss)
 
 
 class TestComparison:
@@ -404,3 +502,26 @@ class TestOracleVerdicts:
                                 out_dir=str(tmp_path))
         assert calls == [0.2]
         assert report.passed, report.lines()
+
+    def test_control_too_coarse_for_the_cube_refused_before_building_or_stepping(
+            self, monkeypatch, tmp_path):
+        # at n = 16 the cube is modes 5, which needs 12 points per axis: 11 is
+        # refused before anything is built, 12 gets as far as building the oracle
+        calls = []
+
+        def reached(name):
+            def call(*args, **kwargs):
+                calls.append(name)
+                raise LookupError(name)
+            return call
+
+        for name in ("build_galerkin", "run"):
+            monkeypatch.setattr(oracle, name, reached(name))
+        overrides = {"n": "16", "t_end": "0.2", "sample_dt": "0.1"}
+        with pytest.raises(ValueError, match=r"^control_n=11 cannot hold the oracle's cube at "
+                                             r"n=16: truncation 5 needs control_n >= 12$"):
+            run_experiment("oracle-xcheck", overrides | {"control_n": "11"}, out_dir=str(tmp_path))
+        assert calls == []
+        with pytest.raises(LookupError):
+            run_experiment("oracle-xcheck", overrides | {"control_n": "12"}, out_dir=str(tmp_path))
+        assert calls == ["build_galerkin"]
