@@ -26,7 +26,6 @@ from .dynamics import (
     SimState,
     StepTooLarge,
     StepperConfig,
-    evaluate_rhs,
     run,
 )
 from .experiments import EXPERIMENT_NAMES, ExperimentReport, run_experiment
@@ -88,7 +87,6 @@ __all__ = [
     "SimState",
     "StepTooLarge",
     "StepperConfig",
-    "evaluate_rhs",
     "run",
     "EXPERIMENT_NAMES",
     "ExperimentReport",

@@ -57,8 +57,7 @@ from typing import Callable
 import numpy as np
 
 from .grid import ScalarField, TorusGrid, VectorField
-from .operators import (check_lame_ellipticity, elastic_symbol, k_dot, lame_speeds_sq,
-                        longitudinal_part)
+from .operators import check_lame_ellipticity, lame_speeds_sq, longitudinal_part
 
 __all__ = [
     "ModelParams",
@@ -67,7 +66,6 @@ __all__ = [
     "PositivityLoss",
     "NonFinite",
     "StepTooLarge",
-    "evaluate_rhs",
     "run",
 ]
 
@@ -354,25 +352,6 @@ class _SpectralStepper:
         self._couple()
         self._wave_half()
         np.multiply(self.heat_half, theta, theta)
-
-
-def evaluate_rhs(s: SimState, p: ModelParams, dealias: bool = True) -> tuple[VectorField, VectorField, ScalarField]:
-    """Instantaneous tendencies (du/dt, dv/dt, dtheta/dt) of the full system."""
-    grid = s.grid
-    p.validate_for_dimension(grid.d)
-    nyq = grid.nyquist_free_mask
-    uh, vh, th = (f.spectral() * nyq for f in (s.u, s.v, s.theta))
-    mu_grad_th = np.stack([p.mu * 1j * k * th for k in grid.wavevectors])
-    dv_h = -elastic_symbol(grid, uh, p.wave_speeds_sq) - mu_grad_th
-    div_v = grid.to_physical(1j * k_dot(grid, vh))
-    coupling = grid.to_spectral(s.theta.values * div_v)
-    coupling = coupling * (grid.dealias_mask if dealias else nyq)
-    dth_h = -grid.k_sq * th - p.mu * coupling
-    return (
-        VectorField(grid, s.v.components.copy()),
-        VectorField.from_spectral(grid, dv_h),
-        ScalarField.from_spectral(grid, dth_h),
-    )
 
 
 def _check_finite(t: float, u: np.ndarray, v: np.ndarray, theta: np.ndarray) -> None:

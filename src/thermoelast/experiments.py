@@ -250,13 +250,13 @@ def _exp_oracle_xcheck(o: dict, out_dir: str) -> tuple[list[Check], list[str]]:
     times = [round(i * o["sample_dt"], 12) for i in range(n_samples + 1)]
 
     # the aliased control reads the same trajectory, so its grid must hold the
-    # oracle's cube (modes = n // 3): refused before the oracle is integrated
-    modes = o["n"] // 3
+    # oracle's cube (the grid's dealias_band): refused before the oracle is integrated
+    cfg = build_config(o | {"scenario": "band-limited"})
+    s0 = make_initial_data(cfg.scenario)
+    modes = s0.grid.dealias_band[0]
     if o["control_n"] < 2 * modes + 2:
         raise ValueError(f"control_n={o['control_n']} cannot hold the oracle's cube at n={o['n']}: "
                          f"truncation {modes} needs control_n >= {2 * modes + 2}")
-    cfg = build_config(o | {"scenario": "band-limited"})
-    s0 = make_initial_data(cfg.scenario)
     traj = matched_oracle(s0, cfg.params, cfg.stepper)
     main = compare_oracle(traj, spectral_states_at(s0, cfg.params, cfg.stepper, times))
     # the control: products alias freely on a grid too coarse to hold them

@@ -32,7 +32,7 @@ A TorusGrid builds each spectral array (wavevectors, i k, |k|^2, k/|k|, masks),
 the scalars every Parseval sum reads (point count, cell volume), and the
 dimension and spectral shape every transform checks, on first use and keeps
 them.  Every mask is a cube in mode-index space with a per-axis bound:
-m // 3 (2/3 rule), m/2 - 1 (Nyquist-free) or a fixed band.
+`dealias_band` (the 2/3 rule), m/2 - 1 (Nyquist-free) or a fixed band.
 
 The default box edge is 2*pi, which makes the wavevector lattice the integer
 lattice and keeps the spectral identities used by the verification suite
@@ -218,9 +218,16 @@ class TorusGrid:
         return mask
 
     @cached_property
+    def dealias_band(self) -> tuple[int, ...]:
+        """The 2/3 rule's per-axis bound K = (m - 1) // 3, the largest with
+        3K < m, so no sum of two kept modes wraps back to a kept one
+        (Orszag, J. Atmos. Sci. 28, 1971).  It is m // 3 unless 3 divides m."""
+        return tuple((m - 1) // 3 for m in self.n_per_axis)
+
+    @cached_property
     def dealias_mask(self) -> np.ndarray:
-        """The 2/3 rule: |index| <= m // 3 on every axis."""
-        return self._cube_mask([m // 3 for m in self.n_per_axis])
+        """The 2/3 rule: |index| <= `dealias_band` on every axis."""
+        return self._cube_mask(self.dealias_band)
 
     @cached_property
     def nyquist_free_mask(self) -> np.ndarray:

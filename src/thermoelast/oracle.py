@@ -19,7 +19,7 @@ the stepper it is compared against uses.
 
 `crosscheck` is the whole comparison: build, integrate, capture the stepper
 at the wanted times, measure.  It checks the path every run takes: the truncated
-system on the 2/3 rule's cube of a grid where 3 divides no axis (`matched_oracle`).
+system on the 2/3 rule's cube, the grid's `dealias_band` (`matched_oracle`).
 
 The initial temperature is regularised the way the underlying construction
 demands: after projection it is shifted by the constant
@@ -485,7 +485,7 @@ def compare_oracle(traj: OracleTrajectory, states: Sequence[SimState]) -> Oracle
 
 
 def matched_oracle(s0: SimState, p: ModelParams, cfg: StepperConfig) -> OracleTrajectory:
-    """The oracle on the 2/3 rule's cube, modes = m // 3 on s0's m-point axes; ValueError
+    """The oracle on the 2/3 rule's cube, modes = s0.grid.dealias_band; ValueError
     before it is built unless a run from s0 under cfg is that truncated system."""
     # the default path: only the time and recording controls may differ
     default = StepperConfig(cfg.dt, cfg.t_end, positivity_floor=cfg.positivity_floor,
@@ -494,17 +494,17 @@ def matched_oracle(s0: SimState, p: ModelParams, cfg: StepperConfig) -> OracleTr
            if getattr(cfg, f.name) != getattr(default, f.name)]
     if off:
         raise ValueError(f"the oracle checks the default stepper path: this run sets {', '.join(off)}")
-    sizes = s0.grid.n_per_axis
-    if len({m // 3 for m in sizes}) > 1:
-        raise ValueError(f"grid {sizes} has a different 2/3 cube per axis: m // 3 = "
-                         f"{tuple(m // 3 for m in sizes)}")
-    if any(m % 3 == 0 for m in sizes):
-        raise ValueError(f"grid {sizes}: 3 divides an axis, so the 2/3 mask aliases products into "
-                         f"its outer shell and the run is not the truncated system")
-    return integrate_galerkin(build_galerkin(s0, p, sizes[0] // 3), cfg.t_end, cfg.positivity_floor)
+    bands = s0.grid.dealias_band
+    if len(set(bands)) > 1:
+        raise ValueError(f"grid {s0.grid.n_per_axis} has a different 2/3 cube per axis: "
+                         f"dealias_band = {bands}")
+    return integrate_galerkin(build_galerkin(s0, p, bands[0]), cfg.t_end, cfg.positivity_floor)
 
 
 def crosscheck(s0: SimState, p: ModelParams, cfg: StepperConfig,
                times: Sequence[float]) -> OracleComparison:
-    """`matched_oracle` against the stepper's states from s0 at the given times."""
+    """`matched_oracle` against the stepper's states from s0 at the given times;
+    ValueError before anything is built or stepped when no time is given."""
+    if len(times) == 0:
+        raise ValueError("no states to compare")
     return compare_oracle(matched_oracle(s0, p, cfg), spectral_states_at(s0, p, cfg, times))

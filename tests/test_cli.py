@@ -430,16 +430,22 @@ class TestCompareOracle:
         assert "needs t_end > 0" in capsys.readouterr().err
 
     def test_modes_flag_is_a_usage_error(self, oracle_cfg, capsys):
-        # the oracle's cube is read off the grid: n // 3
+        # the oracle's cube is read off the grid: its dealias_band
         with pytest.raises(SystemExit) as exc:
             main(["compare-oracle", oracle_cfg, "--modes", "3"])
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
 
+    def test_grid_divisible_by_3_passes(self, tmp_path, capsys):
+        # the 2/3 cube at n = 12 is |index| <= 3, so products do not alias into it
+        path = _write(tmp_path / "n12.cfg", "scenario = band-limited\nn = 12\nepsilon = 0.04\n"
+                      "dt = 0.002\nt_end = 0.2\n")
+        assert main(["compare-oracle", path]) == 0
+        assert "verdict: PASS" in capsys.readouterr().out
+
     @pytest.mark.parametrize("extra, message", [
-        ("n = 12\n", "3 divides an axis, so the 2/3 mask aliases products into its outer shell"),
         ("n = 16\ndealias = false\n", "the oracle checks the default stepper path: this run sets dealias = False"),
-    ], ids=["n12", "no-dealias"])
+    ], ids=["no-dealias"])
     def test_run_off_the_default_path_is_refused(self, tmp_path, capsys, extra, message):
         path = _write(tmp_path / "off.cfg", "scenario = band-limited\nepsilon = 0.04\n"
                       "dt = 0.002\nt_end = 0.2\n" + extra)
@@ -480,7 +486,7 @@ class TestExperiment:
         assert "unknown override" in capsys.readouterr().err
 
     def test_retired_modes_override_is_unknown(self, tmp_path, capsys):
-        # the oracle's cube is read off the grid: n // 3
+        # the oracle's cube is read off the grid: its dealias_band
         rc = main(["experiment", "oracle-xcheck", "--set", "modes=3",
                    "--out-dir", str(tmp_path / "x")])
         assert rc == 1

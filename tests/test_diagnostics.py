@@ -426,17 +426,19 @@ def test_block_sums_are_the_per_column_sums(n, p, rng):
 # One 3D N=48 record of random data under each operator, frozen as float.hex
 # from the per-column reduction the block kernel replaced (NumPy 2.4 and
 # SciPy 1.17's pocketfft): the ledger battery's columns are the full one's.
+# The entropy production is spectral_l2_sq(grid, log_spec * grid.dealias_mask,
+# k_sq) on the 2/3 cube |index| <= 15.
 RECORD_48 = {
     "laplacian": {
         "energy": "0x1.f9e4cd8673236p+7", "entropy": "-0x1.2882d21fbe995p-4",
-        "entropy_production": "0x1.7576d6e546674p+1", "fisher_functional": "0x1.e8e2eb50b022ap+6",
+        "entropy_production": "0x1.7576d6e53f6bfp+1", "fisher_functional": "0x1.e8e2eb50b022ap+6",
         "theta_min": "0x1.d495df57e0555p-1", "theta_max": "0x1.199999999999ap+0",
         "chi_h1": "0x1.c8b51374ecaa7p+0", "chi_t_l2": "0x1.9db60b723ccafp-2",
         "nu_energy": "0x1.a664d345b5976p+1", "theta_l2_dist": "0x1.931da99a7d175p-2",
     },
     "lame": {
         "energy": "0x1.00eae0569435ap+8", "entropy": "-0x1.2882d21fbe995p-4",
-        "entropy_production": "0x1.7576d6e546674p+1", "fisher_functional": "0x1.ba506dc6b8fa5p+7",
+        "entropy_production": "0x1.7576d6e53f6bfp+1", "fisher_functional": "0x1.ba506dc6b8fa5p+7",
         "theta_min": "0x1.d495df57e0555p-1", "theta_max": "0x1.199999999999ap+0",
         "chi_h1": "0x1.c8b51374ecaa7p+0", "chi_t_l2": "0x1.9db60b723ccafp-2",
         "nu_energy": "0x1.0f61f88e71e8fp+2", "theta_l2_dist": "0x1.ec299d61a0052p-2",

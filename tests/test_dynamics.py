@@ -22,7 +22,6 @@ from thermoelast import (
     TorusGrid,
     TrajectoryRecorder,
     VectorField,
-    evaluate_rhs,
     helmholtz_project,
     make_initial_data,
     run,
@@ -30,6 +29,8 @@ from thermoelast import (
 from thermoelast import dynamics
 from thermoelast.dynamics import _floor_certificate
 from thermoelast.scenarios import ScenarioSpec
+
+from reference_rhs import evaluate_rhs
 
 TINY_MU = 1e-30  # decouples the fields while keeping mu > 0
 

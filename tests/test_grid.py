@@ -9,6 +9,7 @@ import scipy.fft
 from thermoelast import ScalarField, TorusGrid, VectorField, field_norms, quadrature
 from thermoelast.cli import main
 from thermoelast.grid import TWO_PI, parseval_sums, spectral_l2_sq
+from thermoelast.oracle import convolve_truncated
 
 from conftest import random_scalar
 
@@ -94,9 +95,31 @@ class TestMasks:
     def test_dealias_mask_counts(self, grid2d_small):
         # m=16 keeps |index| <= 5 per axis: 11 surviving lines
         assert _full_spectrum_count(grid2d_small, grid2d_small.dealias_mask) == 11 * 11
-        # the bound m // 3 is per axis: 2, 2, 3 on (8, 6, 10)
+        # the bound (m - 1) // 3 is per axis: 2, 1, 3 on (8, 6, 10)
         odd = TorusGrid((8, 6, 10))
-        assert _full_spectrum_count(odd, odd.dealias_mask) == 5 * 5 * 7
+        assert odd.dealias_band == (2, 1, 3)
+        assert _full_spectrum_count(odd, odd.dealias_mask) == 5 * 3 * 7
+
+    @pytest.mark.parametrize("n", [
+        (12, 12), (18, 18), (24, 24), (48, 48), (12, 12, 12),
+        # controls, where 3 divides no axis
+        (16, 16), (32, 32), (10, 10, 10),
+    ], ids=lambda n: "x".join(map(str, n)))
+    def test_dealiased_product_is_the_truncated_convolution(self, n, rng):
+        # two fields on the kept cube multiply on the grid, and the masked
+        # product is the exact convolution truncated to the cube: no sum of
+        # kept modes wraps back into it, also when 3 divides m
+        grid = TorusGrid(n)
+        band = grid.dealias_band[0]
+        rows = np.ix_(*(np.arange(-band, band + 1) % m for m in n))
+
+        def cube(values):
+            return (np.fft.fftn(values) / grid.n_total)[rows]
+
+        a, b = (random_scalar(grid, rng, band).values for _ in range(2))
+        product = grid.to_physical(grid.to_spectral(a * b) * grid.dealias_mask)
+        want = convolve_truncated(cube(a), cube(b), band)
+        assert np.linalg.norm(cube(product) - want) <= 1e-13 * np.linalg.norm(want)
 
     def test_nyquist_free_mask_counts(self, grid2d_small):
         assert _full_spectrum_count(grid2d_small, grid2d_small.nyquist_free_mask) == 15 * 15

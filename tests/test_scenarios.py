@@ -9,7 +9,6 @@ from thermoelast import (
     ModelParams,
     curl,
     divergence,
-    evaluate_rhs,
     galerkin_initial_smallness,
     helmholtz_project,
     make_initial_data,
@@ -22,6 +21,8 @@ from thermoelast.scenarios import (
     scenario_default_epsilon,
     scenario_default_operator,
 )
+
+from reference_rhs import evaluate_rhs
 
 
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
