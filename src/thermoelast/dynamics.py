@@ -187,16 +187,12 @@ class StepperConfig:
         self.n_steps()
 
     def n_steps(self) -> int:
-        return _lattice_steps(self.t_end, self.dt, "dt")
-
-
-def _lattice_steps(t_end: float, step: float, name: str) -> int:
-    """t_end / step as an integer; ValueError naming the step `name` unless
-    t_end is on the step's lattice to 1e-12 relative."""
-    n = int(round(t_end / step))
-    if abs(t_end - n * step) > 1e-12 * max(1.0, abs(t_end)):
-        raise ValueError(f"t_end={t_end!r} is not an integer multiple of {name}={step!r}")
-    return n
+        """t_end / dt as an integer; ValueError unless t_end is on the step
+        lattice to 1e-12 relative."""
+        n = int(round(self.t_end / self.dt))
+        if abs(self.t_end - n * self.dt) > 1e-12 * max(1.0, abs(self.t_end)):
+            raise ValueError(f"t_end={self.t_end!r} is not an integer multiple of dt={self.dt!r}")
+        return n
 
 
 class _SpectralStepper:

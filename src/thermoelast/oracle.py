@@ -18,8 +18,10 @@ its own elastic symbol instead of calling `operators.elastic_symbol`, which
 the stepper it is compared against uses.
 
 `crosscheck` is the whole comparison: build, integrate, capture the stepper
-at the wanted times, measure.  It checks the path every run takes: the truncated
+at the sample times, measure.  It checks the path every run takes: the truncated
 system on the 2/3 rule's cube, the grid's `dealias_band` (`matched_oracle`).
+`compare-oracle` and the `oracle-xcheck` experiment return one verdict, fixed
+here: a sup L2 distance over `sample_times` of at most `VERDICT_TOLERANCE`.
 
 The initial temperature is regularised the way the underlying construction
 demands: after projection it is shifted by the constant
@@ -53,8 +55,11 @@ __all__ = [
     "compare_oracle",
     "matched_oracle",
     "crosscheck",
+    "sample_times",
+    "VERDICT_TOLERANCE",
 ]
 
+VERDICT_TOLERANCE = 1e-5  # the largest sup L2 distance the oracle verdict passes
 POSITIVITY_SHIFT_TARGET = 1e-6
 OVERSAMPLE = 4
 
@@ -501,10 +506,19 @@ def matched_oracle(s0: SimState, p: ModelParams, cfg: StepperConfig) -> OracleTr
     return integrate_galerkin(build_galerkin(s0, p, bands[0]), cfg.t_end, cfg.positivity_floor)
 
 
-def crosscheck(s0: SimState, p: ModelParams, cfg: StepperConfig,
-               times: Sequence[float]) -> OracleComparison:
-    """`matched_oracle` against the stepper's states from s0 at the given times;
-    ValueError before anything is built or stepped when no time is given."""
-    if len(times) == 0:
-        raise ValueError("no states to compare")
+def sample_times(t0: float, cfg: StepperConfig) -> list[float]:
+    """The times of the steps the oracle verdict samples on a run of cfg from
+    t0: 0, s, 2s, ... with s = max(1, n_steps // 10), and the last step;
+    ValueError unless the run takes a step."""
+    n_steps = cfg.n_steps()
+    if n_steps < 1:
+        raise ValueError(f"the oracle check needs t_end > 0, got t_end={cfg.t_end:g}")
+    return [t0 + i * cfg.dt for i in (*range(0, n_steps, max(1, n_steps // 10)), n_steps)]
+
+
+def crosscheck(s0: SimState, p: ModelParams, cfg: StepperConfig) -> OracleComparison:
+    """`matched_oracle` against the stepper's states from s0 at the sample
+    times; ValueError before anything is built or stepped when the run takes
+    no step."""
+    times = sample_times(s0.t, cfg)
     return compare_oracle(matched_oracle(s0, p, cfg), spectral_states_at(s0, p, cfg, times))

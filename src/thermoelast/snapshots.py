@@ -168,6 +168,12 @@ def read_header(path: str) -> SnapshotHeader:
 
 def read_snapshot(path: str, grid: TorusGrid | None = None) -> ScalarField | VectorField:
     """Read a field back; pass grid to insist it matches the current context."""
+    return _read_field(path, grid)[1]
+
+
+def _read_field(path: str, grid: TorusGrid | None = None
+                ) -> tuple[SnapshotHeader, ScalarField | VectorField]:
+    """The header and the field of one snapshot, read with one open."""
     with open(path, "rb") as fh:
         header = _read_header(fh, path)
         payload = fh.read()
@@ -185,8 +191,8 @@ def read_snapshot(path: str, grid: TorusGrid | None = None) -> ScalarField | Vec
         raise SnapshotError(f"{path}: payload holds {len(payload)} bytes, expected {expected}")
     flat = np.frombuffer(payload, dtype="<f8").astype(np.float64, copy=True)
     if header.kind == "scalar":
-        return ScalarField(target, flat.reshape(target.shape))
-    return VectorField(target, flat.reshape((header.comps,) + target.shape))
+        return header, ScalarField(target, flat.reshape(target.shape))
+    return header, VectorField(target, flat.reshape((header.comps,) + target.shape))
 
 
 _STATE_FILES = ("final_u.tefld", "final_v.tefld", "final_theta.tefld")
@@ -207,18 +213,16 @@ def read_state(directory: str) -> SimState:
     if not all(os.path.exists(p) for p in paths):
         raise SnapshotError(f"{directory}: no u/v/theta snapshot triple "
                             f"(expected {', '.join(_STATE_FILES)})")
-    u = read_snapshot(paths[0])
-    v, theta = (read_snapshot(p, grid=u.grid) for p in paths[1:])
+    head, u = _read_field(paths[0])
+    (head_v, v), (head_theta, theta) = (_read_field(p, grid=u.grid) for p in paths[1:])
     if not isinstance(u, VectorField) or not isinstance(v, VectorField) \
             or not isinstance(theta, ScalarField):
         raise SnapshotError(f"{directory}: triple has wrong field kinds")
-    t = read_header(paths[0]).t
-    for path in paths[1:]:
-        stamp = read_header(path).t
-        if stamp != t:
+    for path, stamp in zip(paths[1:], (head_v.t, head_theta.t)):
+        if stamp != head.t:
             raise SnapshotError(f"{path}: time stamp t={stamp!r} differs from "
-                                f"t={t!r} on {paths[0]}")
-    return SimState(t, u, v, theta)
+                                f"t={head.t!r} on {paths[0]}")
+    return SimState(head.t, u, v, theta)
 
 
 def write_table(path: str, header: Sequence[str], rows: Iterable[Sequence[float]]) -> None:

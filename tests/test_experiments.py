@@ -10,7 +10,7 @@ from thermoelast import ConfigError, parse_config, read_timeseries, write_timese
 from thermoelast import experiments
 from thermoelast.cli import main
 from thermoelast.diagnostics import TrajectoryRecorder
-from thermoelast.dynamics import run
+from thermoelast.dynamics import StepperConfig, run
 from thermoelast.experiments import (
     DECAY_GATE,
     EXPERIMENT_NAMES,
@@ -18,6 +18,7 @@ from thermoelast.experiments import (
     experiment_defaults,
     run_experiment,
 )
+from thermoelast.oracle import sample_times
 from thermoelast.scenarios import make_initial_data
 
 _RUN = {"n": "16", "t_end": "0.2", "record_every": "10"}
@@ -27,9 +28,9 @@ TINY = {
     "attractor": dict(_RUN, epsilons="2e-3,1e-1"),
     "asymptotics": _RUN,
     "lame-asymptotics": dict(_RUN, zeta="1.5"),
-    "oscillation": dict(_RUN, tail="0.1"),
+    "oscillation": _RUN,
     "bounds": dict(_RUN, scenarios="small-curl-free,random"),
-    "oracle-xcheck": {"t_end": "0.2", "sample_dt": "0.1"},
+    "oracle-xcheck": {"t_end": "0.2"},
 }
 
 CHECKS = {
@@ -104,8 +105,19 @@ def test_tables_read_back_to_the_written_floats(name, csv, header, monkeypatch, 
     assert rows == written[csv][1] and rows
     if name == "oscillation":
         assert [r[0] for r in rows] == [r.t for r in read_timeseries(str(tmp_path / "timeseries.csv"))]
-    else:
-        assert [r[0] for r in rows] == [0.0, 0.1, 0.2]
+    else:  # the oracle's sample rule on the default dt: every 100th of 1000 steps
+        assert [r[0] for r in rows] == sample_times(0.0, StepperConfig(dt=2e-4, t_end=0.2))
+        assert len(rows) == 11
+
+
+def test_oscillation_reads_the_last_fifth_of_its_run(tmp_path):
+    report = run_experiment("oscillation", TINY["oscillation"], out_dir=str(tmp_path))
+    rows = [tuple(float(x) for x in line.split(","))
+            for line in (tmp_path / "nu_l2.csv").read_text(encoding="ascii").splitlines()[1:]]
+    tail_max = max(nu for t, nu in rows if t >= 0.8 * 0.2)
+    assert max(nu for t, nu in rows) > tail_max  # the window leaves out the start
+    check = {c.name: c for c in report.checks}["nu-no-decay"]
+    assert check.detail.startswith(f"max |nu| over t>=0.16 is {tail_max:.6e}, ")
 
 
 def test_defaults_key_sets():
@@ -114,10 +126,9 @@ def test_defaults_key_sets():
         "attractor": common | {"epsilons"},
         "asymptotics": common | {"epsilon"},
         "lame-asymptotics": common | {"epsilon", "zeta", "lame_lambda"},
-        "oscillation": common | {"epsilon", "tail"},
+        "oscillation": common | {"epsilon"},
         "bounds": common | {"epsilon", "seed", "scenarios"},
-        "oracle-xcheck": {"epsilon", "n", "control_n", "mu", "operator", "d",
-                          "dt", "t_end", "sample_dt", "tolerance"},
+        "oracle-xcheck": {"epsilon", "n", "control_n", "mu", "operator", "d", "dt", "t_end"},
     }
     assert {name: set(experiment_defaults(name)) for name in EXPERIMENT_NAMES} == want
 
@@ -154,26 +165,11 @@ class TestOverrides:
         with pytest.raises(ConfigError, match="^d must be 2 or 3, got 4$"):
             run_experiment("asymptotics", {"d": "4"}, out_dir=str(tmp_path))
 
-    @pytest.mark.parametrize("raw", ["0", "-0.1"])
-    def test_sample_dt_must_be_positive(self, raw, tmp_path):
-        with pytest.raises(ValueError, match=f"^sample_dt must be > 0, got {raw}$"):
-            run_experiment("oracle-xcheck", {"sample_dt": raw, "t_end": "0.01"},
-                           out_dir=str(tmp_path))
-        assert os.listdir(tmp_path) == []
-
-    def test_sample_dt_past_t_end_refused(self, tmp_path):
-        # the only sample would be t=0, where both runs equal the oracle
-        with pytest.raises(ValueError, match="^sample_dt must be at most t_end=0.01, got 0.1$"):
-            run_experiment("oracle-xcheck", {"t_end": "0.01"}, out_dir=str(tmp_path))
-        assert os.listdir(tmp_path) == []
-
-    @pytest.mark.parametrize("t_end", ["0.15", "0.19"])
-    def test_t_end_off_the_sample_lattice_refused(self, t_end, tmp_path):
-        # on the dt lattice but between samples: 0.15 would drop its last
-        # interval, 0.19 would ask for a sample at 0.2, past the run
-        with pytest.raises(ValueError, match=rf"^t_end={t_end} is not an integer multiple of sample_dt=0.1$"):
-            run_experiment("oracle-xcheck", {"t_end": t_end, "sample_dt": "0.1", "dt": "0.002"},
-                           out_dir=str(tmp_path))
+    @pytest.mark.parametrize("name", EXPERIMENT_NAMES)
+    def test_run_of_no_step_refused(self, name, tmp_path):
+        # a run that takes no step has nothing to check, and would pass
+        with pytest.raises(ValueError, match="^t_end must be > 0, got 0$"):
+            run_experiment(name, {"t_end": "0"}, out_dir=str(tmp_path))
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("name, key", [("attractor", "epsilons"), ("bounds", "scenarios")])
@@ -202,18 +198,6 @@ class TestOverrides:
         # epsilon = 0 means the scenario default, which would run under the label 0
         with pytest.raises(ValueError, match=f"^epsilons must be > 0, got {bad}$"):
             run_experiment("attractor", dict(_RUN, epsilons=raw), out_dir=str(tmp_path))
-        assert os.listdir(tmp_path) == []
-
-    @pytest.mark.parametrize("raw", ["0", "-1"])
-    def test_tolerance_must_be_positive(self, raw, tmp_path):
-        with pytest.raises(ValueError, match=f"^tolerance must be a finite number > 0, got {raw}$"):
-            run_experiment("oracle-xcheck", {"tolerance": raw}, out_dir=str(tmp_path))
-        assert os.listdir(tmp_path) == []
-
-    @pytest.mark.parametrize("raw", ["-5", "0", "0.3"])
-    def test_tail_must_lie_inside_the_run(self, raw, tmp_path):
-        with pytest.raises(ValueError, match=rf"^tail must be in \(0, t_end=0.2\], got {raw}$"):
-            run_experiment("oscillation", dict(_RUN, tail=raw), out_dir=str(tmp_path))
         assert os.listdir(tmp_path) == []
 
     def test_lame_scenario_in_bounds_runs_like_thermoelast_run(self, tmp_path):

@@ -24,7 +24,8 @@ from thermoelast import (
     run,
     spectral_states_at,
 )
-from thermoelast import oracle
+from thermoelast import experiments, oracle
+from thermoelast.cli import main
 from thermoelast.diagnostics import _fisher_ratio
 from thermoelast.experiments import run_experiment
 from thermoelast.grid import quadrature
@@ -34,6 +35,7 @@ from thermoelast.oracle import (
     galerkin_rhs,
     reconstruct_scalar,
     reconstruct_vector,
+    sample_times,
 )
 from thermoelast.scenarios import ScenarioSpec
 
@@ -417,21 +419,58 @@ class TestComparison:
         assert count(0.122, [0.0, 0.04, 0.08, 0.122]) - setup <= 4 * 61 + 3 * 4
 
 
+class TestSampleTimes:
+    """The one sample rule of the oracle verdict: steps 0, s, 2s, ... with
+    s = max(1, n_steps // 10), plus the last step."""
+
+    @pytest.mark.parametrize("n_steps, steps", [
+        (1, [0, 1]),
+        (4, [0, 1, 2, 3, 4]),
+        (75, [0, 7, 14, 21, 28, 35, 42, 49, 56, 63, 70, 75]),
+        (5000, list(range(0, 5001, 500))),
+    ])
+    def test_rule(self, n_steps, steps):
+        cfg = StepperConfig(dt=2e-4, t_end=n_steps * 2e-4)
+        assert cfg.n_steps() == n_steps
+        assert sample_times(0.0, cfg) == [i * 2e-4 for i in steps]
+        assert sample_times(1.5, cfg) == [1.5 + i * 2e-4 for i in steps]
+
+    def test_both_frontends_capture_the_rule_times(self, monkeypatch, tmp_path):
+        # compare-oracle (through crosscheck) and oracle-xcheck, main run and control
+        seen = []
+        real = oracle.spectral_states_at
+
+        def spy(s0, p, cfg, times):
+            seen.append(list(times))
+            return real(s0, p, cfg, times)
+
+        monkeypatch.setattr(oracle, "spectral_states_at", spy)
+        monkeypatch.setattr(experiments, "spectral_states_at", spy)
+        (tmp_path / "oracle.cfg").write_text("scenario = band-limited\nn = 16\nepsilon = 0.04\n"
+                                             "dt = 0.002\nt_end = 0.2\n", encoding="utf-8")
+        assert main(["compare-oracle", str(tmp_path / "oracle.cfg")]) == 0
+        assert seen == [sample_times(0.0, StepperConfig(dt=2e-3, t_end=0.2))]
+        seen.clear()
+        assert run_experiment("oracle-xcheck", {"t_end": "0.2"}, out_dir=str(tmp_path / "x")).passed
+        assert seen == [sample_times(0.0, StepperConfig(dt=2e-4, t_end=0.2))] * 2
+        assert len(seen[0]) == 11
+
+
 class TestCrosscheck:
     """crosscheck is the explicit build, integrate, capture and compare
-    pipeline on the default stepper path, with the oracle on the cube of the
-    2/3 rule, the grid's dealias_band; a run that is not that truncated
-    system, or a call with no time to compare, is refused before the oracle
-    is built or a step is taken."""
+    pipeline on the default stepper path, at the sample times, with the
+    oracle on the cube of the 2/3 rule, the grid's dealias_band; a run that
+    is not that truncated system, or that takes no step, is refused before
+    the oracle is built or a step is taken."""
 
     def test_is_the_explicit_pipeline(self):
         s0 = make_initial_data(ScenarioSpec("band-limited", n=10, epsilon=0.04))
         p = ModelParams(mu=1.0)
         cfg = StepperConfig(dt=2e-3, t_end=0.02)
-        times = [0.0, 0.01, 0.02]
         traj = integrate_galerkin(build_galerkin(s0, p, 3), cfg.t_end)
-        want = compare_oracle(traj, spectral_states_at(s0, p, cfg, times))
-        assert crosscheck(s0, p, cfg, times) == want
+        want = compare_oracle(traj, spectral_states_at(s0, p, cfg, sample_times(0.0, cfg)))
+        got = crosscheck(s0, p, cfg)
+        assert got == want and len(got.times) == 11
 
     def test_distance_is_second_order_in_dt(self):
         # the default path integrates the oracle's semi-discrete system, so
@@ -439,37 +478,37 @@ class TestCrosscheck:
         # 8.34e-08 and 2.08e-08 (ratios 4.003, 4.003)
         s0 = make_initial_data(ScenarioSpec("band-limited", n=10, epsilon=0.04))
         p = ModelParams(mu=1.0)
-        dist = [crosscheck(s0, p, StepperConfig(dt=dt, t_end=0.02), [0.0, 0.01, 0.02]).sup_distance
+        dist = [crosscheck(s0, p, StepperConfig(dt=dt, t_end=0.02)).sup_distance
                 for dt in (2e-3, 1e-3, 5e-4)]
         assert dist[0] / dist[1] >= 3.9 and dist[1] / dist[2] >= 3.9, dist
 
     def test_grid_divisible_by_3_is_the_truncated_system(self):
         # at N = 12 the 2/3 cube is |index| <= 3, so no product of kept modes
         # aliases back into it and the distance is the Strang step's error
-        # alone: measured 1.156e-07 and 2.890e-08 (ratio 4.00); with the
+        # alone: measured 1.180e-07 and 2.948e-08 (ratio 4.00); with the
         # cube at N // 3 = 4 it stays at 1.4e-06
         s0 = make_initial_data(ScenarioSpec("band-limited", n=12, epsilon=0.2))
         p = ModelParams(mu=1.0)
-        dist = [crosscheck(s0, p, StepperConfig(dt=dt, t_end=1.0), [0.0, 0.5, 1.0]).sup_distance
+        dist = [crosscheck(s0, p, StepperConfig(dt=dt, t_end=1.0)).sup_distance
                 for dt in (2e-4, 1e-4)]
         assert dist[0] / dist[1] >= 3.5, dist
 
-    @pytest.mark.parametrize("shape, cfg, times, match", [
-        ((10, 10), StepperConfig(dt=2e-3, t_end=0.02, dealias=False), [0.0, 0.02],
-         r"this run sets dealias = False$"),
-        ((10, 10), StepperConfig(dt=2e-3, t_end=0.02, product_band=3), [0.0, 0.02],
+    @pytest.mark.parametrize("shape, cfg, match", [
+        ((10, 10), StepperConfig(dt=2e-3, t_end=0.02, dealias=False), r"this run sets dealias = False$"),
+        ((10, 10), StepperConfig(dt=2e-3, t_end=0.02, product_band=3),
          r"this run sets product_band = 3$"),
-        ((10, 8), StepperConfig(dt=2e-3, t_end=0.02), [0.0, 0.02], r"dealias_band = \(3, 2\)$"),
-        ((10, 10), StepperConfig(dt=2e-3, t_end=0.02), [], r"^no states to compare$"),
+        ((10, 8), StepperConfig(dt=2e-3, t_end=0.02), r"dealias_band = \(3, 2\)$"),
+        # a run of no step has no sample time past t0
+        ((10, 10), StepperConfig(dt=2e-3, t_end=0.0), r"^the oracle check needs t_end > 0, got t_end=0$"),
     ], ids=["no-dealias", "product-band", "ragged-cube", "no-times"])
-    def test_refused_before_building_or_stepping(self, monkeypatch, shape, cfg, times, match):
+    def test_refused_before_building_or_stepping(self, monkeypatch, shape, cfg, match):
         calls = []
         for name in ("build_galerkin", "integrate_galerkin", "run"):
             monkeypatch.setattr(oracle, name, lambda *a, _n=name, **k: calls.append(_n))
         grid = TorusGrid(shape)
         s0 = SimState.equilibrium(grid)
         with pytest.raises(ValueError, match=match):
-            crosscheck(s0, ModelParams(mu=1.0), cfg, times)
+            crosscheck(s0, ModelParams(mu=1.0), cfg)
         assert calls == []
 
     def test_oracle_watches_the_config_floor(self, monkeypatch):
@@ -483,7 +522,7 @@ class TestCrosscheck:
         monkeypatch.setattr(oracle, "integrate_galerkin", spy)
         s0 = make_initial_data(ScenarioSpec("band-limited", n=10, epsilon=0.04))
         cfg = StepperConfig(dt=2e-3, t_end=0.01, positivity_floor=1e-3)
-        crosscheck(s0, ModelParams(mu=1.0), cfg, [0.0, 0.01])
+        crosscheck(s0, ModelParams(mu=1.0), cfg)
         assert seen == [1e-3]
 
 
@@ -495,7 +534,7 @@ class TestOracleVerdicts:
     @pytest.mark.parametrize("operator, d", [("lame", 2), ("laplacian", 3), ("lame", 3)])
     def test_matched_run_passes_and_aliased_control_fails(self, operator, d, tmp_path):
         overrides = {"operator": operator, "d": str(d), "n": "10", "control_n": "8",
-                     "dt": "2e-4", "t_end": "0.5", "tolerance": "1e-5"}
+                     "dt": "2e-4", "t_end": "0.5"}
         report = run_experiment("oracle-xcheck", overrides, out_dir=str(tmp_path))
         verdicts = {c.name: c.passed for c in report.checks}
         assert verdicts == {"oracle-match": True, "aliased-control-fails": True,
@@ -511,8 +550,7 @@ class TestOracleVerdicts:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(oracle, "integrate_galerkin", spy)
-        report = run_experiment("oracle-xcheck", {"t_end": "0.2", "sample_dt": "0.1"},
-                                out_dir=str(tmp_path))
+        report = run_experiment("oracle-xcheck", {"t_end": "0.2"}, out_dir=str(tmp_path))
         assert calls == [0.2]
         assert report.passed, report.lines()
 
@@ -530,7 +568,7 @@ class TestOracleVerdicts:
 
         for name in ("build_galerkin", "run"):
             monkeypatch.setattr(oracle, name, reached(name))
-        overrides = {"n": "16", "t_end": "0.2", "sample_dt": "0.1"}
+        overrides = {"n": "16", "t_end": "0.2"}
         with pytest.raises(ValueError, match=r"^control_n=11 cannot hold the oracle's cube at "
                                              r"n=16: truncation 5 needs control_n >= 12$"):
             run_experiment("oracle-xcheck", overrides | {"control_n": "11"}, out_dir=str(tmp_path))

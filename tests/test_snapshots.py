@@ -22,6 +22,7 @@ from thermoelast import (
     write_snapshot,
     write_timeseries,
 )
+from thermoelast import snapshots
 from thermoelast.snapshots import MAGIC, atomic_write_bytes, read_state, write_state, write_table
 
 from conftest import LEDGER_NAN_COLUMNS
@@ -302,6 +303,20 @@ class TestState:
         assert paths == [str(tmp_path / "run" / f"final_{k}.tefld") for k in ("u", "v", "theta")]
         assert all(read_header(p).t == s.t for p in paths)
         assert _same_bits(read_state(str(tmp_path / "run")), s)
+
+    def test_each_file_is_opened_once(self, grid8, rng, tmp_path, monkeypatch):
+        # the header and the field of a snapshot come from one read
+        s = _state(grid8, rng, t=0.5)
+        write_state(s, str(tmp_path))
+        opened = []
+
+        def counted(path, *args, **kwargs):
+            opened.append(os.path.basename(path))
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(snapshots, "open", counted, raising=False)
+        assert _same_bits(read_state(str(tmp_path)), s)
+        assert opened == ["final_u.tefld", "final_v.tefld", "final_theta.tefld"]
 
     def test_bare_names_refused(self, grid8, rng, tmp_path):
         # write_state names its files final_*; {u,v,theta}.tefld is not a state
