@@ -204,18 +204,19 @@ class _SpectralStepper:
     Every product of a step and every spectrum a state build composes is
     written into one work block of 2d+1 spectral arrays owned by the stepper:
     a build needs all of them, the wave half-step's products, the coupling's
-    increments and its inverse transform's input four.  Every view of z and
-    of the block that a step reads or writes is made once, here, and every
-    ufunc takes its output positionally: on the small grids of the oracle
-    cross-check, making a view or parsing a keyword costs about what the
-    arithmetic does.  A step allocates only what its transforms return."""
+    increments and its inverse transform's input four.  The step is one
+    method over views of z and of the block made once, here; every ufunc
+    takes its output positionally and every multiplier is an array.  On the
+    oracle cross-check's small grids a method call, a view, a keyword or a
+    Python scalar costs about what the arithmetic does.  A step allocates
+    only what its transforms return, and looks them up on the grid at each
+    call, so a wrapper put on the grid's class sees every one."""
 
     def __init__(self, grid: TorusGrid, p: ModelParams, dt: float, dealias: bool = True,
                  product_band: int = 0):
         p.validate_for_dimension(grid.d)
         self.grid = grid
         self.dt = float(dt)
-        self._half_dt = 0.5 * self.dt
         if product_band:
             # alias-free collocation products on the cube need m >= 3*band + 1
             short = min(grid.n_per_axis)
@@ -247,14 +248,16 @@ class _SpectralStepper:
         c, s, m = self._rotation(a_l, 0.5 * self.dt)
         self.long_half = np.array([[c, s], [m, c]], dtype=np.complex128)
         self.z = np.empty((3,) + grid.spectral_shape, dtype=np.complex128)
-        # theta^, the wave pair (a_u, a_v) and the coupled pair (a_v, theta^)
-        self._theta, self._waves, self._coupled = self.z[2], self.z[:2], self.z[1:]
         self.work = np.empty((2 * grid.d + 1,) + grid.spectral_shape, dtype=np.complex128)
-        # the wave products (c a_u, m a_u) and (s a_v, c a_v) as two columns
-        self._wave_products = self.work[:4].reshape(self.long_half.shape)
-        self._wave_columns = self._wave_products[:, 0], self._wave_products[:, 1]
-        self._pair, self._increment = self.work[:2], self.work[2:4]
-        self._pair_rows, self._increment_rows = tuple(self._pair), tuple(self._increment)
+        # what `step` unpacks, in order: theta^, (a_u, a_v), the wave products
+        # and their two columns, y = (a_v, theta^), the stage pair and the
+        # increment k with their rows, and per midpoint stage h and where h k
+        # and y + h k go
+        products, y = self.work[:4].reshape(self.long_half.shape), self.z[1:]
+        pair, k = self.work[:2], self.work[2:4]
+        half, full = (np.array(h, dtype=np.complex128) for h in (0.5 * self.dt, self.dt))
+        self._views = (self.z[2], self.z[:2], products, products[:, 0], products[:, 1], y, pair,
+                       *pair, k, *k, ((half, pair, pair), (full, k, y)))
 
     def _rotation(self, speed_sq: float, t: float) -> tuple[np.ndarray, ...]:
         """Per-mode (cos wt, sin(wt)/w, -w^2 sin(wt)/w), w = sqrt(speed_sq) |k|,
@@ -263,11 +266,6 @@ class _SpectralStepper:
         s = np.sin(phase) * self.inv_k_abs / math.sqrt(speed_sq)
         s[(0,) * self.grid.d] = t
         return np.cos(phase), s, -speed_sq * self.grid.k_sq * s
-
-    def _wave_half(self) -> None:
-        # (a_u, a_v) <- (c a_u + s a_v, m a_u + c a_v)
-        np.multiply(self.long_half, self._waves, self._wave_products)
-        np.add(*self._wave_columns, self._waves)
 
     def load(self, s: SimState) -> tuple[np.ndarray, np.ndarray]:
         """Fill z with s on the evolution subspace: the curl-free amplitudes
@@ -285,7 +283,7 @@ class _SpectralStepper:
             a[...], chi = longitudinal_part(self.grid, wh)
             wh -= chi
             nu.append(wh)
-        np.multiply(s.theta.spectral(), mask, out=self._theta)
+        np.multiply(s.theta.spectral(), mask, out=self.z[2])
         return nu[0], nu[1]
 
     def state(self, t: float, nu_u: np.ndarray, nu_v: np.ndarray, n_steps: int) -> SimState:
@@ -315,39 +313,31 @@ class _SpectralStepper:
         return SimState(t, VectorField(grid, u_theta[:d]), VectorField(grid, v),
                         ScalarField(grid, u_theta[d]))
 
-    def _coupling_rhs(self) -> None:
-        """The coupling's tendency at the pair (a_v, theta^), written to the
-        increment; the pair is overwritten with the inverse transform's
-        input."""
-        grid = self.grid
-        av, th = self._pair_rows
-        dav, dth = self._increment_rows
-        # along k^, -mu grad(theta) is -mu i|k| theta^ and div v is i|k| a_v
-        np.multiply(self.neg_mu_ik_abs, th, dav)
-        np.multiply(self.ik_abs, av, av)
-        div_v, theta = grid.to_physical(self._pair)
-        np.multiply(theta, div_v, div_v)
-        np.multiply(grid.to_spectral(div_v), self.neg_mu_mask, dth)
-
-    def _couple(self) -> None:
-        # explicit midpoint rule on y = (a_v, theta^), in place
-        y, pair, k = self._coupled, self._pair, self._increment
-        np.copyto(pair, y)
-        self._coupling_rhs()
-        np.multiply(self._half_dt, k, pair)
-        np.add(y, pair, pair)
-        self._coupling_rhs()
-        np.multiply(self.dt, k, k)
-        np.add(y, k, y)
-
     def step(self) -> None:
-        """Advance z = (a_u, a_v, theta^) by one Strang step, in place."""
-        theta = self._theta
-        np.multiply(self.heat_half, theta, theta)
-        self._wave_half()
-        self._couple()
-        self._wave_half()
-        np.multiply(self.heat_half, theta, theta)
+        """Advance z = (a_u, a_v, theta^) by one Strang step in place: heat and wave half-steps,
+        the coupling by the explicit midpoint rule on y = (a_v, theta^), wave and heat again."""
+        grid, heat, rotation, mask = self.grid, self.heat_half, self.long_half, self.neg_mu_mask
+        theta, waves, products, c_a, c_b, y, pair, av, th, k, dav, dth, stages = self._views
+        np.multiply(heat, theta, theta)
+        # (a_u, a_v) <- (c a_u + s a_v, m a_u + c a_v)
+        np.multiply(rotation, waves, products)
+        np.add(c_a, c_b, waves)
+        np.copyto(pair, y)
+        # k = f(pair), pair <- y + dt/2 k; k = f(pair), y <- y + dt k
+        for h, stage, out in stages:
+            # along k^, -mu grad(theta) is -mu i|k| theta^ and div v is i|k| a_v
+            np.multiply(self.neg_mu_ik_abs, th, dav)
+            np.multiply(self.ik_abs, av, av)
+            div_v, temperature = grid.to_physical(pair)
+            np.multiply(temperature, div_v, div_v)
+            np.multiply(grid.to_spectral(div_v), mask, dth)
+            # the transform outputs go before the next evaluation makes its own
+            del div_v, temperature
+            np.multiply(h, k, stage)
+            np.add(y, stage, out)
+        np.multiply(rotation, waves, products)
+        np.add(c_a, c_b, waves)
+        np.multiply(heat, theta, theta)
 
 
 def _check_finite(t: float, u: np.ndarray, v: np.ndarray, theta: np.ndarray) -> None:

@@ -11,11 +11,11 @@ where the product is an exact truncated convolution computed directly in
 coefficient space - no grids, no aliasing, no splitting.  Time integration is
 the adaptive Dormand-Prince 5(4) pair with tight tolerances, written out here
 in NumPy (`_dormand_prince`): it takes the steps of SciPy's `RK45` and loads
-no SciPy package.  This is a genuinely independent discretisation of
-the same dynamics, which makes it a meaningful oracle for the pseudo-spectral
-stepper at matched resolutions.  For the same reason `galerkin_rhs` writes out
-its own elastic symbol instead of calling `operators.elastic_symbol`, which
-the stepper it is compared against uses.
+no SciPy package.  This is a genuinely independent discretisation of the
+same dynamics, a meaningful oracle for the pseudo-spectral stepper at matched
+resolutions.  So the tendency (`_tendency`, whose symbol an integration builds
+once; `galerkin_rhs` wraps it) writes out its own elastic symbol instead of
+calling `operators.elastic_symbol`, which the stepper it checks uses.
 
 `crosscheck` is the whole comparison: build, integrate, capture the stepper
 at the sample times, measure.  It checks the path every run takes: the truncated
@@ -34,12 +34,12 @@ import math
 import warnings
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .dynamics import ModelParams, NonFinite, PositivityLoss, SimState, StepperConfig, run
-from .grid import ScalarField, TorusGrid, TWO_PI, VectorField, field_norms
+from .grid import ScalarField, TorusGrid, TWO_PI, VectorField, spectral_l2_sq
 
 __all__ = [
     "GalerkinSystem",
@@ -127,14 +127,16 @@ def _embedding_rows(n: int, grid: TorusGrid) -> tuple[np.ndarray, ...]:
     return tuple(_mode_offsets(n) % m for m in grid.n_per_axis)
 
 
-def _embed(cube: np.ndarray, n: int, grid: TorusGrid) -> np.ndarray:
-    """The half-spectrum slice of the cube's embedding in the grid spectrum:
-    every leading-axis offset, the last-axis offsets 0..n."""
+def _embedding(n: int, grid: TorusGrid) -> tuple:
+    """The cube's half-spectrum slice in the grid spectrum: all leading offsets, last-axis 0..n."""
     rows = _embedding_rows(n, grid)
-    lead = cube.shape[: cube.ndim - grid.d]
-    spec = np.zeros(lead + grid.spectral_shape, dtype=np.complex128)
-    spec[(Ellipsis,) + np.ix_(*rows[:-1], rows[-1][n:])] = cube[..., n:]
-    return spec * grid.n_total
+    return (Ellipsis,) + np.ix_(*rows[:-1], rows[-1][n:])
+
+
+def _embed(cube: np.ndarray, n: int, grid: TorusGrid) -> np.ndarray:
+    spec = np.zeros(cube.shape[: cube.ndim - grid.d] + grid.spectral_shape, dtype=np.complex128)
+    spec[_embedding(n, grid)] = cube[..., n:] * grid.n_total
+    return spec
 
 
 def reconstruct_scalar(cube: np.ndarray, n: int, grid: TorusGrid) -> ScalarField:
@@ -199,24 +201,34 @@ def build_galerkin(s0: SimState, p: ModelParams, n: int) -> GalerkinSystem:
     )
 
 
+def _tendency(sys: GalerkinSystem) -> Callable[[float, np.ndarray], np.ndarray]:
+    """y' = f(t, y) of the truncated system on packed (u, v, theta), the symbol
+    built once; each call returns (v, dv, dtheta) packed in a fresh array."""
+    p, n, d = sys.p, sys.n, sys.d
+    k = np.stack(np.broadcast_arrays(*sys.wavevectors()))  # (d, *cube)
+    k_sq = sum(ki * ki for ki in k)  # `GalerkinSystem.k_sq`, without building k again
+    neg_k_sq, blocks, lame = -k_sq, (2 * d + 1,) + k_sq.shape, p.operator == "lame"
+    ik, mu_ik, zeta_k_sq = 1j * k, p.mu * 1j * k, p.zeta * k_sq
+    grad_div = (p.zeta + p.lame_lambda) * k
+
+    def f(t: float, y: np.ndarray) -> np.ndarray:
+        z = y.view(np.complex128).reshape(blocks)
+        u, v, th = z[:d], z[d:2 * d], z[2 * d]
+        out = np.empty_like(y)
+        w = out.view(np.complex128).reshape(blocks)
+        w[:d] = v
+        au = zeta_k_sq * u + grad_div * sum(ki * ui for ki, ui in zip(k, u)) if lame else k_sq * u
+        np.subtract(-au, mu_ik * th, w[d:2 * d])
+        coupling = convolve_truncated(th, sum(iki * vi for iki, vi in zip(ik, v)), n)
+        np.subtract(neg_k_sq * th, p.mu * coupling, w[2 * d])
+        return out
+
+    return f
+
+
 def galerkin_rhs(sys: GalerkinSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Coefficient tendencies (du, dv, dtheta) of the truncated system."""
-    p = sys.p
-    k = sys.wavevectors()
-    k_sq = sum(ki * ki for ki in k)  # `GalerkinSystem.k_sq`, without building k again
-    d = sys.d
-    if p.operator == "laplacian":
-        au = k_sq * sys.u_hat
-    else:
-        ku = sum(k[i] * sys.u_hat[i] for i in range(d))
-        au = np.stack(
-            [p.zeta * k_sq * sys.u_hat[i] + (p.zeta + p.lame_lambda) * k[i] * ku for i in range(d)]
-        )
-    dv = -au - np.stack([p.mu * 1j * k[i] * sys.th_hat for i in range(d)])
-    div_v = sum(1j * k[i] * sys.v_hat[i] for i in range(d))
-    coupling = convolve_truncated(sys.th_hat, div_v, sys.n)
-    dth = -k_sq * sys.th_hat - p.mu * coupling
-    return sys.v_hat.copy(), dv, dth
+    return _unpack(_tendency(sys)(sys.t, _pack(sys.u_hat, sys.v_hat, sys.th_hat)), sys)
 
 
 @dataclass
@@ -402,21 +414,15 @@ def integrate_galerkin(
         raise NonFinite(sys.t, "oracle coefficients")
     if t_end == sys.t:
         return OracleTrajectory(system=sys, t_end=t_end, _sol=lambda t: y0)
-    os_grid = _oversample_grid(sys.n, sys.lengths)
-    n = sys.n
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        u, v, th = _unpack(y, sys)
-        work = replace(sys, t=t, u_hat=u, v_hat=v, th_hat=th)
-        du, dv, dth = galerkin_rhs(work)
-        return _pack(du, dv, dth)
+    n, os_grid = sys.n, _oversample_grid(sys.n, sys.lengths)
+    # theta's embedding in the oversampled spectrum: only the index is ever written
+    index, spec = _embedding(n, os_grid), np.zeros(os_grid.spectral_shape, dtype=np.complex128)
 
     def theta_floor(t: float, y: np.ndarray) -> float:
-        _, _, th = _unpack(y, sys)
-        theta = reconstruct_scalar(th, n, os_grid)
-        return float(np.min(theta.values)) - positivity_floor
+        spec[index] = _unpack(y, sys)[2][..., n:] * os_grid.n_total
+        return float(np.min(os_grid.to_physical(spec))) - positivity_floor
 
-    sol, t_hit = _dormand_prince(rhs, float(sys.t), y0, float(t_end), theta_floor)
+    sol, t_hit = _dormand_prince(_tendency(sys), float(sys.t), y0, float(t_end), theta_floor)
     if t_hit is not None:
         raise PositivityLoss(t_hit, positivity_floor)
     return OracleTrajectory(system=sys, t_end=t_end, _sol=sol)
@@ -475,17 +481,21 @@ class OracleComparison:
 
 
 def compare_oracle(traj: OracleTrajectory, states: Sequence[SimState]) -> OracleComparison:
-    """L2 distances between the reconstruction of traj and each given state."""
+    """L2 distances between the reconstruction of traj and each given state,
+    each `field_norms`' l2 and nothing else it computes."""
     if not states:
         raise ValueError("no states to compare")
+
+    def l2(grid: TorusGrid, diff: np.ndarray) -> float:
+        return math.sqrt(max(spectral_l2_sq(grid, grid.to_spectral(diff)), 0.0))
 
     times, du, dv, dth = [], [], [], []
     for s in states:
         ref = traj.state_at(s.t, s.grid)
         times.append(s.t)
-        du.append(field_norms(VectorField(s.grid, s.u.components - ref.u.components))["l2"])
-        dv.append(field_norms(VectorField(s.grid, s.v.components - ref.v.components))["l2"])
-        dth.append(field_norms(ScalarField(s.grid, s.theta.values - ref.theta.values))["l2"])
+        du.append(l2(s.grid, s.u.components - ref.u.components))
+        dv.append(l2(s.grid, s.v.components - ref.v.components))
+        dth.append(l2(s.grid, s.theta.values - ref.theta.values))
     return OracleComparison(times, du, dv, dth)
 
 

@@ -28,7 +28,7 @@ from thermoelast import experiments, oracle
 from thermoelast.cli import main
 from thermoelast.diagnostics import _fisher_ratio
 from thermoelast.experiments import run_experiment
-from thermoelast.grid import quadrature
+from thermoelast.grid import field_norms, quadrature
 from thermoelast.oracle import (
     convolve_truncated,
     crosscheck,
@@ -206,6 +206,69 @@ class TestTendencies:
         assert calls == [1]
         assert np.array_equal(dth, -want_k_sq * sys.th_hat)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("operator", ["laplacian", "lame"])
+    def test_integration_tendency_is_the_per_field_rhs(self, d, operator, rng):
+        # the symbol built once, at random states: bit for bit the tendency
+        # that builds everything per call, and the per-field formula
+        s0 = make_initial_data(ScenarioSpec("band-limited", n=10, d=d, epsilon=0.04))
+        sys = build_galerkin(s0, ModelParams(mu=1.3, operator=operator), 3)
+        f = oracle._tendency(sys)
+        for t in (0.0, 0.25):
+            y = rng.standard_normal(2 * sys.u_hat.size + 2 * sys.v_hat.size + 2 * sys.th_hat.size)
+            u, v, th = oracle._unpack(y, sys)
+            work = replace(sys, t=t, u_hat=u, v_hat=v, th_hat=th)
+            got = f(t, y)
+            assert got.tobytes() == oracle._pack(*galerkin_rhs(work)).tobytes()
+            assert got.tobytes() == oracle._pack(*_per_field_rhs(work)).tobytes()
+
+    def test_a_second_call_leaves_the_first_result(self, rng):
+        # the integrator keeps a tendency across rejected steps
+        s0 = make_initial_data(ScenarioSpec("band-limited", n=16, epsilon=0.04))
+        sys = build_galerkin(s0, ModelParams(mu=1.0, operator="lame"), 3)
+        f = oracle._tendency(sys)
+        y1, y2 = (rng.standard_normal(2 * (2 * sys.d + 1) * sys.th_hat.size) for _ in range(2))
+        first = f(0.0, y1)
+        kept = first.copy()
+        second = f(0.0, y2)
+        assert first.tobytes() == kept.tobytes()
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, y1) and not np.shares_memory(second, y2)
+
+    def test_an_integration_builds_the_symbol_once(self, monkeypatch):
+        # the wavevectors once for the tendency, the embedding once for the event
+        sys = build_galerkin(make_initial_data(ScenarioSpec("band-limited", n=16, epsilon=0.04)),
+                             ModelParams(mu=1.0), 3)
+        calls = []
+        for name, owner in (("wavevectors", oracle.GalerkinSystem), ("_embedding_rows", oracle)):
+            def spy(*args, real=getattr(owner, name), name=name):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(owner, name, spy)
+        integrate_galerkin(sys, 0.2)
+        assert sorted(calls) == ["_embedding_rows", "wavevectors"]
+
+
+def _per_field_rhs(sys):
+    """The truncated system's tendencies, each field on its own and the symbol
+    built per call: the reference the integration's tendency is held to."""
+    p = sys.p
+    k = sys.wavevectors()
+    k_sq = sum(ki * ki for ki in k)
+    d = sys.d
+    if p.operator == "laplacian":
+        au = k_sq * sys.u_hat
+    else:
+        ku = sum(k[i] * sys.u_hat[i] for i in range(d))
+        au = np.stack(
+            [p.zeta * k_sq * sys.u_hat[i] + (p.zeta + p.lame_lambda) * k[i] * ku for i in range(d)]
+        )
+    dv = -au - np.stack([p.mu * 1j * k[i] * sys.th_hat for i in range(d)])
+    div_v = sum(1j * k[i] * sys.v_hat[i] for i in range(d))
+    dth = -k_sq * sys.th_hat - p.mu * convolve_truncated(sys.th_hat, div_v, sys.n)
+    return sys.v_hat.copy(), dv, dth
+
 
 class TestIntegration:
     def test_pure_heat_mode_decay(self, grid2d_small):
@@ -258,6 +321,11 @@ def _solve_ivp(sys, t_end, events=None):
                      dense_output=True, events=events)
 
 
+def _per_field(rhs):
+    """A tendency factory, as `oracle._tendency`, from rhs(u, v, th) -> (du, dv, dth)."""
+    return lambda sys: lambda t, y: oracle._pack(*rhs(*oracle._unpack(y, sys)))
+
+
 class TestDormandPrince:
     """The oracle's own Dormand-Prince 5(4) pair takes SciPy's RK45 steps:
     the same tableau, error norm, step control and dense output.  The match
@@ -306,18 +374,17 @@ class TestDormandPrince:
             th[0, 0] = np.nan
             sys = replace(sys, th_hat=th)
         else:
-            monkeypatch.setattr(oracle, "galerkin_rhs",
-                                lambda s: (s.u_hat * np.nan, s.v_hat, s.th_hat))
+            monkeypatch.setattr(oracle, "_tendency", _per_field(lambda u, v, th: (u * np.nan, v, th)))
         with pytest.raises(NonFinite, match=f"^non-finite oracle {what} at t=0$"):
             integrate_galerkin(sys, 1.0)
 
     def test_step_below_the_float_spacing_fails(self, monkeypatch):
         # theta_hat' = theta_hat^2 term by term: the unit mean mode blows up
         # at t = 1, so the step shrinks to 10 ulp(t) short of t_end = 2
-        def blow_up(sys):
-            return np.zeros_like(sys.u_hat), np.zeros_like(sys.v_hat), sys.th_hat * sys.th_hat
+        def blow_up(u, v, th):
+            return np.zeros_like(u), np.zeros_like(v), th * th
 
-        monkeypatch.setattr(oracle, "galerkin_rhs", blow_up)
+        monkeypatch.setattr(oracle, "_tendency", _per_field(blow_up))
         sys = build_galerkin(SimState.equilibrium(TorusGrid((8, 8))), ModelParams(mu=1.0), n=2)
         with pytest.raises(RuntimeError, match="^oracle integration failed: .* at t=0.99999") as info:
             integrate_galerkin(sys, 2.0)
@@ -333,6 +400,19 @@ class TestComparison:
         cmp = compare_oracle(traj, states)
         assert cmp.sup_distance < 1e-13
         assert [row[0] for row in cmp.rows()] == [0.0, 0.1, 0.2]
+
+    def test_distances_are_the_field_l2_norms(self):
+        s = make_initial_data(ScenarioSpec("band-limited", n=16, epsilon=0.04))
+        p, cfg = ModelParams(mu=1.0), StepperConfig(dt=2e-3, t_end=0.1)
+        traj = integrate_galerkin(build_galerkin(s, p, 3), 0.1)
+        states = spectral_states_at(s, p, cfg, [0.0, 0.05, 0.1])
+        got = compare_oracle(traj, states).rows()
+        for (t, du, dv, dth), st in zip(got, states):
+            ref = traj.state_at(st.t, st.grid)
+            assert du == field_norms(VectorField(st.grid, st.u.components - ref.u.components))["l2"]
+            assert dv == field_norms(VectorField(st.grid, st.v.components - ref.v.components))["l2"]
+            assert dth == field_norms(ScalarField(st.grid, st.theta.values - ref.theta.values))["l2"]
+        assert min(got[-1][1:]) > 0.0  # the runs differ: no distance is 0 by construction
 
     def test_empty_states_rejected(self):
         s = make_initial_data(ScenarioSpec("band-limited", n=16, epsilon=0.04))
