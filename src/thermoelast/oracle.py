@@ -115,9 +115,6 @@ class GalerkinSystem:
             out.append((TWO_PI / ell) * _mode_offsets(self.n).astype(float).reshape(shape))
         return out
 
-    def k_sq(self) -> np.ndarray:
-        return sum(k * k for k in self.wavevectors())
-
 
 def _embedding_rows(n: int, grid: TorusGrid) -> tuple[np.ndarray, ...]:
     if any(m < 2 * n + 2 for m in grid.n_per_axis):
@@ -206,7 +203,7 @@ def _tendency(sys: GalerkinSystem) -> Callable[[float, np.ndarray], np.ndarray]:
     built once; each call returns (v, dv, dtheta) packed in a fresh array."""
     p, n, d = sys.p, sys.n, sys.d
     k = np.stack(np.broadcast_arrays(*sys.wavevectors()))  # (d, *cube)
-    k_sq = sum(ki * ki for ki in k)  # `GalerkinSystem.k_sq`, without building k again
+    k_sq = sum(ki * ki for ki in k)
     neg_k_sq, blocks, lame = -k_sq, (2 * d + 1,) + k_sq.shape, p.operator == "lame"
     ik, mu_ik, zeta_k_sq = 1j * k, p.mu * 1j * k, p.zeta * k_sq
     grad_div = (p.zeta + p.lame_lambda) * k
@@ -239,22 +236,21 @@ class OracleTrajectory:
     t_end: float
     _sol: object
 
-    def coeffs_at(self, t: float) -> GalerkinSystem:
+    def _fields_at(self, t: float) -> np.ndarray:
         lo, hi = sorted((self.system.t, self.t_end))
         if not (lo - 1e-12 <= t <= hi + 1e-12):
             raise ValueError(f"t={t} outside integrated range [{lo}, {hi}]")
-        y = self._sol(t)
-        u, v, th = _unpack(y, self.system)
-        return replace(self.system, t=t, u_hat=u, v_hat=v, th_hat=th)
+        return _fields(self._sol(t), self.system)
+
+    def coeffs_at(self, t: float) -> GalerkinSystem:
+        z, d = self._fields_at(t), self.system.d
+        return replace(self.system, t=t, u_hat=z[:d], v_hat=z[d:2 * d], th_hat=z[2 * d])
 
     def state_at(self, t: float, grid: TorusGrid) -> SimState:
-        sys = self.coeffs_at(t)
-        return SimState(
-            t,
-            reconstruct_vector(sys.u_hat, sys.n, grid),
-            reconstruct_vector(sys.v_hat, sys.n, grid),
-            reconstruct_scalar(sys.th_hat, sys.n, grid),
-        )
+        # u, v and theta in one embedding and one inverse transform
+        x, d = grid.to_physical(_embed(self._fields_at(t), self.system.n, grid)), self.system.d
+        return SimState(t, VectorField(grid, x[:d]), VectorField(grid, x[d:2 * d]),
+                        ScalarField(grid, x[2 * d]))
 
 
 def _pack(u: np.ndarray, v: np.ndarray, th: np.ndarray) -> np.ndarray:
@@ -262,14 +258,14 @@ def _pack(u: np.ndarray, v: np.ndarray, th: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(z).view(np.float64)
 
 
+def _fields(y: np.ndarray, sys: GalerkinSystem) -> np.ndarray:
+    """A packed vector as one (2d+1, *cube) block: u's d components, v's d, then theta."""
+    return np.ascontiguousarray(y).view(np.complex128).reshape((2 * sys.d + 1,) + sys.th_hat.shape)
+
+
 def _unpack(y: np.ndarray, sys: GalerkinSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    z = np.ascontiguousarray(y).view(np.complex128)
-    m = sys.th_hat.size
-    d = sys.d
-    u = z[: d * m].reshape(sys.u_hat.shape)
-    v = z[d * m : 2 * d * m].reshape(sys.v_hat.shape)
-    th = z[2 * d * m :].reshape(sys.th_hat.shape)
-    return u, v, th
+    z, d = _fields(y, sys), sys.d
+    return z[:d], z[d:2 * d], z[2 * d]
 
 
 # The Dormand-Prince 5(4) pair (Dormand & Prince, J. Comput. Appl. Math. 6,

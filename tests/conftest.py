@@ -1,13 +1,20 @@
-"""Shared fixtures: small grids and band-limited random field factories.
+"""Shared fixtures: small grids, band-limited random field factories, and a
+fresh interpreter on the package under test.
 
 Random fields are always confined to the Nyquist-free subspace (and usually
 to a narrower band); raw white noise holds content on the unpaired -m/2
 lines, where odd spectral derivatives cannot produce real fields.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import thermoelast
 from thermoelast import ScalarField, TorusGrid, VectorField
 
 # the record columns a battery="ledger" TrajectoryRecorder leaves NaN
@@ -57,3 +64,11 @@ def make_scalar():
 @pytest.fixture
 def make_vector():
     return random_vector
+
+
+def fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """`python *args` in a fresh interpreter that imports the package this
+    process imported, from a checkout or an installed copy alike."""
+    where = str(Path(thermoelast.__file__).parents[1])
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": where}, timeout=120)

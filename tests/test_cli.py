@@ -343,10 +343,20 @@ class TestDiagnose:
             "  |potential|_L2    = 1.332864881448e+00\n"
         )
 
-    def test_directory_without_triple(self, tmp_path, capsys):
-        os.makedirs(tmp_path / "empty", exist_ok=True)
-        assert main(["diagnose", str(tmp_path / "empty")]) == 1
-        assert "no u/v/theta snapshot triple" in capsys.readouterr().err
+    @pytest.mark.parametrize("layout", ["empty", "bare-triple"])
+    def test_directory_without_triple(self, tmp_path, capsys, layout):
+        # u/v/theta.tefld beside a run-config.txt are not a run's final_* triple
+        where = tmp_path / layout
+        where.mkdir()
+        if layout == "bare-triple":
+            for path in write_state(make_initial_data(ScenarioSpec("small-mixed", n=16)), str(where)):
+                os.rename(path, where / os.path.basename(path).removeprefix("final_"))
+            _write(where / "run-config.txt", "n = 16\n")
+        assert main(["diagnose", str(where)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: {where}: no u/v/theta snapshot triple "
+                       "(expected final_u.tefld, final_v.tefld, final_theta.tefld)\n")
 
     def test_nan_state_fails_verdict(self, tmp_path, capsys):
         grid = TorusGrid((16, 16))
@@ -476,6 +486,17 @@ class TestExperiment:
         assert os.path.exists(os.path.join(out, "report.txt"))
         assert os.path.exists(os.path.join(out, "timeseries-small-mixed.csv"))
 
+    @pytest.mark.parametrize("args", [
+        ["attractor", "--set", "t_end=0.2", "--set", "epsilons=2e-3,5e-2"],
+        ["oracle-xcheck", "--set", "t_end=0.2"],
+    ], ids=["attractor", "oracle-xcheck"])
+    def test_short_run_passes(self, tmp_path, capsys, args):
+        rc = main(["experiment", *args, "--out-dir", str(tmp_path / "x")])
+        out, err = capsys.readouterr()
+        assert rc == 0
+        assert "verdict: PASS" in out.splitlines()
+        assert err == ""
+
     def test_malformed_set(self, tmp_path, capsys):
         rc = main(["experiment", "bounds", "--set", "garbage",
                    "--out-dir", str(tmp_path / "x")])
@@ -553,6 +574,7 @@ class TestExperiment:
          "scenarios lists random twice"),
         (["attractor", "--set", "epsilons=2e-3,0.002", "--set", "t_end=0.02", "--set", "n=16"],
          "epsilons lists 0.002 twice"),
+        (["bounds", "--set", "t_end=0"], "t_end must be > 0, got 0"),
     ])
     def test_option_that_cannot_decide_exits_cleanly(self, tmp_path, capsys, args, message):
         rc = main(["experiment", *args, "--out-dir", str(tmp_path / "x")])

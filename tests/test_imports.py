@@ -18,7 +18,6 @@ import ast
 import importlib.machinery
 import json
 import os
-import subprocess
 import sys
 from pathlib import Path
 
@@ -26,6 +25,8 @@ import pytest
 
 import thermoelast
 from thermoelast.grid import _load_pocketfft, pypocketfft
+
+from conftest import fresh_python
 
 BINDING = "scipy.fft._pocketfft.pypocketfft"
 MODULES = sorted(
@@ -106,11 +107,8 @@ print(json.dumps({"code": code, "after_run": after_run,
 
 
 def _probe(code: str, arg: str) -> dict:
-    src = str(Path(thermoelast.__file__).parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", code, arg],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=True,
-    )
+    proc = fresh_python("-c", code, arg)
+    proc.check_returncode()
     return json.loads(proc.stdout.splitlines()[-1])
 
 

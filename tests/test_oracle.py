@@ -157,6 +157,21 @@ class TestReconstruction:
         fine = reconstruct_scalar(sys.th_hat, 3, TorusGrid((32, 32)))
         np.testing.assert_allclose(coarse.values, fine.values[::2, ::2], atol=1e-13)
 
+    @pytest.mark.parametrize("d, operator", [(2, "laplacian"), (2, "lame"), (3, "lame")])
+    def test_state_is_the_per_field_reconstruction(self, d, operator):
+        # u, v and theta embedded and transformed as one block keep each
+        # field's own reconstruction bit for bit, on the run's grid and a finer one
+        s = make_initial_data(ScenarioSpec("band-limited", n=10, d=d, epsilon=0.04))
+        traj = integrate_galerkin(build_galerkin(s, ModelParams(mu=1.0, operator=operator), 3), 0.05)
+        for t in (0.0, 0.02, 0.05):
+            sys = traj.coeffs_at(t)
+            for grid in (s.grid, TorusGrid((20,) * d)):
+                got = traj.state_at(t, grid)
+                assert got.t == t
+                assert got.u.components.tobytes() == reconstruct_vector(sys.u_hat, 3, grid).components.tobytes()
+                assert got.v.components.tobytes() == reconstruct_vector(sys.v_hat, 3, grid).components.tobytes()
+                assert got.theta.values.tobytes() == reconstruct_scalar(sys.th_hat, 3, grid).values.tobytes()
+
     def test_grid_too_small(self):
         cube = np.zeros((7, 7), dtype=complex)
         with pytest.raises(ValueError, match="cannot hold truncation"):
@@ -192,7 +207,7 @@ class TestTendencies:
         # with the coupling zeroed, the temperature tendency is -k_sq theta
         s = make_initial_data(ScenarioSpec("band-limited", n=32, epsilon=0.2))
         sys = build_galerkin(s, ModelParams(mu=1.0, operator="lame"), n=3)
-        want_k_sq = sys.k_sq()
+        want_k_sq = sum(k * k for k in sys.wavevectors())
         calls = []
         real = oracle.GalerkinSystem.wavevectors
 
