@@ -116,12 +116,12 @@ class TorusGrid:
     length_per_axis: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        n = tuple(int(m) for m in self.n_per_axis)
-        if len(n) not in (2, 3):
-            raise ValueError(f"grid dimension must be 2 or 3, got {len(n)}")
-        for m in n:
-            if m < 4 or m % 2 != 0:
+        if len(self.n_per_axis) not in (2, 3):
+            raise ValueError(f"grid dimension must be 2 or 3, got {len(self.n_per_axis)}")
+        for m in self.n_per_axis:
+            if m < 4 or m % 2 != 0:  # before int(): 8.7 is not even, nor is inf
                 raise ValueError(f"points per axis must be even and >= 4, got {m}")
+        n = tuple(int(m) for m in self.n_per_axis)
         lengths = tuple(float(ell) for ell in self.length_per_axis or (TWO_PI,) * len(n))
         if len(lengths) != len(n):
             raise ValueError("length_per_axis must match n_per_axis in length")

@@ -1,7 +1,8 @@
 """Independent cross-check: a truncated eigenfunction-basis system.
 
 The reference solution keeps every field on the finite set of Fourier modes
-with each integer component in [-n, n] and evolves the coefficient ODE
+with each integer component in [-n, n], as one (2d+1, *cube) coefficient
+block (u's d components, v's d, then theta), and evolves the coefficient ODE
 
     u_k' = v_k
     v_k' = -(A u)_k - mu * i k theta_k
@@ -48,8 +49,6 @@ __all__ = [
     "build_galerkin",
     "galerkin_rhs",
     "integrate_galerkin",
-    "reconstruct_scalar",
-    "reconstruct_vector",
     "convolve_truncated",
     "spectral_states_at",
     "compare_oracle",
@@ -92,15 +91,14 @@ def convolve_truncated(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass
 class GalerkinSystem:
-    """Truncated coefficient state.  Cube axes are modes -n..n (offset by n)."""
+    """Truncated coefficient state: `coeffs` is the (2d+1, *cube) block of u's
+    d components, v's d, then theta.  Cube axes are modes -n..n (offset by n)."""
 
     n: int
     lengths: tuple[float, ...]
     p: ModelParams
     t: float
-    u_hat: np.ndarray
-    v_hat: np.ndarray
-    th_hat: np.ndarray
+    coeffs: np.ndarray
     shift: float = 0.0
 
     @property
@@ -136,17 +134,19 @@ def _embed(cube: np.ndarray, n: int, grid: TorusGrid) -> np.ndarray:
     return spec
 
 
-def reconstruct_scalar(cube: np.ndarray, n: int, grid: TorusGrid) -> ScalarField:
-    return ScalarField.from_spectral(grid, _embed(cube, n, grid))
-
-
-def reconstruct_vector(cubes: np.ndarray, n: int, grid: TorusGrid) -> VectorField:
-    return VectorField.from_spectral(grid, _embed(cubes, n, grid))
-
-
-def _oversample_grid(n: int, lengths: tuple[float, ...]) -> TorusGrid:
+def _theta_min(n: int, lengths: tuple[float, ...]) -> Callable[[np.ndarray], float]:
+    """theta's minimum, from its cube, on the grid OVERSAMPLE times the cube's
+    width; the embedding index and the spectrum buffer are built once, and
+    only the index is ever written."""
     m = OVERSAMPLE * (2 * n + 1)  # even, as OVERSAMPLE is
-    return TorusGrid((m,) * len(lengths), lengths)
+    grid = TorusGrid((m,) * len(lengths), lengths)
+    index, spec = _embedding(n, grid), np.zeros(grid.spectral_shape, dtype=np.complex128)
+
+    def minimum(cube: np.ndarray) -> float:
+        spec[index] = cube[..., n:] * grid.n_total
+        return float(np.min(grid.to_physical(spec)))
+
+    return minimum
 
 
 def build_galerkin(s0: SimState, p: ModelParams, n: int) -> GalerkinSystem:
@@ -161,20 +161,16 @@ def build_galerkin(s0: SimState, p: ModelParams, n: int) -> GalerkinSystem:
     grid = s0.grid
     p.validate_for_dimension(grid.d)
     rows = _embedding_rows(n, grid)
-
-    def project(values: np.ndarray) -> tuple[np.ndarray, float, float]:
-        # full-layout coefficients: the oracle does not share the grid's layout
-        fh = np.fft.fftn(values, axes=tuple(range(-grid.d, 0))) / grid.n_total
-        cube = fh[(Ellipsis,) + np.ix_(*rows)]
-        total = float(np.sum(np.abs(fh) ** 2))
-        kept = float(np.sum(np.abs(cube) ** 2))
-        return np.ascontiguousarray(cube), total, kept
-
-    u_hat, tot_u, kept_u = project(s0.u.components)
-    v_hat, tot_v, kept_v = project(s0.v.components)
-    th_hat, tot_t, kept_t = project(s0.theta.values)
-    total = tot_u + tot_v + tot_t
-    lost = total - (kept_u + kept_v + kept_t)
+    values = np.concatenate((s0.u.components, s0.v.components, s0.theta.values[None]))
+    # full-layout coefficients: the oracle does not share the grid's layout
+    fh = np.fft.fftn(values, axes=tuple(range(-grid.d, 0))) / grid.n_total
+    kept = (Ellipsis,) + np.ix_(*rows)
+    coeffs = np.ascontiguousarray(fh[kept])
+    # the energy off the cube summed directly: total minus kept is rounding on a resolved state
+    energy = np.abs(fh) ** 2
+    total = float(np.sum(energy))
+    energy[kept] = 0.0
+    lost = float(np.sum(energy))
     if total > 0.0 and lost > (1e-12) ** 2 * total:
         warnings.warn(
             f"initial data is not band-limited within truncation n={n}; "
@@ -182,20 +178,10 @@ def build_galerkin(s0: SimState, p: ModelParams, n: int) -> GalerkinSystem:
             stacklevel=2,
         )
 
-    os_grid = _oversample_grid(n, grid.length_per_axis)
-    shift = max(0.0, POSITIVITY_SHIFT_TARGET - float(np.min(reconstruct_scalar(th_hat, n, os_grid).values)))
+    shift = max(0.0, POSITIVITY_SHIFT_TARGET - _theta_min(n, grid.length_per_axis)(coeffs[-1]))
     if shift > 0.0:
-        th_hat[(n,) * grid.d] += shift  # the mean mode; project returns a fresh array
-    return GalerkinSystem(
-        n=n,
-        lengths=grid.length_per_axis,
-        p=p,
-        t=s0.t,
-        u_hat=u_hat,
-        v_hat=v_hat,
-        th_hat=th_hat,
-        shift=shift,
-    )
+        coeffs[(-1,) + (n,) * grid.d] += shift  # theta's mean mode
+    return GalerkinSystem(n=n, lengths=grid.length_per_axis, p=p, t=s0.t, coeffs=coeffs, shift=shift)
 
 
 def _tendency(sys: GalerkinSystem) -> Callable[[float, np.ndarray], np.ndarray]:
@@ -223,9 +209,9 @@ def _tendency(sys: GalerkinSystem) -> Callable[[float, np.ndarray], np.ndarray]:
     return f
 
 
-def galerkin_rhs(sys: GalerkinSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Coefficient tendencies (du, dv, dtheta) of the truncated system."""
-    return _unpack(_tendency(sys)(sys.t, _pack(sys.u_hat, sys.v_hat, sys.th_hat)), sys)
+def galerkin_rhs(sys: GalerkinSystem) -> np.ndarray:
+    """The truncated system's tendency at sys, as a block like `sys.coeffs`."""
+    return _fields(_tendency(sys)(sys.t, _pack(sys)), sys)
 
 
 @dataclass
@@ -236,36 +222,28 @@ class OracleTrajectory:
     t_end: float
     _sol: object
 
-    def _fields_at(self, t: float) -> np.ndarray:
+    def coeffs_at(self, t: float) -> np.ndarray:
+        """The coefficient block at t, laid out as `system.coeffs`."""
         lo, hi = sorted((self.system.t, self.t_end))
         if not (lo - 1e-12 <= t <= hi + 1e-12):
             raise ValueError(f"t={t} outside integrated range [{lo}, {hi}]")
         return _fields(self._sol(t), self.system)
 
-    def coeffs_at(self, t: float) -> GalerkinSystem:
-        z, d = self._fields_at(t), self.system.d
-        return replace(self.system, t=t, u_hat=z[:d], v_hat=z[d:2 * d], th_hat=z[2 * d])
-
     def state_at(self, t: float, grid: TorusGrid) -> SimState:
         # u, v and theta in one embedding and one inverse transform
-        x, d = grid.to_physical(_embed(self._fields_at(t), self.system.n, grid)), self.system.d
+        x, d = grid.to_physical(_embed(self.coeffs_at(t), self.system.n, grid)), self.system.d
         return SimState(t, VectorField(grid, x[:d]), VectorField(grid, x[d:2 * d]),
                         ScalarField(grid, x[2 * d]))
 
 
-def _pack(u: np.ndarray, v: np.ndarray, th: np.ndarray) -> np.ndarray:
-    z = np.concatenate([u.ravel(), v.ravel(), th.ravel()])
-    return np.ascontiguousarray(z).view(np.float64)
+def _pack(sys: GalerkinSystem) -> np.ndarray:
+    """A fresh flat real copy of sys's coefficient block."""
+    return sys.coeffs.flatten().view(np.float64)
 
 
 def _fields(y: np.ndarray, sys: GalerkinSystem) -> np.ndarray:
-    """A packed vector as one (2d+1, *cube) block: u's d components, v's d, then theta."""
-    return np.ascontiguousarray(y).view(np.complex128).reshape((2 * sys.d + 1,) + sys.th_hat.shape)
-
-
-def _unpack(y: np.ndarray, sys: GalerkinSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    z, d = _fields(y, sys), sys.d
-    return z[:d], z[d:2 * d], z[2 * d]
+    """A packed vector as a block like `sys.coeffs`."""
+    return np.ascontiguousarray(y).view(np.complex128).reshape(sys.coeffs.shape)
 
 
 # The Dormand-Prince 5(4) pair (Dormand & Prince, J. Comput. Appl. Math. 6,
@@ -405,18 +383,15 @@ def integrate_galerkin(
     """
     if t_end < sys.t:
         raise ValueError(f"t_end={t_end} precedes initial time {sys.t}")
-    y0 = _pack(sys.u_hat, sys.v_hat, sys.th_hat)
+    y0 = _pack(sys)
     if not np.isfinite(y0).all():
         raise NonFinite(sys.t, "oracle coefficients")
     if t_end == sys.t:
         return OracleTrajectory(system=sys, t_end=t_end, _sol=lambda t: y0)
-    n, os_grid = sys.n, _oversample_grid(sys.n, sys.lengths)
-    # theta's embedding in the oversampled spectrum: only the index is ever written
-    index, spec = _embedding(n, os_grid), np.zeros(os_grid.spectral_shape, dtype=np.complex128)
+    theta_min = _theta_min(sys.n, sys.lengths)
 
     def theta_floor(t: float, y: np.ndarray) -> float:
-        spec[index] = _unpack(y, sys)[2][..., n:] * os_grid.n_total
-        return float(np.min(os_grid.to_physical(spec))) - positivity_floor
+        return theta_min(_fields(y, sys)[-1]) - positivity_floor
 
     sol, t_hit = _dormand_prince(_tendency(sys), float(sys.t), y0, float(t_end), theta_floor)
     if t_hit is not None:

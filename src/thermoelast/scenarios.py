@@ -13,7 +13,8 @@ the empirical decay gate of 1e-2 at the default amplitude.
                    theta; the coupling vanishes identically along the flow.
 * small-mixed      both parts present plus a curl-free velocity.
 * large            the mixed pattern at unit amplitude.
-* random           seeded band-limited noise (|k|_inf <= 4) in every field.
+* random           seeded band-limited noise (|k|_inf <= 4, Nyquist-free) in
+                   every field.
 * band-limited     a fixed low-mode pattern within |k|_inf <= 3, used for
                    oracle cross-checks.
 * lame-*           the same fields, intended to run with the elastic operator.
@@ -115,10 +116,11 @@ def _div_free_pattern(grid: TorusGrid, eps: float) -> np.ndarray:
 
 
 def _band_limited_noise(grid: TorusGrid, rng: np.random.Generator, band: int) -> np.ndarray:
-    """Zero-mean real field with modes confined to |k|_inf <= band, linf ~ 1."""
+    """Zero-mean real field with modes confined to |k|_inf <= band and to the
+    Nyquist-free subspace the stepper evolves, linf ~ 1."""
     white = rng.standard_normal(grid.shape)
     spec = grid.to_spectral(white)
-    spec = np.where(grid.mode_cube_mask(band), spec, 0.0)
+    spec = np.where(grid.mode_cube_mask(band) & grid.nyquist_free_mask, spec, 0.0)
     spec[(0,) * grid.d] = 0.0
     vals = grid.to_physical(spec)
     peak = float(np.max(np.abs(vals)))

@@ -740,6 +740,22 @@ class TestRunMechanics:
         assert [r.energy for r in r1] == [r.energy for r in r2]
         assert [r.entropy for r in r1] == [r.entropy for r in r2]
 
+    @pytest.mark.parametrize("d, n", [(2, 32), (3, 16)])
+    @pytest.mark.parametrize("operator", ["laplacian", "lame"])
+    def test_restart_is_the_continuation(self, d, n, operator):
+        # a run to 0.25 restarted from its final state lands where one run to
+        # 0.5 does, to the rounding of re-transforming the state: over seeds
+        # 1-10 the largest relative sup gap was 9.3e-16 across the four cells
+        s0 = make_initial_data(ScenarioSpec("random", n=n, d=d, epsilon=0.2, seed=1))
+        p = ModelParams(mu=1.0, operator=operator, zeta=1.5 if operator == "lame" else 1.0)
+        whole = run(s0, p, StepperConfig(dt=1e-3, t_end=0.5))
+        half = run(s0, p, StepperConfig(dt=1e-3, t_end=0.25))
+        rest = run(half, p, StepperConfig(dt=1e-3, t_end=0.25))
+        assert rest.t == whole.t
+        for a, b in ((whole.u.components, rest.u.components), (whole.v.components, rest.v.components),
+                     (whole.theta.values, rest.theta.values)):
+            assert np.max(np.abs(a - b)) <= 4e-15 * np.max(np.abs(a))
+
     @pytest.mark.parametrize("record_every", [1, 3])
     def test_sink_owns_the_states_it_receives(self, record_every):
         def fields(s):

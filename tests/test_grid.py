@@ -33,7 +33,7 @@ class TestConstruction:
         with pytest.raises(ValueError, match="dimension must be 2 or 3"):
             TorusGrid(n)
 
-    @pytest.mark.parametrize("n", [(7, 8), (8, 2), (0, 8)])
+    @pytest.mark.parametrize("n", [(7, 8), (8, 2), (0, 8), (8.7, 8), (8, math.inf)])
     def test_points_even_and_at_least_4(self, n):
         with pytest.raises(ValueError, match="even and >= 4"):
             TorusGrid(n)
