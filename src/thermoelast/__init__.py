@@ -2,123 +2,54 @@
 on periodic boxes, with the structural invariants of the continuous system
 (energy balance, entropy growth, dissipation ledger, sector decoupling)
 checked numerically rather than assumed.
+
+Importing the package loads none of its modules.  `_EXPORTS` maps each
+module to the public names it exports here.  The first read of a name, as
+`thermoelast.run` or through `from thermoelast import run`, imports that
+name's module, binds the name in this namespace and returns it; later reads
+are plain attribute reads.  A module name such as `thermoelast.oracle` also
+resolves on first read.  So a process pays only for the modules it uses:
+a `run` loads `grid`, `operators` and `dynamics`, and never the oracle.
 """
 
-from .config import ConfigError, RunConfig, load_config, parse_config, serialize_config
-from .diagnostics import (
-    DiagnosticsRecord,
-    RECORD_FIELDS,
-    TrajectoryRecorder,
-    decomposition_report,
-    dissipation_residual,
-    entropy,
-    entropy_production,
-    fisher_functional,
-    fisher_identity_residual,
-    galerkin_initial_smallness,
-    theta_infinity_prediction,
-    total_energy,
-)
-from .dynamics import (
-    ModelParams,
-    NonFinite,
-    PositivityLoss,
-    SimState,
-    StepTooLarge,
-    StepperConfig,
-    run,
-)
-from .experiments import EXPERIMENT_NAMES, ExperimentReport, run_experiment
-from .grid import ScalarField, TorusGrid, VectorField, field_norms, quadrature
-from .operators import (
-    HelmholtzParts,
-    curl,
-    curl_curl,
-    divergence,
-    gradient,
-    helmholtz_project,
-    hessian,
-    lame_apply,
-    laplacian,
-)
-from .oracle import (
-    GalerkinSystem,
-    OracleComparison,
-    OracleTrajectory,
-    build_galerkin,
-    compare_oracle,
-    integrate_galerkin,
-    spectral_states_at,
-)
-from .scenarios import SCENARIO_NAMES, ScenarioSpec, make_initial_data
-from .snapshots import (
-    SnapshotError,
-    read_header,
-    read_snapshot,
-    read_timeseries,
-    write_snapshot,
-    write_timeseries,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "ConfigError",
-    "RunConfig",
-    "load_config",
-    "parse_config",
-    "serialize_config",
-    "DiagnosticsRecord",
-    "RECORD_FIELDS",
-    "TrajectoryRecorder",
-    "decomposition_report",
-    "dissipation_residual",
-    "entropy",
-    "entropy_production",
-    "fisher_functional",
-    "fisher_identity_residual",
-    "galerkin_initial_smallness",
-    "theta_infinity_prediction",
-    "total_energy",
-    "ModelParams",
-    "NonFinite",
-    "PositivityLoss",
-    "SimState",
-    "StepTooLarge",
-    "StepperConfig",
-    "run",
-    "EXPERIMENT_NAMES",
-    "ExperimentReport",
-    "run_experiment",
-    "ScalarField",
-    "TorusGrid",
-    "VectorField",
-    "field_norms",
-    "quadrature",
-    "HelmholtzParts",
-    "helmholtz_project",
-    "curl",
-    "curl_curl",
-    "divergence",
-    "gradient",
-    "hessian",
-    "lame_apply",
-    "laplacian",
-    "GalerkinSystem",
-    "OracleComparison",
-    "OracleTrajectory",
-    "build_galerkin",
-    "compare_oracle",
-    "integrate_galerkin",
-    "spectral_states_at",
-    "SCENARIO_NAMES",
-    "ScenarioSpec",
-    "make_initial_data",
-    "SnapshotError",
-    "read_header",
-    "read_snapshot",
-    "read_timeseries",
-    "write_snapshot",
-    "write_timeseries",
-]
+_EXPORTS = {
+    "config": ("ConfigError", "RunConfig", "load_config", "parse_config", "serialize_config"),
+    "diagnostics": ("DiagnosticsRecord", "RECORD_FIELDS", "TrajectoryRecorder",
+                    "decomposition_report", "dissipation_residual", "entropy",
+                    "entropy_production", "fisher_functional", "fisher_identity_residual",
+                    "galerkin_initial_smallness", "theta_infinity_prediction", "total_energy"),
+    "dynamics": ("ModelParams", "NonFinite", "PositivityLoss", "SimState", "StepTooLarge",
+                 "StepperConfig", "run"),
+    "experiments": ("EXPERIMENT_NAMES", "ExperimentReport", "run_experiment"),
+    "grid": ("ScalarField", "TorusGrid", "VectorField", "field_norms", "quadrature"),
+    "operators": ("HelmholtzParts", "curl", "curl_curl", "divergence", "gradient",
+                  "helmholtz_project", "hessian", "lame_apply", "laplacian"),
+    "oracle": ("GalerkinSystem", "OracleComparison", "OracleTrajectory", "build_galerkin",
+               "compare_oracle", "integrate_galerkin", "spectral_states_at"),
+    "scenarios": ("SCENARIO_NAMES", "ScenarioSpec", "make_initial_data"),
+    "snapshots": ("SnapshotError", "read_header", "read_snapshot", "read_timeseries",
+                  "write_snapshot", "write_timeseries"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_MODULES = frozenset(_EXPORTS) | {"cli"}
+
+__all__ = ["__version__", *_HOME]
+
+
+def __getattr__(name: str):
+    if name in _HOME:
+        value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    elif name in _MODULES:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -20,8 +20,8 @@ contexts do not apply to them.
 The binding is loaded from its file in SciPy's `fft/_pocketfft` directory,
 found through `importlib` without running `scipy/__init__.py` or
 `scipy/fft/__init__.py`: those pull in `scipy._lib._array_api` and
-`scipy.special`, which the grid never calls, and cost most of the import
-time and resident memory of `import thermoelast`.  It is registered under
+`scipy.special`, which the grid never calls, and would cost most of the
+time and resident memory of importing this module.  It is registered under
 its dotted name, so a later `import scipy.fft` binds the same module, and
 a process that has imported `scipy.fft` first hands the grid SciPy's own.
 When the grid loads it first, `from scipy.fft._pocketfft import

@@ -183,7 +183,13 @@ def _build_random(spec: ScenarioSpec, grid: TorusGrid):
 
 
 def _build_band_limited(spec: ScenarioSpec, grid: TorusGrid):
-    """Fixed deterministic pattern with |k|_inf <= 3 for oracle cross-checks."""
+    """Fixed deterministic pattern with |k|_inf <= 3 for oracle cross-checks.
+
+    Below 8 points per axis the index 3 is the Nyquist line, which the
+    stepper drops, so such grids are refused."""
+    n = grid.n_per_axis[0]
+    if n < 8:
+        raise ValueError(f"scenario {spec.name!r} reaches |k|_inf = 3 and needs n >= 8, got {n}")
     eps = spec.amplitude()
     meshes = grid.meshes()
     x1, x2 = meshes[0], meshes[1]

@@ -3,6 +3,7 @@ the stability bound, determinism, and the Galerkin product-band mode.
 """
 
 import dataclasses
+import functools
 import math
 import tracemalloc
 
@@ -823,6 +824,68 @@ class TestRunMechanics:
         d1, d2 = drift(1e-3), drift(5e-4)
         assert d1 < 1e-6
         assert d1 / d2 > 3.5
+
+
+def _mapped(s: SimState, vector, scalar) -> SimState:
+    def vec(c):
+        return VectorField(s.grid, np.ascontiguousarray(vector(c)))
+
+    return SimState(s.t, vec(s.u.components), vec(s.v.components),
+                    ScalarField(s.grid, np.ascontiguousarray(scalar(s.theta.values))))
+
+
+def _swap_first_last(s: SimState) -> SimState:
+    # x1 <-> xd: the last axis is the one the real transform halves
+    d = s.grid.d
+    order = [d - 1, *range(1, d - 1), 0]
+    return _mapped(s, lambda c: np.swapaxes(c[order], 1, d), lambda a: np.swapaxes(a, 0, d - 1))
+
+
+def _flip(a: np.ndarray, axis: int) -> np.ndarray:
+    # index j -> -j mod n: the grid point x1 = jh goes to -x1
+    return np.roll(np.flip(a, axis), 1, axis)
+
+
+def _reflect_x1(s: SimState) -> SimState:
+    def vector(c):
+        out = _flip(c, 1)
+        out[0] = -out[0]
+        return out
+
+    return _mapped(s, vector, lambda a: _flip(a, 0))
+
+
+def _shift_5(s: SimState) -> SimState:
+    axes = tuple(range(s.grid.d))
+    return _mapped(s, lambda c: np.roll(c, 5, tuple(a + 1 for a in axes)),
+                   lambda a: np.roll(a, 5, axes))
+
+
+@functools.cache
+def _symmetry_cell(d: int, operator: str):
+    s0 = make_initial_data(ScenarioSpec("random", n=32 if d == 2 else 16, d=d, epsilon=0.2, seed=1))
+    p = ModelParams(mu=1.0, operator=operator, zeta=1.5 if operator == "lame" else 1.0)
+    cfg = StepperConfig(dt=1e-3, t_end=0.1)
+    return s0, p, cfg, run(s0, p, cfg)
+
+
+class TestLatticeSymmetries:
+    """`run` commutes with the cubic torus's lattice maps, vector components
+    moving with the points.  Over seeds 0-19 the largest relative sup gap at
+    t = 0.1 was 2.3e-15 (swap and shift, 2D Laplacian).  Widening the last
+    axis's 2/3 cut by one mode moves the swap's gap to 1.4e-6 (2D Laplacian)
+    through 1.7e-3 (3D Lame)."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("operator", ["laplacian", "lame"])
+    @pytest.mark.parametrize("lattice_map", [_swap_first_last, _reflect_x1, _shift_5],
+                             ids=["swap", "reflect", "shift"])
+    def test_run_commutes_with(self, d, operator, lattice_map):
+        s0, p, cfg, final = _symmetry_cell(d, operator)
+        want, got = lattice_map(final), run(lattice_map(s0), p, cfg)
+        for a, b in ((want.u.components, got.u.components), (want.v.components, got.v.components),
+                     (want.theta.values, got.theta.values)):
+            assert np.max(np.abs(a - b)) <= 5e-15 * np.max(np.abs(a))
 
 
 class TestTransformBudget:

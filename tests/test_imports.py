@@ -1,17 +1,17 @@
 """Every name a package module imports is referenced in that module, and
 importing the package runs no SciPy package code.
 
-The package's `__init__.py` imports names only to re-export them, so it is
-left out; elsewhere a name listed in `__all__` counts as referenced.
+A name listed in `__all__` counts as referenced.
 
-The grid loads SciPy's pocketfft binding from its file, so `import
-thermoelast` leaves `scipy`, `scipy.fft` and `scipy.special` unloaded; a
-later `import scipy.fft` binds the same module object, and the grid
-transforms give the bytes of `rfftn`/`irfftn` in either import order.  The
-oracle integrates with its own Dormand-Prince pair, so a `run` followed by an
-oracle integration still leaves the binding the only SciPy module loaded.
-Both are checked in fresh interpreters, because the test process has
-imported everything already.
+`import thermoelast` loads none of the package's modules: each public name
+loads its home module on first read.  The grid loads SciPy's pocketfft
+binding from its file, so using it leaves `scipy`, `scipy.fft` and
+`scipy.special` unloaded; a later `import scipy.fft` binds the same module
+object, and the grid transforms give the bytes of `rfftn`/`irfftn` in either
+import order.  The oracle integrates with its own Dormand-Prince pair, so a
+`run` followed by an oracle integration still leaves the binding the only
+SciPy module loaded.  All three are checked in fresh interpreters, because the
+test process has imported everything already.
 """
 
 import ast
@@ -29,9 +29,7 @@ from thermoelast.grid import _load_pocketfft, pypocketfft
 from conftest import fresh_python
 
 BINDING = "scipy.fft._pocketfft.pypocketfft"
-MODULES = sorted(
-    p for p in Path(thermoelast.__file__).parent.glob("*.py") if p.name != "__init__.py"
-)
+MODULES = sorted(Path(thermoelast.__file__).parent.glob("*.py"))
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -49,12 +47,13 @@ def _unused_imports(tree: ast.Module) -> list[str]:
         elif isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            used.update(ast.literal_eval(node.value))
+            used.update(n.value for n in ast.walk(node.value) if isinstance(n, ast.Constant))
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
 def test_scan_sees_modules():
-    assert len(MODULES) >= 10
+    assert len(MODULES) >= 11
+    assert MODULES[0].name == "__init__.py"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -163,3 +162,57 @@ class TestLazyIntegrator:
 
     def test_oracle_integration_loads_no_scipy_package(self, lazy_probe):
         assert lazy_probe["after_oracle"] == [BINDING]
+
+
+NAMESPACE_PROBE = """
+import importlib, json, sys
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith(("thermoelast.", "scipy")))
+import thermoelast as te
+out = {"after_import": loaded(), "dir_has_all": set(te.__all__) <= set(dir(te))}
+te.run
+out["after_run"] = [m for m in loaded() if m.startswith("thermoelast.")]
+out["oracle_is_module"] = te.oracle is sys.modules["thermoelast.oracle"]
+try:
+    te.no_such_name
+except AttributeError as exc:
+    out["unknown"] = str(exc)
+star = {}
+exec("from thermoelast import *", star)
+out["star_missing"] = [n for n in te.__all__ if n not in star]
+out["listed"] = sorted(n for names in te._EXPORTS.values() for n in names) == sorted(te.__all__[1:])
+out["not_home"] = [n for m, names in te._EXPORTS.items() for n in names
+                   if not (star[n] is getattr(importlib.import_module("thermoelast." + m), n)
+                           and n in sys.modules["thermoelast." + m].__all__)]
+print(json.dumps(out))
+"""
+
+
+@pytest.fixture(scope="module")
+def namespace_probe():
+    return _probe(NAMESPACE_PROBE, "")
+
+
+class TestLazyNamespace:
+    def test_import_loads_no_module(self, namespace_probe):
+        assert namespace_probe["after_import"] == []
+
+    def test_run_loads_its_modules_only(self, namespace_probe):
+        assert namespace_probe["after_run"] == [
+            "thermoelast.dynamics", "thermoelast.grid", "thermoelast.operators"]
+
+    def test_names_are_their_home_modules_exports(self, namespace_probe):
+        assert namespace_probe["listed"]
+        assert namespace_probe["not_home"] == []
+
+    def test_star_import_binds_every_name(self, namespace_probe):
+        assert namespace_probe["star_missing"] == []
+
+    def test_submodule_resolves(self, namespace_probe):
+        assert namespace_probe["oracle_is_module"]
+
+    def test_unknown_name_is_an_attribute_error(self, namespace_probe):
+        assert namespace_probe["unknown"] == "module 'thermoelast' has no attribute 'no_such_name'"
+
+    def test_dir_lists_all(self, namespace_probe):
+        assert namespace_probe["dir_has_all"]

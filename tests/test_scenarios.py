@@ -177,6 +177,16 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"{field} must be finite, got {bad}"):
             ScenarioSpec("small-mixed", **{field: bad})
 
+    @pytest.mark.parametrize("name", ["band-limited", "lame-band-limited"])
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_band_limited_needs_eight_points(self, name, d, n):
+        # |k|_inf = 3 is the Nyquist index at n = 6, dropped on load: one
+        # step of dt = 1e-4 moved theta by 1.0e-2 there
+        spec = ScenarioSpec(name, d=d, n=n)
+        with pytest.raises(ValueError, match=f"scenario '{name}' .* needs n >= 8, got {n}"):
+            make_initial_data(spec)
+
     def test_non_positive_temperature_rejected(self):
         with pytest.raises(ValueError, match="non-positive temperature"):
             make_initial_data(ScenarioSpec("small-curl-free", epsilon=2.0))
