@@ -3,8 +3,10 @@
 Lines are `key = value`, `#` starts a comment (whole-line or trailing), and
 blank lines are skipped.  Every key has a default, unknown and duplicate keys
 are hard errors, and every parse failure reports the offending line number.
-`serialize_config` emits a canonical text that parses back to an equal
-config, byte-identical for identical inputs.
+`serialize_config` emits a canonical text of the keys the run reads
+(`unread_keys` names the others), byte-identical for identical inputs; it
+parses back to an equal config.  Text that sets a key the run does not
+read is refused on that key's line, unless the value is its default.
 
 Keys and defaults:
 
@@ -14,11 +16,11 @@ Keys and defaults:
     length                 = 2*pi            box edge length
     epsilon                = 0               amplitude (0 = scenario default)
     theta_baseline         = 1               background temperature
-    seed                   = 0               RNG seed for randomized scenarios
+    seed                   = 0               RNG seed for the random scenarios
     mu                     = 1               coupling strength (> 0)
     operator               = auto            auto | laplacian | lame
-    zeta                   = 1               elastic shear coefficient (> 0)
-    lame_lambda            = 0.5             elastic second coefficient
+    zeta                   = 1               Lamé shear coefficient (> 0)
+    lame_lambda            = 0.5             Lamé second coefficient
     dt                     = 0.001           time step (> 0)
     t_end                  = 1               final time (multiple of dt)
     dealias                = true            2/3-rule products
@@ -55,7 +57,7 @@ from .dynamics import ModelParams, StepperConfig, OPERATOR_KINDS
 from .scenarios import ScenarioSpec, scenario_default_operator
 
 __all__ = ["ConfigError", "RunConfig", "build_config", "convert_value", "load_config",
-           "parse_config", "serialize_config"]
+           "parse_config", "serialize_config", "unread_keys"]
 
 
 class ConfigError(ValueError):
@@ -147,9 +149,25 @@ def _named_line(message: str, lines: dict[str, int]) -> int | None:
     return None
 
 
+def unread_keys(cfg: RunConfig) -> set[str]:
+    """The keys cfg's run never reads: seed unless its scenario draws random
+    data, epsilon on equilibrium, zeta and lame_lambda unless the operator is Lamé."""
+    family = cfg.scenario.name.removeprefix("lame-")
+    dead = {"seed": family != "random", "epsilon": family == "equilibrium",
+            "zeta": cfg.params.operator != "lame", "lame_lambda": cfg.params.operator != "lame"}
+    return {key for key, unread in dead.items() if unread}
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse configuration text; see the module docstring for the grammar."""
-    return build_config(*_scan(text))
+    values, lines = _scan(text)
+    cfg = build_config(values, lines)
+    unread = unread_keys(cfg)
+    for key, value in values.items():
+        _require(key not in unread or value == _DEFAULTS[key],
+                 f"{key} is not read by scenario {cfg.scenario.name} under the "
+                 f"{cfg.params.operator} operator; leave it out", key, lines)
+    return cfg
 
 
 def _fields_of(cls, cfg: dict[str, object]) -> dict[str, object]:
@@ -189,10 +207,12 @@ def _fmt(value: object) -> str:
 
 
 def serialize_config(cfg: RunConfig) -> str:
-    """Canonical text form; parse_config(serialize_config(c)) equals c."""
+    """Canonical text of the keys cfg's run reads; it parses back to cfg
+    with its unread keys (`unread_keys`) at their defaults."""
     flat = {**asdict(cfg.scenario), **asdict(cfg.params), **asdict(cfg.stepper),
             "scenario": cfg.scenario.name, "out_dir": cfg.out_dir}
-    return "".join(f"{key} = {_fmt(flat[key])}\n" for key in _DEFAULTS)
+    unread = unread_keys(cfg)
+    return "".join(f"{key} = {_fmt(flat[key])}\n" for key in _DEFAULTS if key not in unread)
 
 
 def load_config(path: str) -> RunConfig:

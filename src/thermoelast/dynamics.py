@@ -237,10 +237,10 @@ class _SpectralStepper:
         # multiply casts the real operand exactly, so the products keep their
         # bits, and held complex they need no cast buffer
         self.heat_half = np.exp(-grid.k_sq * (0.5 * self.dt)).astype(np.complex128)
-        self.k_abs, self.inv_k_abs = np.sqrt(grid.k_sq), np.sqrt(grid.inv_k_sq)
+        self.ik_abs = 1j * np.sqrt(grid.k_sq)  # |k| is its imaginary part, bit for bit
+        self.k_abs, self.inv_k_abs = self.ik_abs.imag, np.sqrt(grid.inv_k_sq)
         # the largest |k| the coupling reaches, for run's stability bound
         self.k_max = float(np.max(self.k_abs[product_mask]))
-        self.ik_abs = 1j * self.k_abs
         self.neg_mu_ik_abs = -p.mu * self.ik_abs
         self.neg_mu_mask = (-p.mu * product_mask).astype(np.complex128)
         self.a_t, a_l = p.wave_speeds_sq
@@ -309,6 +309,7 @@ class _SpectralStepper:
         vh = np.multiply(m, nu_u, out=self.work[:d])
         vh += np.multiply(c, nu_v, out=term)
         vh += np.multiply(k, z[1], out=term)
+        del c, s, m  # the rotation is not held through the second transform
         v = grid.to_physical(vh)
         return SimState(t, VectorField(grid, u_theta[:d]), VectorField(grid, v),
                         ScalarField(grid, u_theta[d]))

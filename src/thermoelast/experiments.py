@@ -10,8 +10,8 @@ grammar: each is converted to the type of the default it replaces, and the
 run keys among them build the run as a config file would (`operator`
 resolves against the scenario name unless an experiment sets it).  An
 experiment accepts only the keys its runs read: `seed` only in `bounds`,
-whose `random` scenario draws from it, and `zeta` and `lame_lambda` only
-in `lame-asymptotics`.  No key sets a verdict's threshold or window:
+nonzero only if a listed scenario is random, and `zeta` and `lame_lambda`
+only in `lame-asymptotics`.  No key sets a verdict's threshold or window:
 `oscillation` reads the last fifth of its run, `oracle-xcheck` the oracle's
 `VERDICT_TOLERANCE` and `sample_times`.  A `t_end` of 0 is refused.
 
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Any, Callable
 
-from .config import RunConfig, build_config, convert_value, serialize_config
+from .config import RunConfig, build_config, convert_value, serialize_config, unread_keys
 from .diagnostics import DiagnosticsRecord, TrajectoryRecorder, galerkin_initial_smallness
 from .dynamics import SimState, run
 from .grid import spectral_l2_sq
@@ -224,11 +224,14 @@ def _bounds_check(records, label: str) -> Check:
 
 
 def _exp_bounds(o: dict, out_dir: str) -> tuple[list[Check], list[str]]:
+    cfgs = {name: build_config(o | {"scenario": name}) for name in _list_option(o, "scenarios")}
+    if o["seed"] and all("seed" in unread_keys(cfg) for cfg in cfgs.values()):
+        raise ValueError(f"seed is read by none of the scenarios {','.join(cfgs)}; leave it out")
     checks: list[Check] = []
     artifacts: list[str] = []
-    for name in _list_option(o, "scenarios"):
+    for name, cfg in cfgs.items():
         path = os.path.join(out_dir, f"timeseries-{name}.csv")
-        _, records = _run_recorded(build_config(o | {"scenario": name}), path)
+        _, records = _run_recorded(cfg, path)
         checks.append(_bounds_check(records, name))
         artifacts.append(path)
     return checks, artifacts

@@ -393,13 +393,8 @@ def spectral_l2_sq(grid: TorusGrid, spec: np.ndarray, weight: np.ndarray | None 
 
 
 def field_norms(f: ScalarField | VectorField) -> dict[str, float]:
-    """Norms and extrema of a field.
-
-    Returns keys l2, h1_semi, l1, linf, min, max, mean.  For scalars, mean is
-    the average value (integral over the box divided by its measure).  For
-    vector fields, l1 and linf use the pointwise Euclidean magnitude while
-    min/max/mean are taken over raw component values.
-    """
+    """Norms of a field: keys l2, h1_semi and linf.  A vector field's linf
+    is the largest pointwise Euclidean magnitude."""
     grid = f.grid
     if isinstance(f, ScalarField):
         vals = f.values
@@ -411,9 +406,5 @@ def field_norms(f: ScalarField | VectorField) -> dict[str, float]:
     return {
         "l2": math.sqrt(max(spectral_l2_sq(grid, spec), 0.0)),
         "h1_semi": math.sqrt(max(spectral_l2_sq(grid, spec, grid.k_sq), 0.0)),
-        "l1": quadrature(grid, point_mag),
         "linf": float(np.max(point_mag)),
-        "min": float(np.min(vals)),
-        "max": float(np.max(vals)),
-        "mean": float(np.mean(vals)),
     }

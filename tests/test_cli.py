@@ -273,14 +273,18 @@ class TestDiagnose:
         assert out_text == ""
 
     @pytest.mark.parametrize(
-        "key, raw, message",
-        [("mu", "inf", "line 8: mu expects a finite number, got 'inf'"),
-         ("lame_lambda", "nan", "line 11: lame_lambda expects a finite number, got 'nan'")],
+        "scenario, key, raw, message",
+        [("small-mixed", "mu", "inf", "line 7: mu expects a finite number, got 'inf'"),
+         ("lame-small-mixed", "lame_lambda", "nan",
+          "line 10: lame_lambda expects a finite number, got 'nan'")],
         ids=["mu", "lame_lambda"],
     )
-    def test_non_finite_parameter_is_refused(self, run_cfg, capsys, key, raw, message):
-        # the run's own config is refused on its line before the state is stepped
+    def test_non_finite_parameter_is_refused(self, run_cfg, capsys, scenario, key, raw, message):
+        # the run's own config is refused on its line before the state is
+        # stepped; a Lame run's config is the one that holds lame_lambda
         cfg_path, out = run_cfg
+        text = Path(cfg_path).read_text(encoding="utf-8")
+        _write(Path(cfg_path), text.replace("scenario = small-mixed", f"scenario = {scenario}"))
         assert main(["run", cfg_path]) == 0
         capsys.readouterr()
         config = Path(out) / "run-config.txt"

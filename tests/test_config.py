@@ -2,6 +2,7 @@
 the serialize/parse round trip."""
 
 import math
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +14,7 @@ from thermoelast import (
     parse_config,
     serialize_config,
 )
-from thermoelast.config import _DEFAULTS, convert_value
+from thermoelast.config import _DEFAULTS, _fmt, build_config, convert_value, unread_keys
 from thermoelast.scenarios import SCENARIO_NAMES
 
 NUMBER_KEYS = tuple(key for key, value in _DEFAULTS.items() if isinstance(value, float))
@@ -39,10 +40,10 @@ class TestDefaults:
             "# full-line comment\n"
             "mu = 2.5   # trailing comment\n"
             "\n"
-            "seed = 7\n"
+            "n = 16\n"
         )
         assert cfg.params.mu == 2.5
-        assert cfg.scenario.seed == 7
+        assert cfg.scenario.n == 16
 
     def test_auto_operator_follows_scenario(self):
         assert parse_config("scenario = lame-small-mixed\n").params.operator == "lame"
@@ -142,8 +143,11 @@ class TestConstraints:
         text = "scenario = lame-small-mixed\nzeta = 1\nlame_lambda = -1\n"
         with pytest.raises(ConfigError, match=r"2\*zeta \+ d\*lame_lambda must be > 0"):
             parse_config(text)
-        # the same coefficients are fine under the plain operator
-        assert parse_config("zeta = 1\nlame_lambda = -1\n").params.lame_lambda == -1.0
+        # the bound depends on d: 2 - 2*0.8 > 0 holds, 2 - 3*0.8 > 0 does not
+        text = "scenario = lame-small-mixed\nzeta = 1\nlame_lambda = -0.8\n"
+        assert parse_config(text).params.lame_lambda == -0.8
+        with pytest.raises(ConfigError, match=r"line 2: 2\*zeta \+ d\*lame_lambda must be > 0"):
+            parse_config(text + "d = 3\n")
 
     @pytest.mark.parametrize(
         "text, line",
@@ -180,11 +184,8 @@ class TestSerialization:
             "length = 6.283185307179586\n"
             "epsilon = 0.0\n"
             "theta_baseline = 1.0\n"
-            "seed = 0\n"
             "mu = 1.0\n"
             "operator = laplacian\n"
-            "zeta = 1.0\n"
-            "lame_lambda = 0.5\n"
             "dt = 0.001\n"
             "t_end = 1.0\n"
             "dealias = true\n"
@@ -200,7 +201,7 @@ class TestSerialization:
         assert parse_config(text) == cfg
 
     def test_canonical_and_stable(self):
-        cfg = parse_config("mu = 2\nseed = 3\n")
+        cfg = parse_config("scenario = random\nmu = 2\nseed = 3\n")
         a = serialize_config(cfg)
         b = serialize_config(parse_config(a))
         assert a == b
@@ -221,7 +222,61 @@ class TestSerialization:
         assert cfg.scenario.epsilon == 0.04
 
 
-def _configs() -> st.SearchStrategy[RunConfig]:
+# a value other than its default for each key some runs do not read
+OFF_DEFAULT = {"seed": 5, "epsilon": 0.25, "zeta": 2.0, "lame_lambda": 0.25}
+
+
+def _every_key_text(cfg: RunConfig) -> str:
+    """cfg with all 18 keys written, as run-config.txt was before the keys a
+    run does not read were left out."""
+    flat = {**asdict(cfg.scenario), **asdict(cfg.params), **asdict(cfg.stepper),
+            "scenario": cfg.scenario.name, "out_dir": cfg.out_dir}
+    return "".join(f"{key} = {_fmt(flat[key])}\n" for key in _DEFAULTS)
+
+
+class TestUnreadKeys:
+    @pytest.mark.parametrize("operator", ["auto", "laplacian", "lame"])
+    @pytest.mark.parametrize("scenario", SCENARIO_NAMES)
+    def test_rule(self, scenario, operator):
+        # seed is read only by the random families, epsilon by every family
+        # but equilibrium, zeta and lame_lambda only by the Lame operator
+        family = scenario.removeprefix("lame-")
+        lame = operator == "lame" or (operator == "auto" and scenario != family)
+        want = ({"seed"} if family != "random" else set()) | (
+            {"epsilon"} if family == "equilibrium" else set()) | (
+            set() if lame else {"zeta", "lame_lambda"})
+        cfg = parse_config(f"scenario = {scenario}\noperator = {operator}\n")
+        assert unread_keys(cfg) == want
+        for key, value in OFF_DEFAULT.items():
+            text = f"scenario = {scenario}\n{key} = {{}}\noperator = {operator}\n"
+            if key in want:
+                with pytest.raises(ConfigError) as err:
+                    parse_config(text.format(value))
+                assert str(err.value) == (f"line 2: {key} is not read by scenario {scenario} "
+                                          f"under the {cfg.params.operator} operator; leave it out")
+                assert parse_config(text.format(_DEFAULTS[key])) == cfg
+            else:  # the run reads it
+                assert parse_config(text.format(value)) != cfg
+        assert parse_config(_every_key_text(cfg)) == cfg
+
+    @pytest.mark.parametrize("text, n_lines", [
+        ("", 15), ("scenario = random\n", 16), ("scenario = lame-small-mixed\n", 17),
+        ("scenario = equilibrium\n", 14),
+    ])
+    def test_written_text_holds_only_read_keys(self, text, n_lines):
+        cfg = parse_config(text)
+        written = serialize_config(cfg)
+        assert len(written.splitlines()) == n_lines
+        assert {line.split(" = ")[0] for line in written.splitlines()} == set(_DEFAULTS) - unread_keys(cfg)
+
+    def test_library_config_drops_its_dead_values(self):
+        # build_config keeps an unread value it is given; the text leaves it out
+        cfg = build_config({"seed": 7, "zeta": 2.0})
+        assert (cfg.scenario.seed, cfg.params.zeta) == (7, 2.0)
+        assert parse_config(serialize_config(cfg)) == build_config({})
+
+
+def _configs() -> st.SearchStrategy[tuple[str, int]]:
     safe_floats = dict(allow_nan=False, allow_infinity=False)
 
     @st.composite
@@ -250,18 +305,22 @@ def _configs() -> st.SearchStrategy[RunConfig]:
             "product_band": product_band,
             "out_dir": draw(st.text(alphabet="abcdefghij-_/.0123456789", min_size=1, max_size=12)),
         }
+        # only the keys the drawn run reads; the scenario and operator decide which
+        unread = unread_keys(parse_config(f"scenario = {lines['scenario']}\n"
+                                          f"operator = {lines['operator']}\n"))
         text = "".join(
             f"{k} = {'true' if v is True else 'false' if v is False else repr(v) if isinstance(v, float) else v}\n"
-            for k, v in lines.items()
+            for k, v in lines.items() if k not in unread
         )
-        return text
+        return text, len(lines) - len(unread)
 
     return build()
 
 
 @settings(max_examples=60, deadline=None)
 @given(_configs())
-def test_round_trip_property(text):
+def test_round_trip_property(drawn):
+    text, n_keys = drawn
     try:
         cfg = parse_config(text)
     except ConfigError as exc:
@@ -269,5 +328,7 @@ def test_round_trip_property(text):
         # lattice after float rounding; those inputs are out of scope here
         assert "is not an integer multiple of dt" in str(exc)
         return
-    assert parse_config(serialize_config(cfg)) == cfg
+    written = serialize_config(cfg)
+    assert parse_config(written) == cfg
+    assert len(written.splitlines()) == n_keys
     assert math.isfinite(cfg.stepper.t_end)

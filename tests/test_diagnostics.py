@@ -192,6 +192,18 @@ class TestHessianIntegrals:
         )
         assert sqrt_hessian_integral(w) == pytest.approx(0.045 * MEASURE_2D, rel=1e-10)
 
+    @pytest.mark.parametrize("shape", [(32, 32), (16, 16, 16)])
+    @pytest.mark.parametrize("a", [1e-2, 1e-3])
+    def test_small_amplitude_ratio(self, shape, a):
+        # criterion 4's two integrals have the ratio 1/4 - a^2/64 to leading
+        # order at w = 1 + a cos x1, since hess sqrt w = sqrt(w) (hess g +
+        # grad g grad g^T / 2) / 2 with g = log w.  The next order moved the
+        # excess over 1/4 by 5.0e-5 relative at a = 1e-2, rounding by 7.7e-7 at 1e-3
+        grid = TorusGrid(shape)
+        w = ScalarField(grid, np.broadcast_to(1.0 + a * np.cos(grid.meshes()[0]), shape).copy())
+        ratio = sqrt_hessian_integral(w) / weighted_log_hessian_integral(w)
+        assert ratio - 0.25 == pytest.approx(-a * a / 64.0, rel=1e-4)
+
     @pytest.mark.parametrize("dim", [2, 3])
     def test_inequality_on_random_weights(self, dim, rng):
         from thermoelast import TorusGrid

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.fft._pocketfft import pypocketfft
 
 from thermoelast import (
+    RECORD_FIELDS,
     ModelParams,
     NonFinite,
     PositivityLoss,
@@ -25,6 +26,7 @@ from thermoelast import (
     VectorField,
     helmholtz_project,
     make_initial_data,
+    quadrature,
     run,
 )
 from thermoelast import dynamics
@@ -886,6 +888,27 @@ class TestLatticeSymmetries:
         for a, b in ((want.u.components, got.u.components), (want.v.components, got.v.components),
                      (want.theta.values, got.theta.values)):
             assert np.max(np.abs(a - b)) <= 5e-15 * np.max(np.abs(a))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("operator", ["laplacian", "lame"])
+    @pytest.mark.parametrize("lattice_map", [_swap_first_last, _reflect_x1, _shift_5],
+                             ids=["swap", "reflect", "shift"])
+    def test_record_is_invariant(self, d, operator, lattice_map):
+        # every column of a full record is a lattice invariant; the swap moves
+        # the half-spectrum axis, so this checks the Hermitian weighting.  Over
+        # seeds 0-9, at t = 0 and 0.1, the largest gap was 5.0e-15 relative;
+        # the entropy, a cancelling integral of log theta, is measured against
+        # the integral of |log theta| (6.4e-17).  Doubling the weight of the k_d = 0
+        # plane fails the swap in every cell
+        s0, p, _, final = _symmetry_cell(d, operator)
+        for s in (s0, final):
+            want, got = TrajectoryRecorder(p), TrajectoryRecorder(p)
+            want(s)
+            got(lattice_map(s))
+            log_scale = quadrature(s.grid, np.abs(np.log(s.theta.values)))
+            for name in RECORD_FIELDS:
+                a, b = getattr(want.records[0], name), getattr(got.records[0], name)
+                assert abs(a - b) <= 1e-14 * (log_scale if name == "entropy" else abs(a)), name
 
 
 class TestTransformBudget:

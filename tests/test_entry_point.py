@@ -64,6 +64,14 @@ def test_refusal_exits_1_with_one_error_line(cli, argv):
     assert proc.stderr.endswith("\n")
 
 
+def test_run_directory_is_diagnosed(cli):
+    # diagnose reads back the run-config.txt that run wrote into its directory
+    assert cli("run", "{tmp}/run.cfg").returncode == 0
+    proc = cli("diagnose", "{tmp}/run")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.endswith("verdict: PASS\n")
+
+
 def test_failed_verdict_exits_2(cli):
     proc = cli("compare-oracle", "{tmp}/coarse.cfg")
     assert (proc.returncode, proc.stderr) == (2, "")

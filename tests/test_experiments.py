@@ -161,6 +161,16 @@ class TestOverrides:
             run_experiment(name, dict(_RUN, **{key: "1"}), out_dir=str(tmp_path))
         assert os.listdir(tmp_path) == []
 
+    def test_seed_no_scenario_reads_refused(self, tmp_path):
+        # bounds accepts seed for its random scenario; without one a nonzero
+        # seed would change nothing, and the refusal comes before any run
+        with pytest.raises(ValueError, match="^seed is read by none of the scenarios "
+                                             "small-mixed,lame-small-mixed; leave it out$"):
+            run_experiment("bounds", dict(_RUN, seed="7", scenarios="small-mixed,lame-small-mixed"),
+                           out_dir=str(tmp_path))
+        assert os.listdir(tmp_path) == []
+        run_experiment("bounds", dict(_RUN, seed="0", scenarios="small-mixed"), out_dir=str(tmp_path))
+
     def test_invalid_value_keeps_its_dataclass_message(self, tmp_path):
         with pytest.raises(ConfigError, match="^d must be 2 or 3, got 4$"):
             run_experiment("asymptotics", {"d": "4"}, out_dir=str(tmp_path))

@@ -2,6 +2,8 @@
 algebraic identities.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,8 @@ from thermoelast.operators import (
     k_dot,
     longitudinal_part,
 )
+
+from thermoelast.grid import spectral_l2_sq
 
 from conftest import random_scalar, random_vector
 
@@ -231,6 +235,18 @@ class TestPoincare:
             grad_norm = field_norms(f)["h1_semi"]
             lap_norm = field_norms(laplacian(f))["l2"]
             assert grad_norm <= lap_norm * (1 + 1e-12)
+
+    @pytest.mark.parametrize("shape", [(32, 32), (16, 16, 16)])
+    def test_unit_modes_attain_the_bound(self, shape):
+        # criterion 3's relative excess (|grad f| - |lap f|) / |lap f| is 0,
+        # to the bit, on every |k| = 1 mode: the bound is sharp
+        grid = TorusGrid(shape)
+        for x in grid.meshes():
+            for fn in (np.cos, np.sin):
+                spec = ScalarField(grid, np.broadcast_to(fn(x), shape).copy()).spectral()
+                grad = math.sqrt(spectral_l2_sq(grid, spec, weight=grid.k_sq))
+                lap = math.sqrt(spectral_l2_sq(grid, spec, weight=grid.k_sq**2))
+                assert (grad - lap) / lap == 0.0
 
 
 class TestCoefficientChecks:
